@@ -20,7 +20,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 # documents for the flagship pipeline scale with the sf tables
 _SF_DOCS = {"sf0.001": 2_000, "sf0.01": 20_000, "sf0.1": 120_000}
 N_DOCS = int(

@@ -401,20 +401,11 @@ def build_edges_lsh(
     that). One-row bands admit more junk candidates than multi-row
     bands, but the prefilter + vectorized kernel make verification the
     cheap side of the trade at join selectivities."""
-    from ..kernels.strdist import score_pairs
     from ..pipelines.dedup import lsh_fused_edges
-    from ..pipelines.linkage import JaroCharBoundFilter
+    from ..pipelines.linkage import string_scorer
 
     lkey, rkey = by[0]
-
-    def score_fn(a_list, b_list):
-        d = score_pairs(
-            method, list(a_list), list(b_list),
-            q=q, max_prefix=max_prefix, prefix_weight=prefix_weight,
-        )
-        keep = d <= max_distance
-        return keep, d[keep]
-
+    score_fn, prefilter = string_scorer(method, max_distance, q, max_prefix, prefix_weight)
     scored = lsh_fused_edges(
         left.select_columns([lid, lkey]),
         lkey,
@@ -425,9 +416,7 @@ def build_edges_lsh(
         shingle_k=shingle_k,
         num_partitions=num_partitions,
         tile_bucket=tile_bucket,
-        prefilter=(
-            JaroCharBoundFilter(max_distance) if method == "jaro_winkler" else None
-        ),
+        prefilter=prefilter,
         right=right.select_columns([rid, rkey]),
         right_text_col=rkey,
         right_id_col=rid,

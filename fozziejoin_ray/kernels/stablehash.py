@@ -14,9 +14,9 @@ hypothesis fuzz strategy (tests/test_stablehash.py).
 Canonicalization is PER-ELEMENT, a pure function of (logical value,
 validity) — never of the block's dtype or of neighboring values:
 
-- whole numbers with |v| < 2^63 (ints, bools, integral floats, numeric
-  objects) hash via their exact int64 representation — so int64 ids of
-  arbitrary magnitude hash exactly from typed int blocks, and a
+- whole numbers with -2^63 <= v < 2^63 (ints, bools, integral floats,
+  numeric objects) hash via their exact int64 representation — so int64
+  ids of arbitrary magnitude hash exactly from typed int blocks, and a
   null-degraded float64 block still agrees wherever float64 represents
   the id exactly;
 - all other numerics hash as float64 (-0.0 canonicalized to 0.0);
@@ -59,7 +59,7 @@ def _hash_float_block(f: np.ndarray) -> np.ndarray:
     hash. NaN/inf fail the whole-test and take the float path (NaN
     positions are invalid and get overwritten by the caller)."""
     with np.errstate(invalid="ignore"):
-        whole = (f == np.floor(f)) & (np.abs(f) < _I63)
+        whole = (f == np.floor(f)) & (f >= -_I63) & (f < _I63)
     if whole.all():
         return _hash_i64(f.astype(np.int64))
     if not whole.any():
@@ -114,7 +114,7 @@ def stable_col_hash(s: "pd.Series") -> np.ndarray:
                     flt_vals.append(float(iv))
             elif isinstance(v, (float, np.floating)):
                 fv = float(v)
-                if fv == fv and abs(fv) < _I63 and fv == int(fv):
+                if fv == fv and -_I63 <= fv < _I63 and fv == int(fv):
                     int_idx.append(i)
                     int_vals.append(int(fv))
                 else:

@@ -10,6 +10,7 @@ duplicate class. Only (id, signature) columns travel through shuffles.
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -532,77 +533,79 @@ def _verify_pairs_jaccard(
     return j.map_batches(verify, batch_format="pyarrow")
 
 
+_INDEX_CACHE: dict = {}
+
+
+def _get_index(ref) -> "DocShingleIndex":
+    """Per-worker-process cache for a broadcast DocShingleIndex: ray.get
+    re-unpickles the ids list on every call, so memoize by object ref
+    (numpy payloads stay zero-copy plasma views either way)."""
+    key = ref.hex() if hasattr(ref, "hex") else id(ref)
+    got = _INDEX_CACHE.get(key)
+    if got is None:
+        import ray
+
+        got = ray.get(ref)
+        _INDEX_CACHE.clear()  # one live index per worker is plenty
+        _INDEX_CACHE[key] = got
+    return got
+
+
+class _IndexJaccardScore:
+    """score_fn for :func:`lsh_fused_edges` that reads doc IDS, not
+    texts: exact set-jaccard >= ``threshold`` from a broadcast
+    :class:`DocShingleIndex` (``ray.put`` once, fetched zero-copy per
+    worker), so per-pair work is an id->row gather plus ``popcount(A &
+    B)`` slabs. ``by_id`` tells :func:`lsh_fused_edges` to ship only ids
+    through its band exchange. Ids absent from the index never match."""
+
+    by_id = True
+
+    def __init__(self, ref, threshold: float):
+        self.ref = ref
+        self.threshold = float(threshold)
+
+    def __call__(self, a_ids, b_ids) -> tuple[np.ndarray, np.ndarray]:
+        import pandas as pd
+
+        index = _get_index(self.ref)
+        n = len(a_ids)
+        # one dict lookup per DISTINCT id, not per pair
+        codes, uniq = pd.factorize(np.concatenate([np.asarray(a_ids), np.asarray(b_ids)]))
+        rows = index.lookup(uniq)[codes]
+        ai, bi = rows[:n], rows[n:]
+        ok = (ai >= 0) & (bi >= 0)
+        sims = np.zeros(n, np.float64)
+        sims[ok] = index.jaccard_idx(ai[ok], bi[ok])
+        keep = ok & (sims >= self.threshold)
+        return keep, sims[keep]
+
+
 class _BroadcastJaccardVerify:
-    """Actor-pool verifier for the small-doc-table side of candidate
-    verification: a driver-built :class:`DocShingleIndex` is ``ray.put``
-    once and fetched zero-copy per actor, so per-batch work collapses to
-    id->row gather + ``popcount(A & B)`` slabs — no shuffle at all.
-    When candidate pairs outnumber docs by orders of magnitude (the
-    degenerate-blocking regime), this replaces two hash-join
-    all-to-alls carrying pair x text payload. A doc table above the
-    caller's broadcast limit never takes this path (join-back
+    """Actor-pool verifier for (a, b) candidate pairs against a
+    broadcast :class:`DocShingleIndex` (:class:`_IndexJaccardScore`) —
+    no shuffle at all. When candidate pairs outnumber docs by orders of
+    magnitude (the degenerate-blocking regime), this replaces two
+    hash-join all-to-alls carrying pair x text payload. A doc table
+    above the caller's broadcast limit never takes this path (join-back
     instead)."""
 
     def __init__(self, ref, threshold: float):
-        import ray
-
-        self.index: DocShingleIndex = ray.get(ref)
-        self.threshold = float(threshold)
+        self.score = _IndexJaccardScore(ref, threshold)
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        ai = self.index.lookup(t.column("a").to_pylist())
-        bi = self.index.lookup(t.column("b").to_pylist())
-        ok = np.nonzero((ai >= 0) & (bi >= 0))[0]  # inner-join semantics
-        sims = self.index.jaccard_idx(ai[ok], bi[ok])
-        hit = sims >= self.threshold
-        out = t.take(pa.array(ok[hit], pa.int64())).select(["a", "b"])
-        return out.append_column("jaccard", pa.array(sims[hit], pa.float64()))
-
-
-def minhash_candidate_pairs(
-    ds: rd.Dataset,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    *,
-    num_perm: int = 64,
-    bands: int = 16,
-    shingle_k: int = 3,
-    seed: int = 13,
-    num_partitions: int = 64,
-) -> rd.Dataset:
-    """Distinct (a, b) candidate pairs from banded MinHash buckets —
-    the two-stage candidate generator (bucket -> pairs -> groupby dedup);
-    the fused path (:func:`lsh_fused_edges`) supersedes it when the
-    verifier can run in the same stage."""
-    assert num_perm % bands == 0
-    a, b = _minhash_params(num_perm, seed)
-
-    def buckets(t: pa.Table) -> pa.Table:
-        idc = t[id_col].combine_chunks() if isinstance(t[id_col], pa.ChunkedArray) else t[id_col]
-        kv = (
-            t[text_col].combine_chunks() if isinstance(t[text_col], pa.ChunkedArray) else t[text_col]
-        ).to_numpy(zero_copy_only=False)
-        vrows = np.nonzero(np.fromiter((v is not None for v in kv), bool, count=len(kv)))[0]
-        if not len(vrows):
-            return pa.table(
-                {"__bucket": pa.array([], pa.uint64()), id_col: pa.array([], idc.type)}
-            )
-        sh = [char_shingles(kv[i], shingle_k) for i in vrows]
-        SIG = minhash_signatures_batch(sh, a, b)
-        BH = _band_hashes(SIG, bands)
-        bucket = (
-            (np.arange(bands, dtype=np.uint64)[None, :] << np.uint64(32))
-            | BH.astype(np.uint64)
-        ).ravel()
-        return pa.table(
-            {
-                "__bucket": pa.array(bucket),
-                id_col: idc.take(pa.array(np.repeat(vrows, bands))),
-            }
+        keep, sims = self.score(
+            t["a"].to_numpy(zero_copy_only=False), t["b"].to_numpy(zero_copy_only=False)
         )
+        out = t.filter(pa.array(keep)).select(["a", "b"])
+        return out.append_column("jaccard", pa.array(sims, pa.float64()))
 
-    bucketed = ds.map_batches(buckets, batch_format="pyarrow")
-    return _pairs_from_buckets(bucketed, id_col, num_partitions=num_partitions)
+
+# minhash_lsh_dedup's payload layout: texts longer than _CARRY_CUTOFF
+# bytes (mean) stay out of the band exchange when the doc table fits a
+# broadcast shingle index of at most _BROADCAST_DOC_LIMIT docs
+_BROADCAST_DOC_LIMIT = 2_000_000
+_CARRY_CUTOFF = 128
 
 
 def minhash_lsh_dedup(
@@ -617,8 +620,6 @@ def minhash_lsh_dedup(
     seed: int = 13,
     num_partitions: int = 32,
     id_type=None,
-    broadcast_doc_limit: int = 2_000_000,
-    carry_cutoff: int = 128,
     tile_bucket: int | None = None,
 ) -> rd.Dataset:
     """Near-duplicate classes via MinHash+LSH: shingle -> minhash ->
@@ -626,31 +627,23 @@ def minhash_lsh_dedup(
     connected components. Returns (doc_id, dup_group) for every doc;
     dup_group = min doc_id of its duplicate class.
 
-    Shuffle layout, selected by doc-table size and MEASURED mean text
-    length (the band shuffle carries ``bands x len(text)`` bytes per
-    doc, so text length decides whether carrying beats joining):
+    One call to :func:`lsh_fused_edges`; only the payload that rides in
+    the band exchange is chosen, from doc-table size and MEASURED mean
+    text length (the exchange carries ``bands x len(text)`` bytes per
+    doc):
 
-    - texts ≤ ``carry_cutoff`` bytes: :func:`lsh_fused_edges` — carrying
-      a short text in each band emission is cheaper than any join-back
-      or index gather (measured 42s vs 50s at 120k 63-byte docs).
-    - long texts, table ≤ ``broadcast_doc_limit``: band emissions carry
-      only (numeric bucket, id) — 16 bytes per band per doc — and each
-      bucket partition verifies in place against a shared
-      :class:`DocShingleIndex` (:func:`lsh_index_edges`); only surviving
-      edges are exchanged (measured 3.6s vs 6.4s fused on 297-byte
-      docs).
-    - long texts, huge table: candidate pairs are deduped across bands
-      and text hash-joined back — an O(distinct candidates + corpus)
-      exchange vs fused's O(bands x corpus) text carry.
+    - texts <= ``_CARRY_CUTOFF`` bytes, or a table over
+      ``_BROADCAST_DOC_LIMIT`` docs: the text rides in each band
+      emission and is re-shingled per bucket partition (measured 42s vs
+      50s for an index gather at 120k 63-byte docs on 32 CPUs);
+    - long texts on a table that fits a broadcast: emissions carry only
+      ids, and :class:`_IndexJaccardScore` verifies against a broadcast
+      :class:`DocShingleIndex` (measured 2.7s vs 3.2s with the texts
+      carried, 5,000 297-byte docs on 4 CPUs).
 
-    All three paths compute the same exact set-jaccard over the same
-    candidate set (same bucket math, same ``max_bucket`` cap), so
-    results are identical.
-
-    ``tile_bucket`` (large-bucket pair-expansion tiling) is honored by
-    the fused layout only; the index/join-back layouts verify per bucket
-    partition against an index, where the knob does not apply — a
-    warning is emitted if it would be ignored."""
+    Both payloads see the same candidates (same bucket math,
+    ``max_bucket`` cap, ownership and ``tile_bucket`` tiling) and the
+    same exact set-jaccard, so results are identical."""
     import ray
 
     from fozziejoin_ray.joins.string_join import _collect_right
@@ -664,75 +657,26 @@ def minhash_lsh_dedup(
         lambda t: t.select([id_col, text_col]), batch_format="pyarrow"
     ).materialize()
 
-    small = ds.count() <= broadcast_doc_limit
-    mat = None
-    if small:
+    score_fn = jaccard_score_fn(shingle_k, threshold)
+    if ds.count() <= _BROADCAST_DOC_LIMIT:
         mat = _collect_right(ds, [id_col, text_col])
         tl = pa.compute.binary_length(pa.compute.fill_null(mat[text_col], ""))
-        mean_len = float(pa.compute.mean(tl).as_py() or 0.0)
-    else:
-        sample = pa.concat_tables(
-            ds.limit(1000).map_batches(
-                lambda t: t.select([text_col]), batch_format="pyarrow"
-            ).iter_batches(batch_size=None, batch_format="pyarrow")
-        )
-        tl = pa.compute.binary_length(pa.compute.fill_null(sample[text_col], ""))
-        mean_len = float(pa.compute.mean(tl).as_py() or 0.0)
-
-    if mean_len > carry_cutoff and tile_bucket is not None:
-        import warnings
-
-        warnings.warn(
-            "tile_bucket is honored only by the fused (short-text) LSH "
-            "layout; this corpus selects the "
-            + ("broadcast-index" if small else "join-back")
-            + " layout, which verifies per bucket partition and ignores it",
-            stacklevel=2,
-        )
-    if mean_len <= carry_cutoff:
-        edges = lsh_fused_edges(
-            ds,
-            text_col,
-            id_col,
-            jaccard_score_fn(shingle_k, threshold),
-            num_perm=num_perm,
-            bands=bands,
-            shingle_k=shingle_k,
-            seed=seed,
-            num_partitions=num_partitions,
-            tile_bucket=tile_bucket,
-            prefilter=JaccardSizeBoundFilter(threshold),
-        )
-    elif small:
-        ref = ray.put(
-            DocShingleIndex(mat[id_col].to_pylist(), mat[text_col].to_pylist(), shingle_k)
-        )
-        edges = lsh_index_edges(
-            ds,
-            text_col,
-            id_col,
-            ref,
-            threshold,
-            num_perm=num_perm,
-            bands=bands,
-            shingle_k=shingle_k,
-            seed=seed,
-            num_partitions=num_partitions,
-        )
-    else:
-        cand = minhash_candidate_pairs(
-            ds,
-            text_col,
-            id_col,
-            num_perm=num_perm,
-            bands=bands,
-            shingle_k=shingle_k,
-            seed=seed,
-            num_partitions=num_partitions,
-        )
-        edges = _verify_pairs_jaccard(
-            cand, ds, text_col, id_col, shingle_k, threshold, num_partitions
-        )
+        if float(pa.compute.mean(tl).as_py() or 0.0) > _CARRY_CUTOFF:
+            index = DocShingleIndex(mat[id_col].to_pylist(), mat[text_col].to_pylist(), shingle_k)
+            score_fn = _IndexJaccardScore(ray.put(index), threshold)
+    edges = lsh_fused_edges(
+        ds,
+        text_col,
+        id_col,
+        score_fn,
+        num_perm=num_perm,
+        bands=bands,
+        shingle_k=shingle_k,
+        seed=seed,
+        num_partitions=num_partitions,
+        tile_bucket=tile_bucket,
+        prefilter=JaccardSizeBoundFilter(threshold),
+    )
     return _dup_groups(ds, edges, id_col, num_partitions, id_type)
 
 
@@ -1344,223 +1288,86 @@ def _bucket_census(
     return capped_ids, tile_ids, tile_nb
 
 
-def _capped_bucket_ids(
-    emitted: rd.Dataset, max_bucket: int, two_table: bool = False
-) -> np.ndarray:
-    """Sorted u64 ids of globally-capped LSH buckets (see _bucket_census)."""
-    capped, _, _ = _bucket_census(emitted, max_bucket, None, two_table)
-    return capped
+def _arr(t: pa.Table, col: str) -> pa.Array:
+    c = t[col]
+    return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
 
 
-def lsh_fused_edges(
-    ds: rd.Dataset,
+def _band_emitter(
     text_col: str,
     id_col: str,
+    *,
+    num_perm: int,
+    bands: int,
+    shingle_k: int,
+    seed: int,
+    carry_text: bool = True,
+    prefilter=None,
+    side: int = 0,
+):
+    """The banded-MinHash emission, as a per-batch function: one row per
+    (non-null-text row, band) with ``__bucket`` = band << 32 |
+    band_hash, the id, the text (unless ``carry_text`` is off),
+    ``__lsh_side`` = ``side``, the source row's FULL band-hash vector
+    ``__bh`` (the ownership filter's input) and, with a ``prefilter``,
+    its sketch ``__sk``. Rows with null text emit nothing (NA never
+    matches). Rows of one source row are consecutive, bands in order."""
+    if num_perm % bands:
+        raise ValueError(f"num_perm={num_perm} is not a multiple of bands={bands}")
+    ma, mb = _minhash_params(num_perm, seed)
+    band_hi = np.arange(bands, dtype=np.uint64)[None, :] << np.uint64(32)
+
+    def emit(t: pa.Table) -> pa.Table:
+        idc, tc = _arr(t, id_col), _arr(t, text_col)
+        if pa.types.is_null(tc.type):  # an all-null block from a pandas stage
+            tc = tc.cast(pa.string())
+        kv = tc.to_numpy(zero_copy_only=False)
+        vrows = np.nonzero(np.fromiter((v is not None for v in kv), bool, count=len(kv)))[0]
+        sh = [char_shingles(kv[i], shingle_k) for i in vrows]
+        BH = _band_hashes(minhash_signatures_batch(sh, ma, mb), bands)  # (m, bands) uint32
+        bucket = (band_hi | BH.astype(np.uint64)).ravel()
+        take = pa.array(np.repeat(vrows, bands), pa.int64())
+        cols = {"__bucket": pa.array(bucket, pa.uint64()), id_col: idc.take(take)}
+        if carry_text:
+            cols[text_col] = tc.take(take)
+        cols["__lsh_side"] = pa.array(np.full(len(bucket), side, np.int8))
+        cols["__bh"] = pa.FixedSizeListArray.from_arrays(
+            pa.array(np.repeat(BH, bands, axis=0).ravel(), pa.uint32()), bands
+        )
+        if prefilter is not None:
+            SK = prefilter.sketch([kv[i] for i in vrows], shingles=sh)  # (m, width) uint64
+            cols["__sk"] = pa.FixedSizeListArray.from_arrays(
+                pa.array(np.repeat(SK, bands, axis=0).ravel(), pa.uint64()), int(prefilter.width)
+            )
+        return pa.table(cols)
+
+    return emit
+
+
+def _bucket_scorer(
+    id_col: str,
+    value_col: str,
     score_fn,
     *,
-    num_perm: int = 64,
-    bands: int = 32,
-    shingle_k: int = 2,
-    seed: int = 13,
-    num_partitions: int = 64,
-    max_bucket: int = 4096,
-    tile_bucket: int | None = None,
+    bands: int,
+    max_bucket: int,
     prefilter=None,
-    right: rd.Dataset | None = None,
-    right_text_col: str | None = None,
-    right_id_col: str | None = None,
-) -> rd.Dataset:
-    """Fused LSH candidate generation + verification -> (a, b, score),
-    each surviving pair exactly once with a < b.
-
-    LARGE-BUCKET TILING (``tile_bucket``): a bucket's pair expansion is
-    an indivisible atom owned by one partition task — ~count^2/2 pairs
-    of ONE core while the rest of the node drains. Buckets with
-    tile_bucket < count <= max_bucket (known from the same census pass
-    that finds capped buckets) are split into nb = ceil(count /
-    tile_bucket) blocks by hash(id) % nb, and every block pair (lo <=
-    hi) routes to its own partition: each row is replicated nb times
-    (to the nb block pairs containing its block), diagonal tiles pair
-    via triu, off-diagonal tiles via the two-side cross kernel. The
-    union over tiles is exactly the bucket's triu, each pair exactly
-    once; ownership/cap semantics are untouched because they read the
-    original ``__bucket``/``__bh`` columns, which tiling never
-    modifies (verified bit-identical in tests).
-
-    DEFAULT OFF: with the default ``max_bucket=4096`` the worst atom is
-    ~8.4M pairs — single-digit seconds — and the 480k-doc corpus
-    measured tiling as a net LOSS there (+60% stage cpu-s: the off-
-    diagonal cross path costs ~1.5x the triu class-matrix per pair and
-    census-large rows double the emission exchange). Enable it (e.g.
-    tile_bucket = max_bucket // 2) when RAISING max_bucket for full
-    recall on hot buckets — a 100k-row bucket is 5e9 pairs, hours of
-    one core, and tiling is what makes that cap feasible.
-
-    Emission rows carry (numeric bucket = band<<32 | band_hash, id,
-    text, the row's full band-hash vector). Each bucket-hash partition
-    builds candidate pairs with one vectorized triu expansion per
-    bucket-size class and verifies them in ONE ``score_fn(list_a,
-    list_b) -> (keep_mask, scores)`` call.
-
-    Exactly-once is enforced by FIRST-AGREEING-BAND OWNERSHIP, not a
-    dedup exchange: a candidate pair is kept only in the partition of
-    the first band whose (non-capped) bucket contains both rows — a
-    vectorized compare over the carried band-hash vectors. Round-3
-    measured the alternative (score every co-bucketed pair, dedup the
-    survivors with a pair-keyed groupby) at 20.5M scored rows for 2.0M
-    unique edges on the 120k bench corpus: MATCHING pairs agree in ~10
-    of 32 bands, so the dedup exchange moved 10x the final edge volume
-    and verification scored each match 10x. Ownership removes both at
-    the cost of ``4*bands`` bytes per emission row and one tiny
-    bucket-count exchange (u64+count) to broadcast the globally-capped
-    bucket set, keeping the capped-bucket semantics — pair survives iff
-    ANY non-capped band co-buckets it — bit-identical to the dedup
-    design.
-
-    Signatures are batch-vectorized (segment-min over the batch's
-    concatenated shingles, :func:`minhash_signatures_batch`); rows with
-    null text are skipped (NA never matches); buckets larger than
-    ``max_bucket`` are dropped (the standard LSH stop-word cap — a
-    documented recall caveat).
-
-    ``prefilter`` (optional) is a metric-specific RECALL-LOSSLESS cheap
-    pair filter applied before ``score_fn``: an object with
-    ``width`` (ints per row), ``sketch(texts) -> (n, width) uint64`` and
-    ``keep(SA, SB) -> bool mask`` (SA/SB gathered sketch rows). It cuts
-    the expensive verification volume (measured ~10x for the jaro bound
-    on the bench corpus) at the cost of ``8*width`` bytes per emission.
-
-    ``right`` switches to TWO-TABLE mode (the scale path for joining two
-    huge tables under an all-pairs metric like jw): both sides emit into
-    the same band buckets tagged with a side bit, candidates are the
-    within-bucket left x right cross products, and edges come back as
-    (a = left id, b = right id, score) — no canonical swap.
-    """
-    import pandas as pd
-
-    two_table = right is not None
-    rtc = right_text_col or text_col
-    ric = right_id_col or id_col
-
-    rows_per_band = num_perm // bands
-    assert rows_per_band * bands == num_perm
-    ma, mb = _minhash_params(num_perm, seed)
-
+    two_table: bool = False,
+):
+    """The bucket-partition scorer, ``score_part(t, capped) -> (a, b,
+    score)``: ``t`` holds every emission row of its buckets (plus, when
+    the router tiled a bucket, the ``__tp``/``__tc`` tile columns) and
+    ``capped`` is the sorted global stop-word-capped bucket set. Pairs
+    come from the within-bucket triu (self) or side-0 x side-1 cross
+    (``two_table``) expansion with the fused ``prefilter``, keep only
+    the first-agreeing-band owner (:func:`_own_pairs_mask`), and are
+    verified by ONE ``score_fn(values_a, values_b) -> (keep, scores)``
+    call over ``value_col``. Self-join edges come back with a < b;
+    two-table edges as (side-0 id, side-1 id)."""
     skw = int(prefilter.width) if prefilter is not None else 0
+    keepf = prefilter.keep if prefilter is not None else None
 
-    def make_buckets(side_num: int, tcol: str, icol: str):
-        def buckets(t: pa.Table) -> pa.Table:
-            idc = t[icol].combine_chunks() if isinstance(t[icol], pa.ChunkedArray) else t[icol]
-            tc = t[tcol].combine_chunks() if isinstance(t[tcol], pa.ChunkedArray) else t[tcol]
-            kv = tc.to_numpy(zero_copy_only=False)
-            vrows = np.nonzero(
-                np.fromiter((v is not None for v in kv), bool, count=len(kv))
-            )[0]
-            if not len(vrows):
-                cols = {
-                    "__bucket": pa.array([], pa.uint64()),
-                    id_col: pa.array([], idc.type),
-                    text_col: pa.array([], pa.string()),
-                    "__lsh_side": pa.array([], pa.int8()),
-                    "__bh": pa.array([], pa.list_(pa.uint32(), bands)),
-                }
-                if prefilter is not None:
-                    cols["__sk"] = pa.array([], pa.list_(pa.uint64(), skw))
-                return pa.table(cols)
-            sh = [char_shingles(kv[i], shingle_k) for i in vrows]
-            SIG = minhash_signatures_batch(sh, ma, mb)
-            BH = _band_hashes(SIG, bands)  # (m, bands) uint32
-            bucket = (
-                (np.arange(bands, dtype=np.uint64)[None, :] << np.uint64(32))
-                | BH.astype(np.uint64)
-            ).ravel()  # row-major: per source row, bands consecutive
-            take = pa.array(np.repeat(vrows, bands))
-            cols = {
-                "__bucket": pa.array(bucket),
-                id_col: idc.take(take),
-                text_col: tc.take(take),
-                "__lsh_side": pa.array(np.full(len(bucket), side_num, np.int8)),
-                # every emission row carries its source row's FULL
-                # band-hash vector — the ownership filter's input
-                "__bh": pa.FixedSizeListArray.from_arrays(
-                    pa.array(np.repeat(BH, bands, axis=0).ravel(), pa.uint32()), bands
-                ),
-            }
-            if prefilter is not None:
-                SK = prefilter.sketch([kv[i] for i in vrows], shingles=sh)  # (m, width) uint64
-                rep = np.repeat(SK, bands, axis=0)
-                cols["__sk"] = pa.FixedSizeListArray.from_arrays(
-                    pa.array(rep.ravel(), pa.uint64()), skw
-                )
-            return pa.table(cols)
-
-        return buckets
-
-    def _route_plain(t: pa.Table, bp: np.ndarray, n: int) -> pa.Table:
-        return (
-            t.append_column("__bp", pa.array(bp))
-            .append_column("__tp", pa.array(np.full(n, -1, np.int16)))
-            .append_column("__tc", pa.array(np.zeros(n, np.int8)))
-        )
-
-    def make_route(tiles):
-        """Partition router. Untiled rows go to hash(bucket) % P as one
-        copy; rows of census-large buckets are replicated once per peer
-        block and each (bucket, block-pair) routes independently."""
-
-        def route(t: pa.Table) -> pa.Table:
-            col = t["__bucket"].combine_chunks() if isinstance(t["__bucket"], pa.ChunkedArray) else t["__bucket"]
-            bk = np.asarray(col.to_numpy(zero_copy_only=False))
-            h = pd.util.hash_array(bk, categorize=False)
-            bp = (h % num_partitions).astype(np.int64)
-            n = len(bk)
-            if tiles is None or n == 0:
-                return _route_plain(t, bp, n)
-            lid, lnb = tiles
-            pos = np.minimum(np.searchsorted(lid, bk), len(lid) - 1)
-            isbig = lid[pos] == bk
-            if not isbig.any():
-                return _route_plain(t, bp, n)
-            small_idx = np.nonzero(~isbig)[0]
-            big_idx = np.nonzero(isbig)[0]
-            nbv = lnb[pos[big_idx]]
-            ids = (
-                t[id_col].combine_chunks() if isinstance(t[id_col], pa.ChunkedArray) else t[id_col]
-            ).to_numpy(zero_copy_only=False)
-            hid = pd.util.hash_array(np.asarray(ids[big_idx]), categorize=False)
-            c_own = (hid % nbv.astype(np.uint64)).astype(np.int64)
-            # one copy per peer block: vectorized ragged arange
-            reps = np.repeat(big_idx, nbv)
-            tot = int(nbv.sum())
-            c2 = np.arange(tot, dtype=np.int64) - np.repeat(np.cumsum(nbv) - nbv, nbv)
-            co = np.repeat(c_own, nbv)
-            if two_table:
-                sd = t["__lsh_side"].to_numpy(zero_copy_only=False)[reps].astype(np.int64)
-                lo = np.where(sd == 0, co, c2)  # (left block, right block)
-                hi = np.where(sd == 0, c2, co)
-            else:
-                lo = np.minimum(co, c2)
-                hi = np.maximum(co, c2)
-            tp_big = (lo << 7 | hi).astype(np.int16)  # nb <= 127
-            hb_big = h[reps] ^ (
-                (tp_big.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
-            )
-            take_idx = np.concatenate([small_idx, reps])
-            out = t.take(pa.array(take_idx))
-            tp_all = np.concatenate([np.full(len(small_idx), -1, np.int16), tp_big])
-            tc_all = np.concatenate([np.zeros(len(small_idx), np.int8), co.astype(np.int8)])
-            bp_all = np.concatenate(
-                [bp[small_idx], (hb_big % np.uint64(num_partitions)).astype(np.int64)]
-            )
-            return (
-                out.append_column("__bp", pa.array(bp_all))
-                .append_column("__tp", pa.array(tp_all))
-                .append_column("__tc", pa.array(tc_all))
-            )
-
-        return route
-
-    def score_part(t: pa.Table, capped_ref=None) -> pa.Table:
+    def score_part(t: pa.Table, capped: np.ndarray) -> pa.Table:
         idt = t.schema.field(id_col).type
         empty = pa.table(
             {
@@ -1571,19 +1378,15 @@ def lsh_fused_edges(
         )
         if t.num_rows == 0:
             return empty
-        bucket = (
-            t["__bucket"].combine_chunks() if isinstance(t["__bucket"], pa.ChunkedArray) else t["__bucket"]
-        ).to_numpy(zero_copy_only=False)
+        bucket = _arr(t, "__bucket").to_numpy(zero_copy_only=False)
         S = None
         if prefilter is not None:
-            skarr = t["__sk"].combine_chunks() if isinstance(t["__sk"], pa.ChunkedArray) else t["__sk"]
-            S = skarr.flatten().to_numpy(zero_copy_only=False).reshape(-1, skw)
-        keepf = prefilter.keep if prefilter is not None else None
+            S = _arr(t, "__sk").flatten().to_numpy(zero_copy_only=False).reshape(-1, skw)
         # pairing group key: (bucket, tile-pair) when any row is tiled —
         # lexsort-factorized so two tiles of one bucket (or of colliding
         # buckets) never merge; plain bucket otherwise (fast path)
-        tparr = t["__tp"].to_numpy(zero_copy_only=False)
-        tiled = bool((tparr != -1).any())
+        tparr = t["__tp"].to_numpy(zero_copy_only=False) if "__tp" in t.column_names else None
+        tiled = tparr is not None and bool((tparr != -1).any())
         if tiled:
             tp64 = tparr.astype(np.int64)
             order = np.lexsort((tp64, bucket))
@@ -1636,19 +1439,13 @@ def lsh_fused_edges(
             return empty
         # first-agreeing-band ownership: keep the pair only when THIS
         # band is the first non-capped band whose bucket holds both rows
-        bharr = t["__bh"].combine_chunks() if isinstance(t["__bh"], pa.ChunkedArray) else t["__bh"]
-        BHp = bharr.flatten().to_numpy(zero_copy_only=False).reshape(-1, bands)
-        capped = ray.get(capped_ref) if capped_ref is not None else _EMPTY_U64
+        BHp = _arr(t, "__bh").flatten().to_numpy(zero_copy_only=False).reshape(-1, bands)
         own = _own_pairs_mask(bucket, BHp, ai, bi, capped, bands)
         ai, bi = ai[own], bi[own]
         if not len(ai):
             return empty
-        kv = (
-            t[text_col].combine_chunks() if isinstance(t[text_col], pa.ChunkedArray) else t[text_col]
-        ).to_numpy(zero_copy_only=False)
-        ids = (
-            t[id_col].combine_chunks() if isinstance(t[id_col], pa.ChunkedArray) else t[id_col]
-        ).to_numpy(zero_copy_only=False)
+        kv = _arr(t, value_col).to_numpy(zero_copy_only=False)
+        ids = _arr(t, id_col).to_numpy(zero_copy_only=False)
         # numpy object arrays go straight to the score_fn — materializing
         # python lists here costs more than the string kernel itself
         keep, scores = score_fn(kv[ai], kv[bi])
@@ -1667,11 +1464,191 @@ def lsh_fused_edges(
             }
         )
 
-    emitted = ds.map_batches(make_buckets(0, text_col, id_col), batch_format="pyarrow")
+    return score_part
+
+
+def lsh_fused_edges(
+    ds: rd.Dataset,
+    text_col: str,
+    id_col: str,
+    score_fn,
+    *,
+    num_perm: int = 64,
+    bands: int = 32,
+    shingle_k: int = 2,
+    seed: int = 13,
+    num_partitions: int = 64,
+    max_bucket: int = 4096,
+    tile_bucket: int | None = None,
+    prefilter=None,
+    right: rd.Dataset | None = None,
+    right_text_col: str | None = None,
+    right_id_col: str | None = None,
+) -> rd.Dataset:
+    """Fused LSH candidate generation + verification -> (a, b, score),
+    each surviving pair exactly once with a < b.
+
+    LARGE-BUCKET TILING (``tile_bucket``): a bucket's pair expansion is
+    an indivisible atom owned by one partition task — ~count^2/2 pairs
+    of ONE core while the rest of the node drains. Buckets with
+    tile_bucket < count <= max_bucket (known from the same census pass
+    that finds capped buckets) are split into nb = ceil(count /
+    tile_bucket) blocks by hash(id) % nb, and every block pair (lo <=
+    hi) routes to its own partition: each row is replicated nb times
+    (to the nb block pairs containing its block), diagonal tiles pair
+    via triu, off-diagonal tiles via the two-side cross kernel. The
+    union over tiles is exactly the bucket's triu, each pair exactly
+    once; ownership/cap semantics are untouched because they read the
+    original ``__bucket``/``__bh`` columns, which tiling never
+    modifies (verified bit-identical in tests).
+
+    DEFAULT OFF: with the default ``max_bucket=4096`` the worst atom is
+    ~8.4M pairs — single-digit seconds — and the 480k-doc corpus
+    measured tiling as a net LOSS there (+60% stage cpu-s: the off-
+    diagonal cross path costs ~1.5x the triu class-matrix per pair and
+    census-large rows double the emission exchange). Enable it (e.g.
+    tile_bucket = max_bucket // 2) when RAISING max_bucket for full
+    recall on hot buckets — a 100k-row bucket is 5e9 pairs, hours of
+    one core, and tiling is what makes that cap feasible.
+
+    Emission rows (:func:`_band_emitter`) carry (numeric bucket =
+    band<<32 | band_hash, id, text, the row's full band-hash vector).
+    Each bucket-hash partition (:func:`_bucket_scorer`) builds candidate
+    pairs with one vectorized triu expansion per bucket-size class and
+    verifies them in ONE ``score_fn(texts_a, texts_b) -> (keep_mask,
+    scores)`` call. A ``score_fn`` whose ``by_id`` attribute is true
+    (:class:`_IndexJaccardScore`) is handed ids instead, and the text
+    stays out of the exchange.
+
+    Exactly-once is enforced by FIRST-AGREEING-BAND OWNERSHIP, not a
+    dedup exchange: a candidate pair is kept only in the partition of
+    the first band whose (non-capped) bucket contains both rows — a
+    vectorized compare over the carried band-hash vectors. Round-3
+    measured the alternative (score every co-bucketed pair, dedup the
+    survivors with a pair-keyed groupby) at 20.5M scored rows for 2.0M
+    unique edges on the 120k bench corpus: MATCHING pairs agree in ~10
+    of 32 bands, so the dedup exchange moved 10x the final edge volume
+    and verification scored each match 10x. Ownership removes both at
+    the cost of ``4*bands`` bytes per emission row and one tiny
+    bucket-count exchange (u64+count) to broadcast the globally-capped
+    bucket set, keeping the capped-bucket semantics — pair survives iff
+    ANY non-capped band co-buckets it — bit-identical to the dedup
+    design.
+
+    Signatures are batch-vectorized (segment-min over the batch's
+    concatenated shingles, :func:`minhash_signatures_batch`); rows with
+    null text are skipped (NA never matches); buckets larger than
+    ``max_bucket`` are dropped (the standard LSH stop-word cap — a
+    documented recall caveat).
+
+    ``prefilter`` (optional) is a metric-specific RECALL-LOSSLESS cheap
+    pair filter applied before ``score_fn``: an object with
+    ``width`` (ints per row), ``sketch(texts) -> (n, width) uint64`` and
+    ``keep(SA, SB) -> bool mask`` (SA/SB gathered sketch rows). It cuts
+    the expensive verification volume (measured ~10x for the jaro bound
+    on the bench corpus) at the cost of ``8*width`` bytes per emission.
+
+    ``right`` switches to TWO-TABLE mode (the scale path for joining two
+    huge tables under an all-pairs metric like jw): both sides emit into
+    the same band buckets tagged with a side bit, candidates are the
+    within-bucket left x right cross products, and edges come back as
+    (a = left id, b = right id, score) — no canonical swap.
+    """
+    import pandas as pd
+
+    two_table = right is not None
+    by_id = bool(getattr(score_fn, "by_id", False))
+    emitter = functools.partial(
+        _band_emitter,
+        text_col,
+        id_col,
+        num_perm=num_perm,
+        bands=bands,
+        shingle_k=shingle_k,
+        seed=seed,
+        carry_text=not by_id,
+        prefilter=prefilter,
+    )
+    emitted = ds.map_batches(emitter(side=0), batch_format="pyarrow")
     if two_table:
+        rtc = right_text_col or text_col
+        ric = right_id_col or id_col
         emitted = emitted.union(
-            right.map_batches(make_buckets(1, rtc, ric), batch_format="pyarrow")
+            right.map_batches(
+                lambda t: pa.table({id_col: t[ric], text_col: t[rtc]}), batch_format="pyarrow"
+            ).map_batches(emitter(side=1), batch_format="pyarrow")
         )
+
+    def _route_plain(t: pa.Table, bp: np.ndarray, n: int) -> pa.Table:
+        return (
+            t.append_column("__bp", pa.array(bp))
+            .append_column("__tp", pa.array(np.full(n, -1, np.int16)))
+            .append_column("__tc", pa.array(np.zeros(n, np.int8)))
+        )
+
+    def make_route(tiles):
+        """Partition router. Untiled rows go to hash(bucket) % P as one
+        copy; rows of census-large buckets are replicated once per peer
+        block and each (bucket, block-pair) routes independently."""
+
+        def route(t: pa.Table) -> pa.Table:
+            bk = np.asarray(_arr(t, "__bucket").to_numpy(zero_copy_only=False))
+            h = pd.util.hash_array(bk, categorize=False)
+            bp = (h % num_partitions).astype(np.int64)
+            n = len(bk)
+            if tiles is None or n == 0:
+                return _route_plain(t, bp, n)
+            lid, lnb = tiles
+            pos = np.minimum(np.searchsorted(lid, bk), len(lid) - 1)
+            isbig = lid[pos] == bk
+            if not isbig.any():
+                return _route_plain(t, bp, n)
+            small_idx = np.nonzero(~isbig)[0]
+            big_idx = np.nonzero(isbig)[0]
+            nbv = lnb[pos[big_idx]]
+            ids = _arr(t, id_col).to_numpy(zero_copy_only=False)
+            hid = pd.util.hash_array(np.asarray(ids[big_idx]), categorize=False)
+            c_own = (hid % nbv.astype(np.uint64)).astype(np.int64)
+            # one copy per peer block: vectorized ragged arange
+            reps = np.repeat(big_idx, nbv)
+            tot = int(nbv.sum())
+            c2 = np.arange(tot, dtype=np.int64) - np.repeat(np.cumsum(nbv) - nbv, nbv)
+            co = np.repeat(c_own, nbv)
+            if two_table:
+                sd = t["__lsh_side"].to_numpy(zero_copy_only=False)[reps].astype(np.int64)
+                lo = np.where(sd == 0, co, c2)  # (left block, right block)
+                hi = np.where(sd == 0, c2, co)
+            else:
+                lo = np.minimum(co, c2)
+                hi = np.maximum(co, c2)
+            tp_big = (lo << 7 | hi).astype(np.int16)  # nb <= 127
+            hb_big = h[reps] ^ (
+                (tp_big.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+            )
+            take_idx = np.concatenate([small_idx, reps])
+            out = t.take(pa.array(take_idx))
+            tp_all = np.concatenate([np.full(len(small_idx), -1, np.int16), tp_big])
+            tc_all = np.concatenate([np.zeros(len(small_idx), np.int8), co.astype(np.int8)])
+            bp_all = np.concatenate(
+                [bp[small_idx], (hb_big % np.uint64(num_partitions)).astype(np.int64)]
+            )
+            return (
+                out.append_column("__bp", pa.array(bp_all))
+                .append_column("__tp", pa.array(tp_all))
+                .append_column("__tc", pa.array(tc_all))
+            )
+
+        return route
+
+    score_part = _bucket_scorer(
+        id_col,
+        id_col if by_id else text_col,
+        score_fn,
+        bands=bands,
+        max_bucket=max_bucket,
+        prefilter=prefilter,
+        two_table=two_table,
+    )
     # One census over the materialized emission feeds both broadcasts:
     # globally-capped buckets (the stop-word cap, so every partition's
     # ownership check agrees) and census-large buckets (tiled so no
@@ -1682,167 +1659,10 @@ def lsh_fused_edges(
     )
     capped_ref = ray.put(capped)
     tiles = (tile_ids, tile_nb) if len(tile_ids) else None
-
-    import functools
-
     return (
         emitted.map_batches(make_route(tiles), batch_format="pyarrow")
         .groupby("__bp")
-        .map_groups(
-            functools.partial(score_part, capped_ref=capped_ref), batch_format="pyarrow"
-        )
-    )
-
-
-_INDEX_CACHE: dict = {}
-
-
-def _get_index(ref) -> "DocShingleIndex":
-    """Per-worker-process cache for a broadcast DocShingleIndex: ray.get
-    re-unpickles the ids list on every call, so memoize by object ref
-    (numpy payloads stay zero-copy plasma views either way)."""
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    got = _INDEX_CACHE.get(key)
-    if got is None:
-        import ray
-
-        got = ray.get(ref)
-        _INDEX_CACHE.clear()  # one live index per worker is plenty
-        _INDEX_CACHE[key] = got
-    return got
-
-
-def lsh_index_edges(
-    ds: rd.Dataset,
-    text_col: str,
-    id_col: str,
-    index_ref,
-    threshold: float,
-    *,
-    num_perm: int = 64,
-    bands: int = 16,
-    shingle_k: int = 5,
-    seed: int = 13,
-    num_partitions: int = 64,
-    max_bucket: int = 4096,
-) -> rd.Dataset:
-    """Fused LSH candidates + exact-jaccard verify against a broadcast
-    :class:`DocShingleIndex` -> (a, b, score), each surviving pair once.
-
-    The slim sibling of :func:`lsh_fused_edges` for when the doc table
-    fits a broadcast: band emissions carry (numeric bucket, id, the
-    row's band-hash vector) — no text, no sketch vector — because each
-    bucket-partition task verifies pairs by gathering bitset rows from
-    the shared index (zero-copy ``ray.get``). The size-bound prefilter
-    (``J <= min|S|/max|S|``) is applied from the index's length column,
-    shipped nowhere. Exactly-once comes from the same first-agreeing-
-    band ownership as the fused path (:func:`_own_pairs_mask` — a pair
-    agreeing in k bands is popcount-scored ONCE, not k times, and no
-    pair-dedup exchange runs). Identical output to the fused/text path:
-    same bucket math, caps, and exact jaccard."""
-    import pandas as pd
-
-    rows_per_band = num_perm // bands
-    assert rows_per_band * bands == num_perm
-    ma, mb = _minhash_params(num_perm, seed)
-    thr = float(threshold)
-
-    def buckets(t: pa.Table) -> pa.Table:
-        idc = t[id_col].combine_chunks() if isinstance(t[id_col], pa.ChunkedArray) else t[id_col]
-        tc = t[text_col].combine_chunks() if isinstance(t[text_col], pa.ChunkedArray) else t[text_col]
-        kv = tc.to_numpy(zero_copy_only=False)
-        vrows = np.nonzero(np.fromiter((v is not None for v in kv), bool, count=len(kv)))[0]
-        if not len(vrows):
-            return pa.table(
-                {
-                    "__bucket": pa.array([], pa.uint64()),
-                    id_col: pa.array([], idc.type),
-                    "__bh": pa.array([], pa.list_(pa.uint32(), bands)),
-                }
-            )
-        sh = [char_shingles(kv[i], shingle_k) for i in vrows]
-        SIG = minhash_signatures_batch(sh, ma, mb)
-        BH = _band_hashes(SIG, bands)
-        bucket = (
-            (np.arange(bands, dtype=np.uint64)[None, :] << np.uint64(32))
-            | BH.astype(np.uint64)
-        ).ravel()
-        return pa.table(
-            {
-                "__bucket": pa.array(bucket),
-                id_col: idc.take(pa.array(np.repeat(vrows, bands))),
-                "__bh": pa.FixedSizeListArray.from_arrays(
-                    pa.array(np.repeat(BH, bands, axis=0).ravel(), pa.uint32()), bands
-                ),
-            }
-        )
-
-    def add_bp(t: pa.Table) -> pa.Table:
-        col = t["__bucket"].combine_chunks() if isinstance(t["__bucket"], pa.ChunkedArray) else t["__bucket"]
-        h = pd.util.hash_array(np.asarray(col.to_numpy(zero_copy_only=False)), categorize=False)
-        return t.append_column("__bp", pa.array((h % num_partitions).astype(np.int64)))
-
-    filt = JaccardSizeBoundFilter(thr)
-
-    def score_part(t: pa.Table, capped_ref=None) -> pa.Table:
-        idt = t.schema.field(id_col).type
-        empty = pa.table(
-            {
-                "a": pa.array([], idt),
-                "b": pa.array([], idt),
-                "score": pa.array([], pa.float64()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
-        index = _get_index(index_ref)
-        idc = t[id_col].combine_chunks() if isinstance(t[id_col], pa.ChunkedArray) else t[id_col]
-        gidx = index.lookup(idc.to_pylist())
-        bucket = (
-            t["__bucket"].combine_chunks() if isinstance(t["__bucket"], pa.ChunkedArray) else t["__bucket"]
-        ).to_numpy(zero_copy_only=False)
-        bharr = t["__bh"].combine_chunks() if isinstance(t["__bh"], pa.ChunkedArray) else t["__bh"]
-        BHp = bharr.flatten().to_numpy(zero_copy_only=False).reshape(-1, bands)
-        ok = gidx >= 0
-        if not ok.all():
-            keep_rows = np.nonzero(ok)[0]
-            gidx, bucket, BHp = gidx[keep_rows], bucket[keep_rows], BHp[keep_rows]
-            idc = idc.take(pa.array(keep_rows))
-        S = index.lens[gidx].astype(np.uint64).reshape(-1, 1)
-        ai, bi = _triu_pairs_by_bucket(
-            bucket, max_bucket=max_bucket, sketch=S, keep_fn=filt.keep
-        )
-        if not len(ai):
-            return empty
-        capped = ray.get(capped_ref) if capped_ref is not None else _EMPTY_U64
-        own = _own_pairs_mask(bucket, BHp, ai, bi, capped, bands)
-        ai, bi = ai[own], bi[own]
-        if not len(ai):
-            return empty
-        sims = index.jaccard_idx(gidx[ai], gidx[bi])
-        hit = sims >= thr
-        ids = idc.to_numpy(zero_copy_only=False)
-        ra, rb = ids[ai[hit]], ids[bi[hit]]
-        src = np.where(ra < rb, ra, rb)
-        dst = np.where(ra < rb, rb, ra)
-        return pa.table(
-            {
-                "a": pa.array(src, idt),
-                "b": pa.array(dst, idt),
-                "score": pa.array(sims[hit], pa.float64()),
-            }
-        )
-
-    import functools
-
-    emitted = ds.map_batches(buckets, batch_format="pyarrow").materialize()
-    capped_ref = ray.put(_capped_bucket_ids(emitted, max_bucket))
-    return (
-        emitted.map_batches(add_bp, batch_format="pyarrow")
-        .groupby("__bp")
-        .map_groups(
-            functools.partial(score_part, capped_ref=capped_ref), batch_format="pyarrow"
-        )
+        .map_groups(lambda t: score_part(t, ray.get(capped_ref)), batch_format="pyarrow")
     )
 
 

@@ -142,6 +142,32 @@ class JaroCharBoundFilter:
         return out
 
 
+def string_scorer(
+    method: str,
+    max_distance: float,
+    q: int = 2,
+    max_prefix: int = 0,
+    prefix_weight: float = 0.0,
+):
+    """``(score_fn, prefilter)`` for :func:`..pipelines.dedup.lsh_fused_edges`
+    under fozziejoin string semantics: ``score_fn`` keeps a pair iff
+    ``score_pairs(...) <= max_distance`` (inclusive) and returns the kept
+    distances; jaro-winkler also gets the recall-lossless
+    :class:`JaroCharBoundFilter` prefilter, every other method none."""
+    from ..kernels.strdist import score_pairs
+    from ..semantics import canon_method
+
+    method = canon_method(method)
+
+    def score_fn(a, b):
+        d = score_pairs(method, a, b, q=q, max_prefix=max_prefix, prefix_weight=prefix_weight)
+        keep = d <= max_distance
+        return keep, d[keep]
+
+    prefilter = JaroCharBoundFilter(max_distance) if method == "jaro_winkler" else None
+    return score_fn, prefilter
+
+
 def match_edges(
     keys: rd.Dataset,
     *,
@@ -200,8 +226,6 @@ def match_edges(
     if blocking != "minhash":
         raise ValueError(f"unknown blocking {blocking!r}")
 
-    from ..kernels.strdist import score_pairs
-
     # Value-level dedup BEFORE candidate generation (the reference's
     # score-distinct-values-once design, utils.rs:7-20, taken distributed):
     # identical keys would otherwise share every LSH bucket and blow the
@@ -209,34 +233,7 @@ def match_edges(
     # key gets a representative (min doc id); duplicates connect to their
     # representative with zero-distance edges, and scoring runs once per
     # distinct value pair.
-    import pandas as pd
-
-    def add_part(t: pa.Table) -> pa.Table:
-        keyarr = t["key"].combine_chunks() if isinstance(t["key"], pa.ChunkedArray) else t["key"]
-        h = pd.util.hash_array(
-            np.asarray(keyarr.to_numpy(zero_copy_only=False)), categorize=False
-        )
-        return t.append_column("__kp", pa.array((h % num_partitions).astype(np.int64)))
-
-    def rep_rows(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["key"].notna()]
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype=object),
-                    "rep": pd.Series(dtype=object),
-                    "key": pd.Series(dtype=object),
-                }
-            )
-        reps = df.groupby("key", sort=False)["doc_id"].transform("min")
-        return pd.DataFrame({"doc_id": df["doc_id"], "rep": reps, "key": df["key"]})
-
-    doc_rep = (
-        keys.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__kp")
-        .map_groups(rep_rows, batch_format="pandas")
-        .materialize()
-    )
+    doc_rep = _key_rep_rows(keys, num_partitions).materialize()
     identity_edges = doc_rep.map_batches(
         lambda t: (
             lambda m: pa.table(
@@ -265,28 +262,18 @@ def match_edges(
     # dedup shuffle, no text join-back.
     from .dedup import lsh_fused_edges
 
-    def string_score_fn(a_list, b_list):
-        d = score_pairs(method, a_list, b_list, q=q)
-        keep = d <= max_distance
-        return keep, d[keep]
-
-    from ..semantics import canon_method
-
+    score_fn, prefilter = string_scorer(method, max_distance, q)
     scored = lsh_fused_edges(
         distinct_vals,
         "key",
         "rep",
-        string_score_fn,
+        score_fn,
         num_perm=minhash_perm,
         bands=minhash_bands,
         shingle_k=shingle_k,
         num_partitions=num_partitions,
         tile_bucket=tile_bucket,
-        prefilter=(
-            JaroCharBoundFilter(max_distance)
-            if canon_method(method) == "jaro_winkler"
-            else None
-        ),
+        prefilter=prefilter,
     )
     edges = scored.map_batches(
         lambda t: pa.table(
@@ -304,6 +291,8 @@ def match_edges(
         # filter cannot push below the LSH shuffle — resume here skips
         # the WRITE of completed partitions, not their compute (the
         # exact-blocking path above skips both)
+        import pandas as pd
+
         num_parts, missing, col = ckpt_parts
         want = np.asarray(sorted(missing), dtype=np.int64)
 
@@ -419,26 +408,20 @@ def cluster_documents(
     )
 
 
-def _distinct_key_reps(keys: rd.Dataset, num_partitions: int) -> rd.Dataset:
-    """(doc_id, key), one row per distinct non-null key, doc_id = the
-    min id holding that key — the match_edges value-dedup rep, exposed
-    for the incremental cross join. One key-hash exchange of (doc, key)
-    rows; output bounded by distinct-key cardinality."""
-    import numpy as np
+def _key_rep_rows(keys: rd.Dataset, num_partitions: int) -> rd.Dataset:
+    """The value-dedup exchange: (doc_id, rep, key) for every doc with a
+    non-null key, rep = the min doc id holding that key. One key-hash
+    exchange of (doc, key) rows."""
     import pandas as pd
 
     def add_part(t: pa.Table) -> pa.Table:
-        keyarr = (
-            t["key"].combine_chunks()
-            if isinstance(t["key"], pa.ChunkedArray)
-            else t["key"]
-        )
+        keyarr = t["key"].combine_chunks() if isinstance(t["key"], pa.ChunkedArray) else t["key"]
         h = pd.util.hash_array(
             np.asarray(keyarr.to_numpy(zero_copy_only=False)), categorize=False
         )
         return t.append_column("__kp", pa.array((h % num_partitions).astype(np.int64)))
 
-    def reps(df: pd.DataFrame) -> pd.DataFrame:
+    def rep_rows(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["key"].notna()]
         if not len(df):
             # typed empty frame: a bare {} literal would emit a
@@ -447,16 +430,29 @@ def _distinct_key_reps(keys: rd.Dataset, num_partitions: int) -> rd.Dataset:
             return pd.DataFrame(
                 {
                     "doc_id": pd.Series(dtype=object),
+                    "rep": pd.Series(dtype=object),
                     "key": pd.Series(dtype=object),
                 }
             )
-        out = df.groupby("key", sort=False, as_index=False)["doc_id"].min()
-        return out[["doc_id", "key"]]
+        reps = df.groupby("key", sort=False)["doc_id"].transform("min")
+        return pd.DataFrame({"doc_id": df["doc_id"], "rep": reps, "key": df["key"]})
 
     return (
         keys.map_batches(add_part, batch_format="pyarrow")
         .groupby("__kp")
-        .map_groups(reps, batch_format="pandas")
+        .map_groups(rep_rows, batch_format="pandas")
+    )
+
+
+def _distinct_key_reps(keys: rd.Dataset, num_partitions: int) -> rd.Dataset:
+    """(doc_id, key), one row per distinct non-null key, doc_id = the
+    min id holding that key — the match_edges value-dedup rep
+    (:func:`_key_rep_rows`), exposed for the incremental cross join and
+    the persisted LSH index; output bounded by distinct-key
+    cardinality."""
+    return _key_rep_rows(keys, num_partitions).map_batches(
+        lambda t: t.filter(pc.equal(t["doc_id"], t["rep"])).select(["doc_id", "key"]),
+        batch_format="pyarrow",
     )
 
 

@@ -9,21 +9,23 @@ partitioned by bucket hash, and each daily probe
     new reps ── same banding ──► route by bucket partition   [exchange
                                                               of the
                                                               DELTA only]
-             ── census: combined bucket counts vs max_bucket  [per-
+             ── census: per-side bucket counts vs max_bucket  [per-
                 partition local parquet read, tiny capped set
                 to the driver]
-             ── probe: shared-bucket cross pairs, first-non-
-                capped-agreeing-band ownership, vectorized
-                string verification                           [local]
+             ── probe: old rows stacked under the delta's as
+                side 1, scored by the live two-table LSH
+                join's partition scorer                       [local]
 
 so per-fold-in shuffle volume is O(delta x bands) emission rows; the
 old corpus is only ever READ, partition-locally, never re-shuffled.
-Banding is bit-identical to `dedup.lsh_fused_edges` (same
-`_minhash_params` / `minhash_signatures_batch` / `_band_hashes`
-helpers, same first-agreeing-band ownership and stop-word-cap
-semantics over the COMBINED old+new bucket counts), so probing the
-index yields the same candidate set as the live two-table LSH join —
-pytest pins probe == live-cross == full-re-run.
+The emission IS `dedup.lsh_fused_edges`' (`_band_emitter`), and the
+probe runs its bucket-partition scorer (`_bucket_scorer`: cross
+expansion, prefilter, first-agreeing-band ownership, string
+verification) with the same stop-word cap: a bucket is capped when
+EITHER side alone — the old rows or the delta's — exceeds
+``max_bucket``. So probing the index yields the same candidate set as
+the live two-table LSH join — pytest pins probe == live-cross ==
+full-re-run.
 
 Any bucket relevant to a probe pair contains >= 1 new emission row (the
 pair's new member emits every one of its bands), so the census over
@@ -42,78 +44,38 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..blocking.strategies import _cross_expand
-from .dedup import (
-    _band_hashes,
-    _minhash_params,
-    char_shingles,
-    minhash_signatures_batch,
-)
+from .dedup import _band_emitter, _bucket_scorer
 
 _META = "index_meta.json"
 
 
-def _emit_fn(
-    ma: np.ndarray,
-    mb: np.ndarray,
-    bands: int,
-    shingle_k: int,
-    num_partitions: int,
-):
-    """(doc_id, key) reps -> one emission row per (rep, band):
-    (__part, __bucket, doc_id, key, __bh full band-hash vector, __sk
-    jaro char-bound sketch) — the `lsh_fused_edges` emission shape
-    minus the side column. The 3-word sketch is threshold-independent
-    (the threshold enters only at `keep` time), so the index serves
-    any jw ``max_distance``; non-jaro probes simply ignore it."""
+def _index_emission(reps: rd.Dataset, meta: dict) -> rd.Dataset:
+    """(doc_id, key) reps -> the live join's band emission (text
+    carried) plus ``__part``, the bucket's hash partition. The sketch is
+    the jaro char-bound's, which is threshold-independent (the threshold
+    enters only at ``keep`` time), so the index serves any jw
+    ``max_distance``; non-jaro probes simply ignore it."""
     import pandas as pd
 
     from .linkage import JaroCharBoundFilter
 
-    skw = JaroCharBoundFilter.width
+    emit = _band_emitter(
+        "key",
+        "doc_id",
+        num_perm=meta["minhash_perm"],
+        bands=meta["minhash_bands"],
+        shingle_k=meta["shingle_k"],
+        seed=meta["seed"],
+        prefilter=JaroCharBoundFilter(0.0),
+    )
+    P = meta["num_partitions"]
 
-    def emit(t: pa.Table) -> pa.Table:
-        idc = t["doc_id"].combine_chunks() if isinstance(t["doc_id"], pa.ChunkedArray) else t["doc_id"]
-        kc = t["key"].combine_chunks() if isinstance(t["key"], pa.ChunkedArray) else t["key"]
-        kv = kc.to_numpy(zero_copy_only=False)
-        vrows = np.nonzero(np.fromiter((v is not None for v in kv), bool, count=len(kv)))[0]
-        if not len(vrows):
-            return pa.table(
-                {
-                    "__part": pa.array([], pa.int64()),
-                    "__bucket": pa.array([], pa.uint64()),
-                    "doc_id": pa.array([], idc.type),
-                    "key": pa.array([], pa.string()),
-                    "__bh": pa.array([], pa.list_(pa.uint32(), bands)),
-                    "__sk": pa.array([], pa.list_(pa.uint64(), skw)),
-                }
-            )
-        sh = [char_shingles(kv[i], shingle_k) for i in vrows]
-        SIG = minhash_signatures_batch(sh, ma, mb)
-        BH = _band_hashes(SIG, bands)  # (m, bands) uint32
-        SK = JaroCharBoundFilter(0.0).sketch([kv[i] for i in vrows], shingles=sh)
-        bucket = (
-            (np.arange(bands, dtype=np.uint64)[None, :] << np.uint64(32))
-            | BH.astype(np.uint64)
-        ).ravel()
-        part = (pd.util.hash_array(bucket, categorize=False) % num_partitions).astype(np.int64)
-        take = pa.array(np.repeat(vrows, bands))
-        return pa.table(
-            {
-                "__part": pa.array(part),
-                "__bucket": pa.array(bucket),
-                "doc_id": idc.take(take),
-                "key": kc.take(take),
-                "__bh": pa.FixedSizeListArray.from_arrays(
-                    pa.array(np.repeat(BH, bands, axis=0).ravel(), pa.uint32()), bands
-                ),
-                "__sk": pa.FixedSizeListArray.from_arrays(
-                    pa.array(np.repeat(SK, bands, axis=0).ravel(), pa.uint64()), skw
-                ),
-            }
-        )
+    def fn(t: pa.Table) -> pa.Table:
+        e = emit(t)
+        h = pd.util.hash_array(e["__bucket"].to_numpy(), categorize=False)
+        return e.append_column("__part", pa.array((h % P).astype(np.int64)))
 
-    return emit
+    return reps.map_batches(fn, batch_format="pyarrow")
 
 
 def build_linkage_lsh_index(
@@ -141,10 +103,16 @@ def build_linkage_lsh_index(
     build."""
     from .linkage import _distinct_key_reps
 
-    ma, mb = _minhash_params(minhash_perm, seed)
+    meta = {
+        "minhash_bands": minhash_bands,
+        "minhash_perm": minhash_perm,
+        "shingle_k": shingle_k,
+        "seed": seed,
+        "num_partitions": num_partitions,
+        "has_clusters": old_clusters is not None,
+    }
     reps = _distinct_key_reps(old_keys, num_partitions)
-    has_clusters = old_clusters is not None
-    if has_clusters:
+    if old_clusters is not None:
         from ..joins.hashjoin import hash_join
 
         oc = old_clusters.map_batches(
@@ -166,10 +134,7 @@ def build_linkage_lsh_index(
             lambda t: pa.table({"doc_id": t["__ix_cl"], "key": t["key"]}),
             batch_format="pyarrow",
         )
-    emitted = reps.map_batches(
-        _emit_fn(ma, mb, minhash_bands, shingle_k, num_partitions),
-        batch_format="pyarrow",
-    )
+    emitted = _index_emission(reps, meta)
     # each partition is written SORTED by bucket in small row groups, so
     # probes prune to the row groups overlapping the delta's buckets via
     # parquet min/max statistics instead of scanning the whole partition
@@ -177,21 +142,13 @@ def build_linkage_lsh_index(
 
     def write_part(t: pa.Table) -> pa.Table:
         part = int(t["__part"][0].as_py())
-        srt = t.sort_by("__bucket").drop_columns(["__part"])
+        srt = t.sort_by("__bucket").drop_columns(["__part", "__lsh_side"])
         d = os.path.join(index_dir, f"__part={part}")
         os.makedirs(d, exist_ok=True)
         pq.write_table(srt, os.path.join(d, "index.parquet"), row_group_size=65536)
         return pa.table({"part": pa.array([part], pa.int64()), "rows": pa.array([t.num_rows], pa.int64())})
 
     emitted.groupby("__part").map_groups(write_part, batch_format="pyarrow").count()
-    meta = {
-        "minhash_bands": minhash_bands,
-        "minhash_perm": minhash_perm,
-        "shingle_k": shingle_k,
-        "seed": seed,
-        "num_partitions": num_partitions,
-        "has_clusters": has_clusters,
-    }
     with open(os.path.join(index_dir, _META), "w") as f:
         json.dump(meta, f)
     return meta
@@ -239,27 +196,6 @@ def _read_part(
     return pa.concat_tables(parts)
 
 
-def _cross_with_codes(lc: np.ndarray, rc: np.ndarray):
-    """All (left_row, right_row, code) pairs sharing a bucket code —
-    `_bucket_cross` plus the per-pair code (its band lives in the high
-    32 bits, which the ownership filter needs)."""
-    lo = np.argsort(lc, kind="stable")
-    ro = np.argsort(rc, kind="stable")
-    lcs, rcs = lc[lo], rc[ro]
-    lu, lstart, lcount = np.unique(lcs, return_index=True, return_counts=True)
-    ru, rstart, rcount = np.unique(rcs, return_index=True, return_counts=True)
-    common, li, ri = np.intersect1d(lu, ru, return_indices=True)
-    if not len(common):
-        e = np.empty(0, np.int64)
-        return e, e, np.empty(0, np.uint64)
-    rep, al, bl = _cross_expand(lcount[li], rcount[ri])
-    return (
-        lo[lstart[li][rep] + al],
-        ro[rstart[ri][rep] + bl],
-        common[rep],
-    )
-
-
 def probe_linkage_lsh_index(
     new_keys: rd.Dataset,
     index_dir: str,
@@ -272,37 +208,23 @@ def probe_linkage_lsh_index(
     """(src = new doc, dst = old doc, dist) edges between the delta's
     distinct-key reps and the persisted index, under the same candidate
     semantics as the live two-table LSH join: a key pair is a candidate
-    iff SOME band co-buckets it in a bucket whose COMBINED old+new size
-    is within ``max_bucket``, generated exactly once (first such band
-    owns the pair), then verified with the exact string kernel."""
-    from ..kernels.strdist import score_pairs
-    from ..semantics import canon_method
-    from .linkage import JaroCharBoundFilter, _distinct_key_reps
+    iff SOME band co-buckets it in a bucket where neither the old nor
+    the new side alone holds more than ``max_bucket`` rows, generated
+    exactly once (first such band owns the pair), then verified with
+    the exact string kernel."""
+    from .linkage import _distinct_key_reps, string_scorer
 
-    prefilter = (
-        JaroCharBoundFilter(max_distance)
-        if canon_method(method) == "jaro_winkler"
-        else None
-    )
     with open(os.path.join(index_dir, _META)) as f:
         meta = json.load(f)
-    bands = meta["minhash_bands"]
     P = meta["num_partitions"]
-    ma, mb = _minhash_params(meta["minhash_perm"], meta["seed"])
-    new_emit = (
-        _distinct_key_reps(new_keys, P)
-        .map_batches(
-            _emit_fn(ma, mb, bands, meta["shingle_k"], P), batch_format="pyarrow"
-        )
-        .materialize()
-    )
+    new_emit = _index_emission(_distinct_key_reps(new_keys, P), meta).materialize()
 
     # ---- phase A: per-side census -> the (tiny) capped set. The cap
     # rule mirrors the live two-table LSH join exactly (dedup.py
-    # _cross_pairs_by_bucket:1104 + _bucket_census:1326): a bucket is
-    # capped iff EITHER side's count exceeds max_bucket — matching the
-    # "a capped side caps the whole bucket" ownership semantics, so
-    # probe == live cross holds across the stop-word boundary too.
+    # _cross_pairs_by_bucket + _bucket_census): a bucket is capped iff
+    # EITHER side's count exceeds max_bucket — matching the "a capped
+    # side caps the whole bucket" ownership semantics, so probe == live
+    # cross holds across the stop-word boundary too.
     def census(t: pa.Table) -> pa.Table:
         part = int(t["__part"][0].as_py())
         nb = t["__bucket"].to_numpy(zero_copy_only=False)
@@ -324,103 +246,32 @@ def probe_linkage_lsh_index(
     capped = np.sort(np.concatenate(capped_parts)) if capped_parts else np.empty(0, np.uint64)
     cref = ray.put(capped)
 
-    # ---- phase B: probe + ownership + verification
+    # ---- phase B: the delta's rows (side 0) and the old rows of the
+    # buckets they touch (side 1) through the live join's scorer
+    score_fn, prefilter = string_scorer(method, max_distance, q)
+    score_part = _bucket_scorer(
+        "doc_id",
+        "key",
+        score_fn,
+        bands=meta["minhash_bands"],
+        max_bucket=max_bucket,
+        prefilter=prefilter,
+        two_table=True,
+    )
+    cols = ["__bucket", "doc_id", "key", "__lsh_side", "__bh", "__sk"]
+
     def probe(t: pa.Table) -> pa.Table:
-        cap = ray.get(cref)
-        part = int(t["__part"][0].as_py())
+        new = t.select(cols)
+        nb = np.unique(t["__bucket"].to_numpy(zero_copy_only=False))
         old = _read_part(
-            index_dir,
-            part,
-            columns=["__bucket", "doc_id", "key", "__bh", "__sk"],
-            want=np.unique(t["__bucket"].to_numpy(zero_copy_only=False)),
+            index_dir, int(t["__part"][0].as_py()), columns=[c for c in cols if c != "__lsh_side"], want=nb
         )
-        idt = t.schema.field("doc_id").type
-        empty = pa.table(
-            {"src": pa.array([], idt), "dst": pa.array([], idt), "dist": pa.array([], pa.float64())}
-        )
-        if old.num_rows == 0 or t.num_rows == 0:
-            return empty
-        nb = t["__bucket"].to_numpy(zero_copy_only=False)
-        ob = old["__bucket"].to_numpy(zero_copy_only=False)
-        # capped buckets generate no pairs AT this band (their pairs may
-        # still surface from another, non-capped band)
-        if len(cap):
-            nb = np.where(np.isin(nb, cap), np.uint64(0xFFFFFFFFFFFFFFFF), nb)
-        li_all, ri_all, codes_all = _cross_with_codes(nb, ob)
-        if not len(li_all):
-            return empty
-        skw = prefilter.width if prefilter is not None else 0
-        SKn = (
-            t["__sk"].combine_chunks().flatten().to_numpy(zero_copy_only=False)
-            .reshape(-1, skw)
-            if prefilter is not None
-            else None
-        )
-        SKo = (
-            old["__sk"].combine_chunks().flatten().to_numpy(zero_copy_only=False)
-            .reshape(-1, skw)
-            if prefilter is not None
-            else None
-        )
-        BHn = (
-            t["__bh"].combine_chunks().flatten().to_numpy(zero_copy_only=False)
-            .reshape(-1, bands)
-        )
-        BHo = (
-            old["__bh"].combine_chunks().flatten().to_numpy(zero_copy_only=False)
-            .reshape(-1, bands)
-        )
-        nk = t["key"].to_numpy(zero_copy_only=False)
-        ok_keys = old["key"].to_numpy(zero_copy_only=False)
-        out_src, out_dst, out_d = [], [], []
-        # hot name buckets make the raw candidate stream orders of
-        # magnitude larger than the surviving edges; process it in
-        # bounded chunks so the per-stage gathers stay cache-resident
-        # instead of materializing multi-GB temporaries
-        CHUNK = 2_000_000
-        for s in range(0, len(li_all), CHUNK):
-            li = li_all[s : s + CHUNK]
-            ri = ri_all[s : s + CHUNK]
-            codes = codes_all[s : s + CHUNK]
-            if prefilter is not None:
-                # recall-lossless char-bound cut BEFORE ownership (the
-                # pair decision is a pure function of the two sketches,
-                # so exactly-once ownership is unaffected); drops ~90%
-                # of bucket-collision junk without touching a string
-                pk = prefilter.keep(SKn[li], SKo[ri])
-                li, ri, codes = li[pk], ri[pk], codes[pk]
-                if not len(li):
-                    continue
-            eq = BHn[li] == BHo[ri]  # (m, bands)
-            if len(cap):
-                bucketvals = (
-                    (np.arange(bands, dtype=np.uint64)[None, :] << np.uint64(32))
-                    | BHn[li].astype(np.uint64)
-                )
-                ok = eq & ~np.isin(bucketvals, cap)
-            else:
-                ok = eq
-            band_here = (codes >> np.uint64(32)).astype(np.int64)
-            first_ok = np.argmax(ok, axis=1)
-            keep = ok.any(axis=1) & (first_ok == band_here)
-            li, ri = li[keep], ri[keep]
-            if not len(li):
-                continue
-            d = score_pairs(method, list(nk[li]), list(ok_keys[ri]), q=q)
-            hit = d <= max_distance
-            out_src.append(li[hit])
-            out_dst.append(ri[hit])
-            out_d.append(d[hit])
-        if not out_src:
-            return empty
-        li = np.concatenate(out_src)
-        ri = np.concatenate(out_dst)
-        return pa.table(
-            {
-                "src": t["doc_id"].take(pa.array(li)),
-                "dst": old["doc_id"].take(pa.array(ri)),
-                "dist": pa.array(np.concatenate(out_d), pa.float64()),
-            }
-        )
+        rows = [new]
+        if old.num_rows:
+            old = old.filter(pa.array(np.isin(old["__bucket"].to_numpy(), nb)))
+            side = pa.array(np.ones(old.num_rows, np.int8))
+            rows.append(old.add_column(3, "__lsh_side", side).cast(new.schema))
+        out = score_part(pa.concat_tables(rows), ray.get(cref))
+        return out.rename_columns(["src", "dst", "dist"])
 
     return new_emit.groupby("__part").map_groups(probe, batch_format="pyarrow")

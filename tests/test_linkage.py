@@ -519,8 +519,8 @@ def test_incremental_index_probe_equals_live_cross(docs_and_labels, tmp_path):
 def test_index_probe_cap_semantics_vs_brute():
     """Stop-word-cap parity: with a tiny max_bucket, probe edges must
     equal the brute rule 'pair survives iff SOME band co-buckets it in
-    a bucket whose combined old+new size is within the cap', computed
-    directly from the shared signature helpers."""
+    a bucket where neither the old nor the new side alone exceeds the
+    cap', computed directly from the shared signature helpers."""
     import itertools as it
 
     from fozziejoin_ray.kernels.strdist import score_pairs
@@ -557,7 +557,7 @@ def test_index_probe_cap_semantics_vs_brute():
             ).take_all()
         }
 
-    # brute: same signatures, same combined-count cap rule
+    # brute: same signatures, same per-side cap rule
     ma, mb = _minhash_params(64, 13)
     def bands_of(vals):
         sh = [char_shingles(v, 2) for v in vals]

@@ -157,6 +157,67 @@ def test_lsh_large_bucket_tiling_bit_identical():
     assert all(a.startswith("L") and b.startswith("R") for a, b, _ in tiled2)
 
 
+def test_minhash_dedup_long_texts_honour_tile_bucket(monkeypatch):
+    """Long texts (mean > _CARRY_CUTOFF bytes) take the id-payload
+    layout, which tiles like every other path: tile_bucket=7 must give
+    the untiled (doc_id, dup_group) rows with no tile_bucket warning,
+    and forcing the texts into the emission must give them too."""
+    import warnings
+
+    import fozziejoin_ray.pipelines.dedup as dd
+
+    rng = np.random.RandomState(5)
+    vocab = [f"w{i}" for i in range(400)]
+    rows = []
+    for fam in range(8):  # families of ~20 near-identical long docs -> buckets >> 7
+        base = list(rng.choice(vocab, 60))
+        for m in range(20):
+            words = list(base)
+            words[rng.randint(len(words))] = vocab[rng.randint(len(vocab))]
+            rows.append((f"f{fam}m{m:02d}", " ".join(words)))
+    rows += [(f"s{i:03d}", " ".join(rng.choice(vocab, 60))) for i in range(40)]
+    t = pa.table({"doc_id": [r[0] for r in rows], "text": [r[1] for r in rows]})
+    assert np.mean([len(x.encode()) for x in t["text"].to_pylist()]) > dd._CARRY_CUTOFF
+
+    made = []
+    index_score = dd._IndexJaccardScore
+    monkeypatch.setattr(
+        dd, "_IndexJaccardScore", lambda ref, thr: made.append(1) or index_score(ref, thr)
+    )
+    tiled_buckets = []
+    census = dd._bucket_census
+
+    def counting_census(*args):
+        out = census(*args)
+        tiled_buckets.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(dd, "_bucket_census", counting_census)
+
+    def run(tile):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = minhash_lsh_dedup(
+                rd.from_arrow(t).repartition(4), "text", "doc_id",
+                threshold=0.5, num_partitions=4, tile_bucket=tile,
+            ).take_all()
+        assert not [w for w in caught if "tile_bucket" in str(w.message)]
+        return sorted((r["doc_id"], r["dup_group"]) for r in out)
+
+    plain = run(None)
+    tiled = run(7)
+    assert len(made) == 2  # both runs verified against the shingle index
+    assert tiled_buckets[0] == 0 and tiled_buckets[1] > 0  # the second run tiled
+    assert plain == tiled
+    assert len(plain) == len(rows)
+    assert len({g for _, g in plain}) < len(rows)  # the families collapsed
+
+    monkeypatch.setattr(dd, "_CARRY_CUTOFF", 1 << 30)
+    assert run(7) == plain
+    assert len(made) == 2  # texts carried: no index built
+    assert tiled_buckets[2] > 0
+
+
 def test_ngram_jaccard_dedup_matches_bruteforce():
     thresh = 0.5
     out = {r["doc_id"]: r["dup_group"] for r in ngram_jaccard_dedup(

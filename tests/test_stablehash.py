@@ -34,9 +34,12 @@ def _two_block_ds(block1: dict, block2: dict) -> rd.Dataset:
 
 class TestStableHashKernel:
     def test_int_vs_null_degraded_float_block(self):
-        a = stable_col_hash(pd.Series([5, 6], dtype="int64"))
-        b = stable_col_hash(pd.Series([5.0, None], dtype="float64"))
+        lo = -(2**63)  # int64's minimum, exactly representable in float64
+        a = stable_col_hash(pd.Series([5, 6, lo], dtype="int64"))
+        b = stable_col_hash(pd.Series([5.0, None, float(lo)], dtype="float64"))
+        c = stable_col_hash(pd.Series([None, "x", float(lo)], dtype=object))
         assert a[0] == b[0]  # 5 hashes alike in both physical dtypes
+        assert a[2] == b[2] == c[2]
         assert a[0] != a[1]
 
     def test_null_distinct_from_zero_and_empty(self):

@@ -20,7 +20,7 @@ import time
 
 N_DOCS = int(sys.argv[1]) if len(sys.argv) > 1 else 480_000
 GEN_DIR = f"/tmp/fozzie_bench_docs_n{N_DOCS}_seed42"
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 
 
 def one_leg(blocking: str) -> None:

@@ -26,14 +26,17 @@ windows measured up to 2.2x inflation. The kernels run at the shared
 DRAM ceiling, not a parallelism ceiling.
 
 Usage:
-    python tools/bench_kernel_contention.py            # 8 then 32
+    python tools/bench_kernel_contention.py            # NCPU/4 then NCPU
     NW=16 python tools/bench_kernel_contention.py one  # single level
+
+NCPU is the process's CPU affinity count; inputs are cached under the
+system temp dir (``TMPDIR``).
 """
 
 import json
 import os
-import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -41,9 +44,11 @@ import numpy as np
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 N_DOCS = int(os.environ.get("GRAFT_N_DOCS", "480000"))
-GEN_DIR = f"/tmp/fozzie_bench_docs_n{N_DOCS}_seed42"
-EMIT_DIR = f"/tmp/fj_emission_{N_DOCS}"
-CAP_NPY = f"/tmp/fj_capped_{N_DOCS}.npy"
+NCPU = len(os.sched_getaffinity(0))
+_TMP = tempfile.gettempdir()
+GEN_DIR = os.path.join(_TMP, f"fozzie_bench_docs_n{N_DOCS}_seed42")
+EMIT_DIR = os.path.join(_TMP, f"fj_emission_{N_DOCS}")
+CAP_NPY = os.path.join(_TMP, f"fj_capped_{N_DOCS}.npy")
 NPART = 448  # per-worker group granularity (matches the stage's buckets)
 MAXB = 4096
 BANDS = 32
@@ -56,76 +61,31 @@ def _prepare():
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=32, include_dashboard=False, logging_level="ERROR")
-    import pandas as pd
-    import pyarrow as pa
+        ray.init(address="local", num_cpus=NCPU, include_dashboard=False, logging_level="ERROR")
     import ray.data as rd
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
     import fozziejoin_ray.pipelines.dedup as dd
-    from fozziejoin_ray.pipelines.linkage import JaroCharBoundFilter, extract_keys
+    from fozziejoin_ray.pipelines.linkage import (
+        JaroCharBoundFilter,
+        _distinct_key_reps,
+        extract_keys,
+    )
     from fozziejoin_ray.sources.docgen import make_documents_dataset
 
     if not (os.path.isdir(GEN_DIR) and os.listdir(GEN_DIR)):
         make_documents_dataset(N_DOCS, seed=42, docs_per_entity=4).write_parquet(GEN_DIR + ".tmp")
         os.rename(GEN_DIR + ".tmp", GEN_DIR)
 
-    keys = extract_keys(rd.read_parquet(GEN_DIR))
-
-    def add_part(t):
-        h = pd.util.hash_array(
-            np.asarray(t["key"].combine_chunks().to_numpy(zero_copy_only=False)),
-            categorize=False,
-        )
-        return t.append_column("__kp", pa.array((h % 64).astype(np.int64)))
-
-    def rep_rows(df):
-        df = df[df["key"].notna()]
-        if not len(df):
-            return pd.DataFrame({"doc_id": [], "rep": [], "key": []})
-        reps = df.groupby("key", sort=False)["doc_id"].transform("min")
-        return pd.DataFrame({"doc_id": df["doc_id"], "rep": reps, "key": df["key"]})
-
-    distinct_vals = (
-        keys.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__kp")
-        .map_groups(rep_rows, batch_format="pandas")
-        .map_batches(
-            lambda t: t.filter(pa.compute.equal(t["doc_id"], t["rep"])).select(["rep", "key"]),
-            batch_format="pyarrow",
-        )
+    # the emission match_edges' minhash tier scores: distinct-key reps,
+    # banded by the package's own emitter with the jw sketch
+    emit = dd._band_emitter(
+        "key", "doc_id", num_perm=64, bands=BANDS, shingle_k=2, seed=13,
+        prefilter=JaroCharBoundFilter(0.12),
     )
-    prefilter = JaroCharBoundFilter(0.12)
-    ma, mb = dd._minhash_params(64, 13)
-    skw = int(prefilter.width)
-
-    def make_buckets(t: pa.Table) -> pa.Table:
-        tc = t["key"].combine_chunks() if isinstance(t["key"], pa.ChunkedArray) else t["key"]
-        idc = t["rep"].combine_chunks() if isinstance(t["rep"], pa.ChunkedArray) else t["rep"]
-        kv = tc.to_numpy(zero_copy_only=False)
-        vrows = np.nonzero(np.fromiter((v is not None for v in kv), bool, count=len(kv)))[0]
-        sh = [dd.char_shingles(kv[i], 2) for i in vrows]
-        SIG = dd.minhash_signatures_batch(sh, ma, mb)
-        BH = dd._band_hashes(SIG, BANDS)
-        bucket = (
-            (np.arange(BANDS, dtype=np.uint64)[None, :] << np.uint64(32)) | BH.astype(np.uint64)
-        ).ravel()
-        take = pa.array(np.repeat(vrows, BANDS))
-        SK = prefilter.sketch([kv[i] for i in vrows], shingles=sh)
-        return pa.table(
-            {
-                "__bucket": pa.array(bucket),
-                "rep": idc.take(take),
-                "key": tc.take(take),
-                "__bh": pa.FixedSizeListArray.from_arrays(
-                    pa.array(np.repeat(BH, BANDS, axis=0).ravel(), pa.uint32()), BANDS
-                ),
-                "__sk": pa.FixedSizeListArray.from_arrays(pa.array(SK.repeat(BANDS, axis=0).ravel(), pa.uint64()), skw),
-            }
-        )
-
-    emitted = distinct_vals.map_batches(make_buckets, batch_format="pyarrow").materialize()
+    reps = _distinct_key_reps(extract_keys(rd.read_parquet(GEN_DIR)), 64)
+    emitted = reps.map_batches(emit, batch_format="pyarrow").materialize()
     capped, _, _ = dd._bucket_census(emitted, MAXB, None, False)
     np.save(CAP_NPY, capped)
     emitted.write_parquet(EMIT_DIR + ".tmp")
@@ -216,19 +176,21 @@ def run_level(nw: int) -> dict:
 def main():
     _prepare()
     if len(sys.argv) > 1 and sys.argv[1] == "one":
-        print(json.dumps(run_level(int(os.environ.get("NW", "32")))))
+        print(json.dumps(run_level(int(os.environ.get("NW", NCPU)))))
         return
-    lo = run_level(8)
-    hi = run_level(32)
+    nlo, nhi = max(1, NCPU // 4), NCPU
+    lo = run_level(nlo)
+    hi = run_level(nhi)
     infl = hi["kernel_cpu_sec"] / max(lo["kernel_cpu_sec"], 1e-9)
     print(
         json.dumps(
             {
-                "metric": "LSH pair-kernel memory contention (8 vs 32 procs, no Ray)",
+                "metric": f"LSH pair-kernel memory contention ({nlo} vs {nhi} procs, no Ray)",
                 "n_docs": N_DOCS,
-                "nw8": lo,
-                "nw32": hi,
-                "cpu_inflation_32_over_8": round(infl, 2),
+                "num_cpus": NCPU,
+                f"nw{nlo}": lo,
+                f"nw{nhi}": hi,
+                f"cpu_inflation_{nhi}_over_{nlo}": round(infl, 2),
                 "wall_speedup": round(lo["wall_sec"] / hi["wall_sec"], 2),
                 "note": "identical work/edges at both levels; cpu inflation > 1 is "
                 "shared-DRAM contention that a multi-node cluster would not see",

@@ -40,7 +40,12 @@ MAXD = 0.12
 def main():
     import ray
 
-    ray.init(address="local", num_cpus=32, include_dashboard=False, logging_level="ERROR")
+    ray.init(
+        address="local",
+        num_cpus=len(os.sched_getaffinity(0)),
+        include_dashboard=False,
+        logging_level="ERROR",
+    )
     import pyarrow as pa
     import ray.data as rd
     from ray.data import DataContext
