@@ -39,6 +39,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..exchange import partition_ids
+
 
 def _distinct_nodes(clean_edges: rd.Dataset) -> pa.Array:
     """All distinct node ids (s ∪ d) of the CLEANED string edge table,
@@ -160,17 +162,6 @@ def pagerank(
     )
 
 
-def _owner_of(ids: np.ndarray, nparts: int) -> np.ndarray:
-    """Deterministic owner partition per node id (object/str array) —
-    pd.util.hash_array's fixed-key hash, identical in every process."""
-    import pandas as pd
-
-    return (
-        pd.util.hash_array(np.asarray(ids, dtype=object), categorize=False)
-        % np.uint64(nparts)
-    ).astype(np.int64)
-
-
 @ray.remote
 class _PRPartition:
     """One co-partitioned PageRank shard: owns all out-edges of nodes
@@ -205,15 +196,16 @@ class _PRPartition:
             t = self._edges
             s = t["s"].combine_chunks().to_numpy(zero_copy_only=False)
             d = t["d"].combine_chunks().to_numpy(zero_copy_only=False)
+            owner = partition_ids([t["d"]], self.P)
         else:
             s = np.array([], dtype=object)
             d = np.array([], dtype=object)
+            owner = np.zeros(0, np.int64)
         self._edges = None  # raw table no longer needed
         self.src_code, self.src_ids = pd.factorize(s, sort=False)
         self.deg = np.bincount(self.src_code, minlength=len(self.src_ids)).astype(
             np.float64
         )
-        owner = _owner_of(d, self.P) if len(d) else np.zeros(0, np.int64)
         order = np.argsort(owner, kind="stable")
         bounds = np.searchsorted(owner[order], np.arange(self.P + 1))
         self.grp_src = []  # per-owner: src codes of its edges
@@ -320,8 +312,7 @@ def _pagerank_shuffle(
     # cannot double-ingest (a retried delivery re-sends identical
     # content and overwrites the same slot).
     def tag_owner(t: pa.Table) -> pa.Table:
-        s = t["s"].combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column("__own", pa.array(_owner_of(s, P)))
+        return t.append_column("__own", pa.array(partition_ids([t["s"]], P)))
 
     def deliver(t: pa.Table) -> pa.Table:
         j = int(t["__own"][0].as_py())

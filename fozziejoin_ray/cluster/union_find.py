@@ -30,6 +30,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from ..exchange import exchange
+
 NODE = "node"
 CLUSTER = "cluster"
 
@@ -203,11 +205,6 @@ def _contract_round(edges: rd.Dataset, num_partitions: int) -> rd.Dataset:
     so downstream labeling covers the full node set."""
     import pandas as pd
 
-    def add_part(t: pa.Table) -> pa.Table:
-        a = t["a"].combine_chunks() if isinstance(t["a"], pa.ChunkedArray) else t["a"]
-        h = pd.util.hash_array(np.asarray(a.to_numpy(zero_copy_only=False)), categorize=False)
-        return t.append_column("__cp", pa.array((h % num_partitions).astype(np.int64)))
-
     def contract_part(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame(
@@ -227,11 +224,7 @@ def _contract_round(edges: rd.Dataset, num_partitions: int) -> rd.Dataset:
         keep = u["node"].to_numpy() != rep.to_numpy()
         return pd.DataFrame({"a": u["node"].to_numpy()[keep], "b": rep.to_numpy()[keep]})
 
-    return (
-        edges.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__cp")
-        .map_groups(contract_part, batch_format="pandas")
-    )
+    return exchange(edges, "a", num_partitions, contract_part, batch_format="pandas")
 
 
 def _star_round(edges: rd.Dataset, kind: str, num_partitions: int = 32) -> rd.Dataset:
@@ -261,11 +254,7 @@ def _star_round(edges: rd.Dataset, kind: str, num_partitions: int = 32) -> rd.Da
             mn = np.where(an > bn, bn, an)
             u = pa.array(mx, type=a.type)
             v = pa.array(mn, type=a.type)
-        un = u.to_numpy(zero_copy_only=False) if not isinstance(u, np.ndarray) else u
-        h = pd.util.hash_array(np.asarray(un), categorize=False)
-        return pa.table(
-            {"u": u, "v": v, "__sp": pa.array((h % num_partitions).astype(np.int64))}
-        )
+        return pa.table({"u": u, "v": v})
 
     def star_part(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -290,10 +279,12 @@ def _star_round(edges: rd.Dataset, kind: str, num_partitions: int = 32) -> rd.Da
         out_b.append(m[cmask])
         return pd.DataFrame({"a": np.concatenate(out_a), "b": np.concatenate(out_b)})
 
-    return (
-        edges.map_batches(emit, batch_format="pyarrow")
-        .groupby("__sp")
-        .map_groups(star_part, batch_format="pandas")
+    return exchange(
+        edges.map_batches(emit, batch_format="pyarrow"),
+        "u",
+        num_partitions,
+        star_part,
+        batch_format="pandas",
     )
 
 

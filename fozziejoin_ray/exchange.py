@@ -1,0 +1,135 @@
+"""The one hash-partitioned exchange primitive.
+
+Every join, dedup, aggregation and clustering stage that co-locates
+rows by key is the same step: tag each row with ``hash(keys) % P``,
+then ``groupby(tag).map_groups(fn)``. This module owns both halves:
+
+- :func:`partition_ids` computes the tag from Arrow columns, by type,
+  with no per-row Python. The id is a pure function of the logical key
+  tuple, never of a block's physical dtype: ints of any width, bools
+  and whole-number floats hash as int64, so the int64 key 7 and the
+  float64 7.0 of a null-degraded pandas block land together, and every
+  null lands in one constant partition. For non-null int64, uint64
+  (< 2^63) and string columns the id equals
+  ``pd.util.hash_array(values) % P`` bit for bit, the formula the
+  persisted LSH index ``__part``, the checkpoint resume tags and
+  ``hash_join``'s partitions were written with. Multi-column keys fold
+  per-column hashes with ``h * 1000003 ^ hc``.
+- :func:`exchange` tags rows, runs the sort-shuffle groupby and hands
+  ``fn`` each partition without the tag column. Stages that produce
+  their partials in pandas do not tag them: the helper tags their
+  output from its Arrow form, where a null-degraded float64 key is
+  again a whole number.
+
+Sites that replicate rows, deliver to actors or write files (the LSH
+tile router, PageRank ownership, the persisted index build/probe, the
+blocked join's checkpoint filter) call :func:`partition_ids` directly.
+Content hashes (hashes of values that are NOT partition ids) stay
+where they are; ``kernels/stablehash.py`` keeps value hashing.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import ray.data as rd
+from ray.data.block import BlockAccessor
+
+_TAG = "__xp"
+_FOLD = np.uint64(1000003)
+_NULL = np.uint64(0x2545F4914F6CDD1D)
+_I63 = float(2**63)
+
+
+def _hash_i64(v: np.ndarray) -> np.ndarray:
+    return pd.util.hash_array(np.ascontiguousarray(v, dtype=np.int64), categorize=False)
+
+
+def _hash_f64(f: np.ndarray) -> np.ndarray:
+    """Whole numbers in int64 range hash as int64, the rest as float64
+    bits (one NaN pattern)."""
+    with np.errstate(invalid="ignore"):
+        whole = (f == np.floor(f)) & (f >= -_I63) & (f < _I63)
+    if whole.all():
+        return _hash_i64(f.astype(np.int64))
+    h = pd.util.hash_array(np.where(np.isnan(f), np.nan, f), categorize=False)
+    if whole.any():
+        h[whole] = _hash_i64(np.where(whole, f, 0.0).astype(np.int64))[whole]
+    return h
+
+
+def _numpy(col: pa.Array, fill) -> np.ndarray:
+    return np.asarray(pc.fill_null(col, fill).to_numpy(zero_copy_only=False))
+
+
+def _col_hash(col: pa.Array) -> np.ndarray:
+    """uint64 per row, a pure function of (logical value, validity)."""
+    typ = col.type
+    if pa.types.is_null(typ):
+        return np.full(len(col), _NULL, dtype=np.uint64)
+    if pa.types.is_boolean(typ):
+        h = _hash_i64(_numpy(col, False))
+    elif pa.types.is_integer(typ):
+        # uint64 >= 2^63 wraps: a collision with a negative int64, never
+        # a split of one value
+        h = _hash_i64(_numpy(col, 0).astype(np.int64))
+    elif pa.types.is_floating(typ):
+        h = _hash_f64(_numpy(col.cast(pa.float64()), 0.0))
+    else:
+        # strings, binary, temporals: their numpy form, as pd.util.hash_array
+        # has always hashed them
+        h = pd.util.hash_array(np.asarray(col.to_numpy(zero_copy_only=False)), categorize=False)
+    if col.null_count:
+        h = np.where(col.is_valid().to_numpy(zero_copy_only=False), h, _NULL)
+    return h
+
+
+def partition_ids(cols: Sequence[pa.Array | pa.ChunkedArray], num_partitions: int) -> np.ndarray:
+    """int64 partition id in ``[0, num_partitions)`` per row of the key
+    tuple ``cols`` (equal-length Arrow columns, chunked or not)."""
+    h = None
+    for col in cols:
+        chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+        hc = (
+            np.concatenate([_col_hash(c) for c in chunks])
+            if chunks
+            else np.empty(0, np.uint64)
+        )
+        h = hc if h is None else (h * _FOLD) ^ hc
+    if h is None:
+        raise ValueError("partition_ids needs at least one key column")
+    return (h % np.uint64(num_partitions)).astype(np.int64)
+
+
+def exchange(
+    ds: rd.Dataset | Sequence[rd.Dataset],
+    keys: str | Sequence[str],
+    num_partitions: int,
+    fn: Callable,
+    *,
+    batch_format: str,
+) -> rd.Dataset:
+    """Co-locate the rows of ``ds`` (a Dataset, or several unioned after
+    tagging, so each tag fuses into its input's last map) by ``keys`` in
+    ``num_partitions`` hash partitions and map each partition with
+    ``fn`` (a ``batch_format`` batch of every row of the partition, tag
+    column removed). One sort-shuffle; a partition holds all rows of
+    each of its key tuples and may hold several tuples."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
+    def tag(t: pa.Table) -> pa.Table:
+        ids = partition_ids([t.column(k) for k in keys], num_partitions)
+        return t.append_column(_TAG, pa.array(ids))
+
+    def run(t: pa.Table):
+        # drop the tag before Ray's own batch conversion: no pandas copy
+        return fn(BlockAccessor.for_block(t.drop_columns([_TAG])).to_batch_format(batch_format))
+
+    inputs = [ds] if isinstance(ds, rd.Dataset) else list(ds)
+    tagged = [d.map_batches(tag, batch_format="pyarrow") for d in inputs]
+    unioned = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return unioned.groupby(_TAG).map_groups(run, batch_format="pyarrow")

@@ -40,6 +40,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..exchange import exchange
 from ..semantics import F64_EPS, check_mode
 from .modes import assemble, normalize_by
 from .numeric_join import _numeric_np
@@ -244,17 +245,6 @@ def _blocked_asof_edges(
     er = right.select_columns([rid, rkey] + r_exact).map_batches(
         _asof_emit(1, rid, rkey, r_exact, tol, direction), batch_format="pyarrow"
     )
-    emitted = el.union(er)
-
-    def add_bp(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            t[_AB].to_numpy(zero_copy_only=False).astype(np.int64), categorize=False
-        )
-        for i in range(nexact):
-            h = h * np.uint64(0x9E3779B97F4A7C15) ^ pd.util.hash_array(
-                np.asarray(t[f"__ae{i}"].to_numpy(zero_copy_only=False)), categorize=False
-            )
-        return t.append_column("__bp", pa.array((h % num_partitions).astype(np.int64)))
 
     def local_best(t: pa.Table) -> pa.Table:
         idt = t.schema.field(_AI).type
@@ -298,22 +288,13 @@ def _blocked_asof_edges(
             }
         )
 
-    locals_ = (
-        emitted.map_batches(add_bp, batch_format="pyarrow")
-        .groupby("__bp")
-        .map_groups(local_best, batch_format="pyarrow")
-    )
+    tile_keys = [_AB] + [f"__ae{i}" for i in range(nexact)]
+    locals_ = exchange([el, er], tile_keys, num_partitions, local_best, batch_format="pyarrow")
 
     # global winner among the <= len(offs) local winners per left row
-    def add_lp(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            np.asarray(t[LID].to_numpy(zero_copy_only=False)), categorize=False
-        )
-        return t.append_column("__lp", pa.array((h % num_partitions).astype(np.int64)))
-
     def global_best(df: "pd.DataFrame") -> "pd.DataFrame":
         if not len(df):
-            return df.drop(columns=["__lp", "__t"], errors="ignore")
+            return df.drop(columns=["__t"], errors="ignore")
         if direction == "nearest":
             # smaller gap wins; gap ties break backward (t <= x has the
             # same gap only when both sides are equidistant; backward =
@@ -326,13 +307,9 @@ def _blocked_asof_edges(
         else:
             df = df.sort_values([LID, "__t", RID], ascending=[True, True, False], kind="stable")
         df = df.drop_duplicates(LID, keep="first")
-        return df.drop(columns=["__lp", "__t"])
+        return df.drop(columns=["__t"])
 
-    return (
-        locals_.map_batches(add_lp, batch_format="pyarrow")
-        .groupby("__lp")
-        .map_groups(global_best, batch_format="pandas")
-    )
+    return exchange(locals_, LID, num_partitions, global_best, batch_format="pandas")
 
 
 def fuzzy_asof_join(

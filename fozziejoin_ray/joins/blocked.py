@@ -46,6 +46,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..blocking.strategies import _cross_expand, id_salt_hash, strategy_for
+from ..exchange import partition_ids
 from ..kernels.strdist import edit_bag_bound, score_pairs
 from ..semantics import canon_method
 from .string_join import LID, RID, dist_names, refine_score
@@ -216,17 +217,6 @@ def _group_positions(codes: np.ndarray, n_uniq: int):
     return order, starts, counts
 
 
-def _bk_part_hash(bks: np.ndarray, num_parts: int) -> np.ndarray:
-    """Deterministic partition id per FULL block key (salt suffix
-    included) — the unit of partition-granular checkpoint resume: every
-    edge a block produces lands in that block's partition."""
-    import pandas as pd
-
-    return (
-        pd.util.hash_array(np.asarray(bks, dtype=object), categorize=False) % num_parts
-    ).astype(np.int64)
-
-
 def _make_group_scorer(cfg: dict):
     strategy = strategy_for(
         cfg["method"], cfg["max_distance"], cfg["q"], allpairs_salts=cfg["allpairs_salts"]
@@ -391,7 +381,7 @@ def _make_group_scorer(cfg: dict):
         for n, d in zip(dist_names(nkeys), dists):
             cols[n] = pa.array(d, pa.float64())
         if ckpt is not None:
-            part = int(_bk_part_hash(np.array([full_bk], object), ckpt[0])[0])
+            part = int(partition_ids([t.column(BK).slice(0, 1)], ckpt[0])[0])
             cols[ckpt[1]] = pa.array(np.full(len(apos), part, dtype=np.int64))
         return pa.table(cols)
 
@@ -490,8 +480,7 @@ def build_edges_blocked(
         want = np.asarray(sorted(missing), dtype=np.int64)
 
         def part_filter(t: pa.Table) -> pa.Table:
-            bks = t.column(BK).to_numpy(zero_copy_only=False)
-            keep = np.isin(_bk_part_hash(bks, num_parts), want)
+            keep = np.isin(partition_ids([t.column(BK)], num_parts), want)
             return t.filter(pa.array(keep))
 
         emitted = emitted.map_batches(part_filter, batch_format="pyarrow")

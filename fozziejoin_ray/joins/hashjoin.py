@@ -6,10 +6,9 @@ plan contains more than one hash-shuffle join (observed:
 on the second join of a chain even across a materialize() barrier), so
 the engine carries its own grace-style partitioned hash join:
 
-1. both sides get a partition column ``hash(keys) % P`` (vectorized,
-   ``pandas.util.hash_array`` folded across key columns) and a side tag,
-   padded to a common schema;
-2. one ``groupby(partition)`` sort-shuffle co-locates matching keys;
+1. both sides get a side tag and are padded to a common schema;
+2. one :func:`fozziejoin_ray.exchange.exchange` on the key columns (the
+   package's dtype-stable partition hash) co-locates matching keys;
 3. each partition is joined locally with pyarrow's C++ ``Table.join``.
 
 This is exactly the "explicit partitioned hash join" pattern for
@@ -25,11 +24,11 @@ reference's full-join assembly (src/rust/src/merge/full.rs:9-85).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-_PART = "__hj_part"
+from ..exchange import exchange
+
 _SIDE = "__hj_side"
 
 _MODES = {
@@ -54,30 +53,6 @@ def _schema_or(ds: rd.Dataset, override: pa.Schema | None, side: str) -> pa.Sche
             "pass an explicit schema"
         )
     return pa.schema(list(zip(sch.names, sch.types))) if not isinstance(sch, pa.Schema) else sch
-
-
-def _hash_mod_many(cols: list[pa.ChunkedArray | pa.Array], p: int) -> np.ndarray:
-    """Fold per-column row hashes into one partition id (single-column
-    case degenerates to the plain ``hash % p`` used since round 2).
-
-    Integer/boolean columns are null-filled BEFORE the numpy
-    conversion: a single null used to flip the whole column to float64
-    (NaN), so the same key value hashed differently on a side whose
-    batch happened to contain a null and matching rows landed in
-    different partitions (latent since round 2, surfaced by the
-    hypothesis fuzz). Null keys never match, so their own placement is
-    arbitrary — only the dtype stability of the NON-null values
-    matters."""
-    import pyarrow.compute as pc
-
-    h = np.zeros(0, dtype=np.uint64)
-    for col in cols:
-        if pa.types.is_integer(col.type) or pa.types.is_boolean(col.type):
-            col = pc.fill_null(col, 0)
-        vals = col.to_numpy(zero_copy_only=False)
-        hc = pd.util.hash_array(np.asarray(vals), categorize=False)
-        h = hc if not len(h) else (h * np.uint64(1000003)) ^ hc
-    return (h % p).astype(np.int64)
 
 
 def hash_join(
@@ -131,7 +106,7 @@ def hash_join(
     elif how in ("right_semi", "right_anti"):
         lfields = [(n, t) for n, t in lfields if n in lkeys]
     all_fields = lfields + [(n, t) for n, t in rfields if n not in rkeys]
-    # unified shuffle schema: every column of both sides + part + side;
+    # unified shuffle schema: every column of both sides + side;
     # right keys are carried in the LEFT keys' slots (cast to left types).
     ltypes = dict(lfields)
     key_types = {lk: ltypes[lk] for lk in lkeys}
@@ -160,11 +135,6 @@ def hash_join(
                     cols[name] = col if col.type == typ else col.cast(typ)
                 else:
                     cols[name] = pa.nulls(n, type=typ)
-            keys = [
-                c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-                for c in (cols[lk] for lk in lkeys)
-            ]
-            cols[_PART] = pa.array(_hash_mod_many(keys, num_partitions))
             cols[_SIDE] = pa.array(np.full(n, side, dtype=np.int8))
             return pa.table(cols)
 
@@ -174,7 +144,6 @@ def hash_join(
     ru = right.map_batches(
         prep(1, {r2l[rk]: rk for rk in rkeys}), batch_format="pyarrow"
     )
-    unioned = lu.union(ru)
 
     lcols = [n for n, _ in lfields]
     rcols = [n for n, _ in rfields if n not in rkeys]
@@ -257,5 +226,4 @@ def hash_join(
             return out.select(lkeys + rcols)
         return out.select(lcols)
 
-    grouped = unioned.groupby(_PART)
-    return grouped.map_groups(join_part, batch_format="pyarrow")
+    return exchange([lu, ru], lkeys, num_partitions, join_part, batch_format="pyarrow")

@@ -33,6 +33,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..exchange import exchange
 from ..semantics import check_mode
 from .modes import assemble, normalize_by
 from .rowids import ensure_row_id, exceeds_rows
@@ -268,8 +269,6 @@ def _blocked_interval_edges(
     corpus where most intervals are long wants a larger explicit
     ``tile_width`` instead. ``tile_width`` auto = 2x the sampled p95
     right-interval length, floored by the gap window."""
-    import pandas as pd
-
     g = float(maxgap) + (0.0 if mode == "integer" else 1e-6)
     slack = 1.0 if mode == "integer" else 0.0
     expand = g + slack
@@ -312,12 +311,6 @@ def _blocked_interval_edges(
         _interval_emit(1, rid, by[0][1], by[1][1], tw, expand, skip_longer_than=cutoff),
         batch_format="pyarrow",
     )
-    emitted = el.union(er)
-
-    def add_bp(t: pa.Table) -> pa.Table:
-        col = t[_TB].combine_chunks() if isinstance(t[_TB], pa.ChunkedArray) else t[_TB]
-        h = pd.util.hash_array(np.asarray(col.to_numpy(zero_copy_only=False)), categorize=False)
-        return t.append_column("__bp", pa.array((h % num_partitions).astype(np.int64)))
 
     def score_part(t: pa.Table) -> pa.Table:
         idt = t.schema.field(_TI).type
@@ -388,11 +381,7 @@ def _blocked_interval_edges(
         rb = np.concatenate(out_r)
         return pa.table({LID: pa.array(ids[la], idt), RID: pa.array(ids[rb], idt)})
 
-    tiled = (
-        emitted.map_batches(add_bp, batch_format="pyarrow")
-        .groupby("__bp")
-        .map_groups(score_part, batch_format="pyarrow")
-    )
+    tiled = exchange([el, er], _TB, num_partitions, score_part, batch_format="pyarrow")
     if long_rt is None or long_rt.num_rows == 0:
         return tiled
     # broadcast sub-join for the long tail: identical predicates, one

@@ -30,6 +30,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..exchange import exchange
 from ..semantics import F64_EPS, check_mode, distance_col_names
 from .modes import assemble, normalize_by
 from .rowids import ensure_row_id, exceeds_rows
@@ -164,8 +165,6 @@ def _blocked_difference_edges(
     vectorized searchsorted calls clipped to the probe bucket's segment
     (segments found by searchsorted over the int64 bucket ids, so the
     emission-side floor() and the probe-side clip can never disagree)."""
-    import pandas as pd
-
     thr = float(max_distance) + F64_EPS
     width = float(max_distance) if max_distance > 0 else 1.0
     lkeys = [l for l, _ in by]
@@ -178,12 +177,6 @@ def _blocked_difference_edges(
     er = right.select_columns([rid] + sorted(set(rkeys))).map_batches(
         _diff_emit(1, rid, rkeys, width), batch_format="pyarrow"
     )
-    emitted = el.union(er)
-
-    def add_bp(t: pa.Table) -> pa.Table:
-        col = t[_NB].combine_chunks() if isinstance(t[_NB], pa.ChunkedArray) else t[_NB]
-        h = pd.util.hash_array(np.asarray(col.to_numpy(zero_copy_only=False)), categorize=False)
-        return t.append_column("__bp", pa.array((h % num_partitions).astype(np.int64)))
 
     def score_part(t: pa.Table) -> pa.Table:
         idt = t.schema.field(_NI).type
@@ -240,11 +233,7 @@ def _blocked_difference_edges(
             cols[n] = pa.array(d, pa.float64())
         return pa.table(cols)
 
-    return (
-        emitted.map_batches(add_bp, batch_format="pyarrow")
-        .groupby("__bp")
-        .map_groups(score_part, batch_format="pyarrow")
-    )
+    return exchange([el, er], _NB, num_partitions, score_part, batch_format="pyarrow")
 
 
 def _collect_right_numeric(right: rd.Dataset, rid: str, by) -> tuple:
@@ -417,8 +406,6 @@ def _blocked_distance_edges(
     probes a searchsorted window clipped to its bucket's segment, and
     the full k-dim distance is computed vectorized on the window pairs.
     """
-    import pandas as pd
-
     maxd = float(max_distance)
     width = maxd if maxd > 0 else 1.0
     lkeys = [l for l, _ in by]
@@ -431,12 +418,6 @@ def _blocked_distance_edges(
     er = right.select_columns([rid] + sorted(set(rkeys))).map_batches(
         _diff_emit(1, rid, rkeys, width), batch_format="pyarrow"
     )
-    emitted = el.union(er)
-
-    def add_bp(t: pa.Table) -> pa.Table:
-        col = t[_NB].combine_chunks() if isinstance(t[_NB], pa.ChunkedArray) else t[_NB]
-        h = pd.util.hash_array(np.asarray(col.to_numpy(zero_copy_only=False)), categorize=False)
-        return t.append_column("__bp", pa.array((h % num_partitions).astype(np.int64)))
 
     def score_part(t: pa.Table) -> pa.Table:
         idt = t.schema.field(_NI).type
@@ -491,11 +472,7 @@ def _blocked_distance_edges(
             }
         )
 
-    return (
-        emitted.map_batches(add_bp, batch_format="pyarrow")
-        .groupby("__bp")
-        .map_groups(score_part, batch_format="pyarrow")
-    )
+    return exchange([el, er], _NB, num_partitions, score_part, batch_format="pyarrow")
 
 
 def fuzzy_distance_join(

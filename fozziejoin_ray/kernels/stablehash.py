@@ -1,15 +1,15 @@
-"""Dtype-stable value/row hashing for exchange keys.
+"""Dtype-stable VALUE hashing on pandas blocks.
 
-Every exchange primitive that routes rows by a hash of their VALUES
-(`group_count_distinct`'s distinct-tuple partitioner, the HLL value and
-group keys, sampling buckets) must produce the SAME hash for the same
-logical value in every block — but a pandas block's physical dtype is
-not stable: an int64 column degrades to float64 in any block that holds
-a null, a bool column to object, and `pd.util.hash_array` hashes the
-PHYSICAL representation (hash(7) != hash(7.0)).  This is the exact bug
-class fixed in `joins/hashjoin._hash_mod_many` (round 4) — these
-helpers are the reusable pandas-side version, guarded by the same
-hypothesis fuzz strategy (tests/test_stablehash.py).
+Hashes of VALUES (the HyperLogLog register hashes in
+`pipelines/sketch.py`) must be the SAME for the same logical value in
+every block, but a pandas block's
+physical dtype is not stable: an int64 column degrades to float64 in
+any block that holds a null, a bool column to object, and
+`pd.util.hash_array` hashes the PHYSICAL representation (hash(7) !=
+hash(7.0)). Partition ids are not computed here: every exchange takes
+them from `fozziejoin_ray/exchange.py`, the Arrow-side partition
+function with the same whole-number rule. These helpers are guarded by
+the hypothesis fuzz in tests/test_stablehash.py.
 
 Canonicalization is PER-ELEMENT, a pure function of (logical value,
 validity) — never of the block's dtype or of neighboring values:
@@ -138,8 +138,8 @@ def stable_col_hash(s: "pd.Series") -> np.ndarray:
 
 
 def stable_row_hash(df: "pd.DataFrame", cols: list[str] | None = None) -> np.ndarray:
-    """Fold per-column stable hashes into one uint64 per row (same
-    1000003-multiplier fold as hashjoin._hash_mod_many)."""
+    """Fold per-column stable hashes into one uint64 per row (the
+    1000003-multiplier fold of exchange.partition_ids)."""
     use = list(df.columns) if cols is None else list(cols)
     if not use:
         raise ValueError("stable_row_hash needs at least one column")

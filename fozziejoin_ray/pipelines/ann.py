@@ -20,6 +20,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..exchange import exchange
+
 
 def _embed_matrix(t: pa.Table, col: str, dtype=np.float32) -> np.ndarray:
     arr = t.column(col)
@@ -309,24 +311,10 @@ def embedding_dup_pairs_bucketed(
     )
 
     # pairs sharing several probe buckets appear once per shared bucket
-    def add_pp(t: pa.Table) -> pa.Table:
-        a = t["a"].combine_chunks() if isinstance(t["a"], pa.ChunkedArray) else t["a"]
-        b = t["b"].combine_chunks() if isinstance(t["b"], pa.ChunkedArray) else t["b"]
-        h = pd.util.hash_array(
-            np.asarray(a.to_numpy(zero_copy_only=False)), categorize=False
-        ) * np.uint64(0x9E3779B97F4A7C15) ^ pd.util.hash_array(
-            np.asarray(b.to_numpy(zero_copy_only=False)), categorize=False
-        )
-        return t.append_column("__pp", pa.array((h % num_partitions).astype(np.int64)))
-
     def dedup_part(df: "pd.DataFrame") -> "pd.DataFrame":
-        return df.drop_duplicates(["a", "b"]).drop(columns=["__pp"])
+        return df.drop_duplicates(["a", "b"])
 
-    return (
-        pairs.map_batches(add_pp, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(dedup_part, batch_format="pandas")
-    )
+    return exchange(pairs, ["a", "b"], num_partitions, dedup_part, batch_format="pandas")
 
 
 class _DupScorer:

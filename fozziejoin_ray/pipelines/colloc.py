@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..exchange import exchange
 from .lm import _bigram_views, _flat_tokens
 
 _EMPTY_OUT = {
@@ -74,13 +75,11 @@ def pmi_collocations(
             [np.full(len(ug), None, dtype=object), bg["w2"].to_numpy(dtype=object)]
         )
         c = np.concatenate([ug.to_numpy(np.int64), bg["c"].to_numpy(np.int64)])
-        h = pd.util.hash_array(w1, categorize=False)
         return pa.table(
             {
                 "w1": pa.array(w1, pa.string()),
                 "w2": pa.array(w2, pa.string()),
                 "c": pa.array(c),
-                "__wp": pa.array((h % np.uint64(num_partitions)).astype(np.int64)),
             }
         )
 
@@ -94,20 +93,17 @@ def pmi_collocations(
                 }
             )
         out = (
-            df.drop(columns=["__wp"])
-            .groupby(["w1", "w2"], sort=False, dropna=False)["c"]
+            df.groupby(["w1", "w2"], sort=False, dropna=False)["c"]
             .sum()
             .reset_index()
         )
         out["c"] = out["c"].astype(np.int64)
         return out
 
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__wp")
-        .map_groups(merge, batch_format="pandas")
-        .materialize()
-    )
+    counts = exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), "w1", num_partitions, merge,
+        batch_format="pandas",
+    ).materialize()
 
     # driver-side aggregates: unigram table (vocabulary-bounded) + the
     # two normalizers; bigram rows never leave the cluster

@@ -30,6 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..exchange import exchange
 from .split import _BUCKETS, _bucket_of, bucket_sql_expr
 
 # (name, RE2 pattern, replacement) — applied IN ORDER; order matters
@@ -584,14 +585,7 @@ def dup_ngram_frac(
         empty = np.nonzero(~seen)[0]
         rows = np.concatenate([dp, empty])
         gstr = np.concatenate([dg, np.full(len(empty), "", dtype=object)])
-        gp = (_gram_hashes(gstr) % np.uint64(num_partitions)).astype(np.int64)
-        return pa.table(
-            {
-                id_col: idc.take(pa.array(rows)),
-                "gram": pa.array(gstr, pa.string()),
-                "__gp": pa.array(gp),
-            }
-        )
+        return pa.table({id_col: idc.take(pa.array(rows)), "gram": pa.array(gstr, pa.string())})
 
     def per_gram_partition(df: "pd.DataFrame") -> "pd.DataFrame":
         if not len(df):
@@ -603,22 +597,19 @@ def dup_ngram_frac(
         cnt = np.zeros(len(df), dtype=np.int64)
         dup[real] = (ndocs[codes] >= 2).astype(np.int64)
         cnt[real] = 1
-        out = (
+        return (
             pd.DataFrame({id_col: df[id_col].to_numpy(), "n_grams_part": cnt, "n_dup_part": dup})
             .groupby(id_col, sort=False)
             .sum()
             .reset_index()
         )
-        h = pd.util.hash_array(out[id_col].to_numpy(), categorize=False)
-        out["__dp"] = (h % np.uint64(num_partitions)).astype(np.int64)
-        return out
 
     def per_doc(df: "pd.DataFrame") -> "pd.DataFrame":
         if not len(df):
             return pd.DataFrame(
                 {id_col: [], "n_grams": [], "n_dup_grams": [], "dup_gram_frac": []}
             )
-        g = df.drop(columns=["__dp"]).groupby(id_col, sort=False).sum().reset_index()
+        g = df.groupby(id_col, sort=False).sum().reset_index()
         ng = g["n_grams_part"].to_numpy(np.int64)
         nd = g["n_dup_part"].to_numpy(np.int64)
         return pd.DataFrame(
@@ -630,13 +621,11 @@ def dup_ngram_frac(
             }
         )
 
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("__gp")
-        .map_groups(per_gram_partition, batch_format="pandas")
-        .groupby("__dp")
-        .map_groups(per_doc, batch_format="pandas")
+    doc_partials = exchange(
+        ds.map_batches(pairs, batch_format="pyarrow"), "gram", num_partitions,
+        per_gram_partition, batch_format="pandas",
     )
+    return exchange(doc_partials, id_col, num_partitions, per_doc, batch_format="pandas")
 
 
 def curate_corpus(
@@ -712,16 +701,8 @@ def curate_corpus(
         reason = np.full(n, None, dtype=object)
         reason[~ok_g] = "quality"
         reason[ok_g & (dup_w > max_dup_word_frac)] = "repetition"
-        h = pd.util.hash_array(
-            np.asarray(txt.to_numpy(zero_copy_only=False)), categorize=False
-        )
         return pa.table(
-            {
-                id_col: t[id_col],
-                text_col: txt,
-                "drop_reason": pa.array(reason, pa.string()),
-                "__dp": pa.array((h % np.uint64(num_partitions)).astype(np.int64)),
-            }
+            {id_col: t[id_col], text_col: txt, "drop_reason": pa.array(reason, pa.string())}
         )
 
     def resolve(df: "pd.DataFrame") -> pa.Table:
@@ -755,10 +736,9 @@ def curate_corpus(
             }
         )
 
-    return (
-        g.map_batches(triage, batch_format="pyarrow")
-        .groupby("__dp")
-        .map_groups(resolve, batch_format="pandas")
+    return exchange(
+        g.map_batches(triage, batch_format="pyarrow"), text_col, num_partitions, resolve,
+        batch_format="pandas",
     )
 
 
@@ -884,11 +864,8 @@ def remove_dup_spans(
         _, grams = _ws_grams(parents, toks, n)
         codes, uniq = pd.factorize(grams)
         cnt = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
-        uniq = np.asarray(uniq, dtype=object)
-        gp = (_gram_hashes(uniq) % np.uint64(num_partitions)).astype(np.int64)
-        return pa.table(
-            {"gram": pa.array(uniq, pa.string()), "c": pa.array(cnt), "__gp": pa.array(gp)}
-        )
+        gram = pa.array(np.asarray(uniq, dtype=object), pa.string())
+        return pa.table({"gram": gram, "c": pa.array(cnt)})
 
     def dup_hashes(df: "pd.DataFrame") -> "pd.DataFrame":
         if not len(df):
@@ -897,12 +874,10 @@ def remove_dup_spans(
         dup = tot[tot >= min_count].index.to_numpy(dtype=object)
         return pd.DataFrame({"gh": _gram_hashes(dup).view(np.int64)})
 
-    dup_h = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("__gp")
-        .map_groups(dup_hashes, batch_format="pandas")
-        .materialize()
-    )
+    dup_h = exchange(
+        ds.map_batches(partial_counts, batch_format="pyarrow"), "gram", num_partitions,
+        dup_hashes, batch_format="pandas",
+    ).materialize()
     auto_selected = strategy == "auto"
     if auto_selected:
         strategy = "broadcast" if dup_h.count() <= max_broadcast_hashes else "shuffle"
@@ -911,7 +886,7 @@ def remove_dup_spans(
             return _remove_dup_spans_shuffle(
                 ds, dup_h, text_col, id_col, n, num_partitions
             )
-        except ValueError:
+        except IdContractError:
             if not auto_selected:
                 raise
             # auto mode: the id contract failed (null/duplicated ids) —
@@ -958,8 +933,13 @@ def remove_dup_spans(
     return ds.map_batches(rewrite, batch_format="pyarrow")
 
 
+class IdContractError(ValueError):
+    """``id_col`` is null or duplicated where the shuffle tier of
+    :func:`remove_dup_spans` needs a unique non-null join-back key."""
+
+
 def _validate_unique_ids(ds: rd.Dataset, id_col: str) -> None:
-    """Raise ValueError unless ``id_col`` is non-null and unique.
+    """Raise IdContractError unless ``id_col`` is non-null and unique.
 
     Distributed check: per-batch (id, count) partials -> one id-keyed
     groupby (the bounded exchange the shuffle tier pays anyway) -> a
@@ -986,13 +966,13 @@ def _validate_unique_ids(ds: rd.Dataset, id_col: str) -> None:
         maxc = max(maxc, int(pc.max(b["m"]).as_py() or 0))
     total = ds.count()
     if nonnull != total:
-        raise ValueError(
+        raise IdContractError(
             f"remove_dup_spans shuffle tier requires non-null {id_col!r} "
             f"({total - nonnull} null ids found) — the join-back key "
             "would silently drop those documents' span lists"
         )
     if maxc > 1:
-        raise ValueError(
+        raise IdContractError(
             f"remove_dup_spans shuffle tier requires unique {id_col!r} "
             f"(an id occurs {maxc} times) — duplicated ids would merge "
             "documents' span lists in the join-back"
@@ -1019,7 +999,6 @@ def _remove_dup_spans_shuffle(
     :func:`_validate_unique_ids` — ``remove_dup_spans(strategy="auto")``
     falls back to broadcast when the contract fails."""
     from ..joins.hashjoin import hash_join
-    from ..kernels.stablehash import stable_col_hash
 
     _validate_unique_ids(ds, id_col)
 
@@ -1070,12 +1049,6 @@ def _remove_dup_spans_shuffle(
         right_schema=pa.schema([("gh", pa.int64())]),
     )
 
-    def tag(t: pa.Table) -> pa.Table:
-        gk = stable_col_hash(t.column(id_col).to_pandas()).view(np.int64) % np.int64(
-            max(1, num_partitions)
-        )
-        return t.append_column("__rds_dp", pa.array(gk))
-
     def collect(t: pa.Table) -> pa.Table:
         import pandas as pd
 
@@ -1092,11 +1065,7 @@ def _remove_dup_spans_shuffle(
             {id_col: srt.column(id_col).take(pa.array(starts_idx)), "__rds_starts": la}
         )
 
-    spans = (
-        dup_occ.map_batches(tag, batch_format="pyarrow")
-        .groupby("__rds_dp")
-        .map_groups(collect, batch_format="pyarrow")
-    )
+    spans = exchange(dup_occ, id_col, num_partitions, collect, batch_format="pyarrow")
 
     joined = hash_join(
         ds,

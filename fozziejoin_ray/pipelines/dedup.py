@@ -21,6 +21,7 @@ import ray.data as rd
 _EMPTY_U64 = np.empty(0, np.uint64)
 
 from ..cluster.union_find import connected_components
+from ..exchange import exchange, partition_ids
 from ..joins.hashjoin import hash_join
 
 _MERSENNE = (1 << 61) - 1
@@ -41,25 +42,13 @@ def exact_dedup(
     resolve each partition with a single pandas groupby-idxmin."""
     import pandas as pd
 
-    def add_part(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        col = t[text_col].combine_chunks() if isinstance(t[text_col], pa.ChunkedArray) else t[text_col]
-        filled = pc.fill_null(col, "")  # nulls co-partition with ""; value groupby separates them
-        h = pd.util.hash_array(np.asarray(filled.to_numpy(zero_copy_only=False)), categorize=False)
-        return t.append_column("__dp", pa.array((h % num_partitions).astype(np.int64)))
-
     def first_per_text(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
-            return df.drop(columns=["__dp"])
+            return df
         idx = df.groupby(text_col, sort=False, dropna=False)[id_col].idxmin()
-        return df.loc[np.sort(idx.to_numpy())].drop(columns=["__dp"])
+        return df.loc[np.sort(idx.to_numpy())]
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__dp")
-        .map_groups(first_per_text, batch_format="pandas")
-    )
+    return exchange(ds, text_col, num_partitions, first_per_text, batch_format="pandas")
 
 
 # ----------------------------------------------------------------- shingles
@@ -429,11 +418,6 @@ def _pairs_from_buckets(
     cost; documented recall caveat)."""
     import pandas as pd
 
-    def add_part(t: pa.Table) -> pa.Table:
-        col = t["__bucket"].combine_chunks() if isinstance(t["__bucket"], pa.ChunkedArray) else t["__bucket"]
-        h = pd.util.hash_array(np.asarray(col.to_numpy(zero_copy_only=False)), categorize=False)
-        return t.append_column("__bp", pa.array((h % num_partitions).astype(np.int64)))
-
     def pairs_part(df: pd.DataFrame) -> pd.DataFrame:
         ids = df[id_col].to_numpy()
         ai, bi = _triu_pairs_by_bucket(df["__bucket"].to_numpy(), max_bucket=max_bucket)
@@ -448,11 +432,7 @@ def _pairs_from_buckets(
         b = np.where(ia < ib, ib, ia)[ok]
         return pd.DataFrame({"a": a, "b": b})
 
-    cand = (
-        bucketed.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__bp")
-        .map_groups(pairs_part, batch_format="pandas")
-    )
+    cand = exchange(bucketed, "__bucket", num_partitions, pairs_part, batch_format="pandas")
     # a pair sharing multiple buckets appears multiple times -> distinct
     return _distinct_pairs(cand, num_partitions=num_partitions)
 
@@ -463,18 +443,6 @@ def _distinct_pairs(cand: rd.Dataset, num_partitions: int = 64) -> rd.Dataset:
     hash-partition on a combined pair hash, then one pandas
     ``drop_duplicates`` per partition. A given pair always lands in
     exactly one partition, so per-partition distinct is globally exact."""
-    import pandas as pd
-
-    def add_pp(t: pa.Table) -> pa.Table:
-        ha = pd.util.hash_array(
-            np.asarray(t["a"].to_numpy(zero_copy_only=False)), categorize=False
-        )
-        hb = pd.util.hash_array(
-            np.asarray(t["b"].to_numpy(zero_copy_only=False)), categorize=False
-        )
-        h = ha * np.uint64(0x9E3779B97F4A7C15) + hb
-        return t.append_column("__pp", pa.array((h % num_partitions).astype(np.int64)))
-
     def uniq(df: pd.DataFrame) -> pa.Table:
         # arrow out: downstream schema probes need Arrow types, not
         # pandas block dtypes
@@ -482,11 +450,7 @@ def _distinct_pairs(cand: rd.Dataset, num_partitions: int = 64) -> rd.Dataset:
             df.drop_duplicates(["a", "b"])[["a", "b"]], preserve_index=False
         )
 
-    return (
-        cand.map_batches(add_pp, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(uniq, batch_format="pandas")
-    )
+    return exchange(cand, ["a", "b"], num_partitions, uniq, batch_format="pandas")
 
 
 def _attach_pair_texts(
@@ -603,7 +567,8 @@ class _BroadcastJaccardVerify:
 
 # minhash_lsh_dedup's payload layout: texts longer than _CARRY_CUTOFF
 # bytes (mean) stay out of the band exchange when the doc table fits a
-# broadcast shingle index of at most _BROADCAST_DOC_LIMIT docs
+# broadcast shingle index of at most _BROADCAST_DOC_LIMIT docs (the same
+# limit picks ngram_jaccard_dedup's broadcast verification)
 _BROADCAST_DOC_LIMIT = 2_000_000
 _CARRY_CUTOFF = 128
 
@@ -877,7 +842,6 @@ def _hot_shingle_order(
             {
                 "h": pa.array(u.view(np.int64)),
                 "c": pa.array(c.astype(np.int64)),
-                "__hp": pa.array((u % np.uint64(num_partitions)).astype(np.int64)),
             }
         )
 
@@ -886,12 +850,10 @@ def _hot_shingle_order(
         g = g[g >= min_df]
         return pd.DataFrame({"h": g.index.to_numpy(), "df": g.to_numpy()})
 
-    pdf = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__hp")
-        .map_groups(tot, batch_format="pandas")
-        .to_pandas()
-    )
+    pdf = exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), "h", num_partitions, tot,
+        batch_format="pandas",
+    ).to_pandas()
     if len(pdf) > top_hot:
         pdf = pdf.nlargest(top_hot, "df")
     if not len(pdf):
@@ -911,10 +873,8 @@ def ngram_jaccard_dedup(
     *,
     shingle_k: int = 5,
     threshold: float = 0.8,
-    max_block_emit: int | None = None,
     num_partitions: int = 32,
     id_type=None,
-    broadcast_doc_limit: int = 2_000_000,
 ) -> rd.Dataset:
     """Exact n-gram-Jaccard duplicate classes WITHOUT minhash
     approximation, for thresholds > 0.5: block on the ``m`` smallest
@@ -931,12 +891,11 @@ def ngram_jaccard_dedup(
     sorts first by raw hash — correctness is unaffected, only candidate
     pruning quality degrades past the cap.
 
-    Exactness caveats: setting ``max_block_emit`` truncates the prefix
-    for long documents (breaking the prefix-filter completeness
-    guarantee — that is why it defaults to None), and candidate buckets
-    larger than :func:`_pairs_from_buckets`'s ``max_bucket`` cap are
-    dropped (stop-word shingles); both are recall trade-offs to opt
-    into, not defaults."""
+    Exactness caveat: candidate buckets larger than
+    :func:`_pairs_from_buckets`'s ``max_bucket`` cap are dropped
+    (stop-word shingles), a recall trade-off. Tables of at most
+    ``_BROADCAST_DOC_LIMIT`` docs verify against a broadcast shingle
+    index; larger ones join the pair texts through two exchanges."""
     import ray
 
     # one upstream execution: the hot-shingle pass, the emit stage, the
@@ -961,8 +920,6 @@ def ngram_jaccard_dedup(
                     continue
                 prefix = int(np.ceil((1 - threshold) * len(sh))) + 1
                 prefix = min(prefix, len(sh))
-                if max_block_emit is not None:
-                    prefix = min(prefix, max_block_emit)
                 si = sh.view(np.int64)
                 pos = np.searchsorted(self.hot_sorted, si)
                 pos[pos >= len(self.hot_sorted)] = 0
@@ -999,7 +956,7 @@ def ngram_jaccard_dedup(
     # candidate counts can dwarf the doc table (degenerate blocking on
     # small-vocabulary corpora): when docs fit a broadcast, verify with a
     # shuffle-free actor pool instead of two pair x text hash joins
-    if ds.count() <= broadcast_doc_limit:
+    if ds.count() <= _BROADCAST_DOC_LIMIT:
         from fozziejoin_ray.joins.string_join import _collect_right
 
         mat = _collect_right(ds, [id_col, text_col])
@@ -1587,14 +1544,14 @@ def lsh_fused_edges(
         )
 
     def make_route(tiles):
-        """Partition router. Untiled rows go to hash(bucket) % P as one
+        """Partition router. Untiled rows go to their bucket's partition as one
         copy; rows of census-large buckets are replicated once per peer
         block and each (bucket, block-pair) routes independently."""
 
         def route(t: pa.Table) -> pa.Table:
-            bk = np.asarray(_arr(t, "__bucket").to_numpy(zero_copy_only=False))
-            h = pd.util.hash_array(bk, categorize=False)
-            bp = (h % num_partitions).astype(np.int64)
+            bucket = _arr(t, "__bucket")
+            bk = np.asarray(bucket.to_numpy(zero_copy_only=False))
+            bp = partition_ids([bucket], num_partitions)
             n = len(bk)
             if tiles is None or n == 0:
                 return _route_plain(t, bp, n)
@@ -1622,16 +1579,15 @@ def lsh_fused_edges(
                 lo = np.minimum(co, c2)
                 hi = np.maximum(co, c2)
             tp_big = (lo << 7 | hi).astype(np.int16)  # nb <= 127
-            hb_big = h[reps] ^ (
-                (tp_big.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+            # each (bucket, block pair) tile routes on its own
+            bp_big = partition_ids(
+                [bucket.take(pa.array(reps)), pa.array(tp_big)], num_partitions
             )
             take_idx = np.concatenate([small_idx, reps])
             out = t.take(pa.array(take_idx))
             tp_all = np.concatenate([np.full(len(small_idx), -1, np.int16), tp_big])
             tc_all = np.concatenate([np.zeros(len(small_idx), np.int8), co.astype(np.int8)])
-            bp_all = np.concatenate(
-                [bp[small_idx], (hb_big % np.uint64(num_partitions)).astype(np.int64)]
-            )
+            bp_all = np.concatenate([bp[small_idx], bp_big])
             return (
                 out.append_column("__bp", pa.array(bp_all))
                 .append_column("__tp", pa.array(tp_all))
@@ -1761,26 +1717,17 @@ def dedup_paragraphs(
         # parent's first global index
         starts = np.asarray(paras.offsets)[:-1]
         pos = np.arange(len(flat), dtype=np.int64) - starts[parents]
-        h = pd.util.hash_array(
-            np.asarray(flat.to_numpy(zero_copy_only=False)), categorize=False
-        )
         return pa.table(
             {
                 id_col: idc.take(pa.array(parents)),
                 "__pos": pa.array(pos),
                 "__para": flat,
-                "__pp": pa.array((h % np.uint64(num_partitions)).astype(np.int64)),
             }
         )
 
     def winners(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.drop(columns=["__pp"]).sort_values(
-            ["__para", id_col, "__pos"], kind="stable"
-        )
-        keep = ~df["__para"].duplicated().to_numpy()
-        out = df.assign(__keep=keep)
-        h = pd.util.hash_array(out[id_col].to_numpy(), categorize=False)
-        return out.assign(__dp=(h % np.uint64(num_partitions)).astype(np.int64))
+        df = df.sort_values(["__para", id_col, "__pos"], kind="stable")
+        return df.assign(__keep=~df["__para"].duplicated().to_numpy())
 
     def reassemble(df: "pd.DataFrame") -> pa.Table:
         df = df.sort_values([id_col, "__pos"], kind="stable")
@@ -1805,13 +1752,9 @@ def dedup_paragraphs(
             }
         )
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(winners, batch_format="pandas")
-        .groupby("__dp")
-        .map_groups(reassemble, batch_format="pandas")
-    )
+    exploded = ds.map_batches(explode, batch_format="pyarrow")
+    marked = exchange(exploded, "__para", num_partitions, winners, batch_format="pandas")
+    return exchange(marked, id_col, num_partitions, reassemble, batch_format="pandas")
 
 
 def cross_neardup_pairs(

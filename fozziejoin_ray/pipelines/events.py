@@ -19,6 +19,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from ..exchange import exchange
+
 UNIT_US = {
     "us": 1,
     "ms": 1_000,
@@ -33,18 +35,6 @@ def _gap_us(gap: float, unit: str) -> int:
     if unit not in UNIT_US:
         raise ValueError(f"unknown unit {unit!r}; expected one of {tuple(UNIT_US)}")
     return int(round(float(gap) * UNIT_US[unit]))
-
-
-def _hash_part(col_name: str, num_partitions: int):
-    import pandas as pd
-
-    def fn(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            np.asarray(t[col_name].to_numpy(zero_copy_only=False)), categorize=False
-        )
-        return t.append_column("__sp", pa.array((h % num_partitions).astype(np.int64)))
-
-    return fn
 
 
 def _flags_and_seq(df, user_col: str, ts_col: str, gap_us: int):
@@ -90,17 +80,13 @@ def sessionize(
 
     def part(df):
         if not len(df):
-            return df.drop(columns=["__sp"])
+            return df
         df, seq = _flags_and_seq(df, user_col, ts_col, gus)
-        df = df.drop(columns=["__sp"]).copy()
+        df = df.copy()
         df[session_col] = seq
         return df
 
-    return (
-        events.map_batches(_hash_part(user_col, num_partitions), batch_format="pyarrow")
-        .groupby("__sp")
-        .map_groups(part, batch_format="pandas")
-    )
+    return exchange(events, user_col, num_partitions, part, batch_format="pandas")
 
 
 def window_agg(
@@ -165,16 +151,12 @@ def window_agg(
         agg["n_events"] = agg["n_events"].astype(np.int64)
         # drop the pandas schema-metadata dict: it defeats Ray's schema
         # dedup (unhashable) and carries no information downstream
-        out = pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
-        h = pd.util.hash_array(
-            np.asarray(out["win_start"].to_numpy()), categorize=False
-        ) ^ pd.util.hash_array(np.asarray(out[user_col].to_numpy(zero_copy_only=False)), categorize=False)
-        return out.append_column("__sp", pa.array((h % num_partitions).astype(np.int64)))
+        return pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
 
     def merge(df):
         if not len(df):
-            return df.drop(columns=["__sp"])
-        g = df.drop(columns=["__sp"]).groupby([user_col, "win_start"], sort=False)
+            return df
+        g = df.groupby([user_col, "win_start"], sort=False)
         out = g.agg(
             n_events=("n_events", "sum"),
             value_sum=("value_sum", "sum"),
@@ -184,10 +166,9 @@ def window_agg(
         out["n_events"] = out["n_events"].astype(np.int64)
         return out
 
-    return (
-        events.map_batches(partial, batch_format="pyarrow")
-        .groupby("__sp")
-        .map_groups(merge, batch_format="pandas")
+    return exchange(
+        events.map_batches(partial, batch_format="pyarrow"), [user_col, "win_start"],
+        num_partitions, merge, batch_format="pandas",
     )
 
 
@@ -235,18 +216,15 @@ def pivot_event_counts(
         cols: dict[str, object] = {user_col: users}
         for j, name in enumerate(ncols):
             cols[name] = mat[:, j]
-        out = pa.Table.from_pandas(
+        return pa.Table.from_pandas(
             pd.DataFrame(cols), preserve_index=False
         ).replace_schema_metadata(None)
-        h = pd.util.hash_array(np.asarray(users), categorize=False)
-        return out.append_column("__sp", pa.array((h % num_partitions).astype(np.int64)))
 
     def merge(df):
         if not len(df):
-            return df.drop(columns=["__sp"])
+            return df
         out = (
-            df.drop(columns=["__sp"])
-            .groupby(user_col, sort=False, as_index=False, dropna=False)[ncols]
+            df.groupby(user_col, sort=False, as_index=False, dropna=False)[ncols]
             .sum()
         )
         for c in ncols:
@@ -256,12 +234,10 @@ def pivot_event_counts(
             out[user_col] = k.where(pd.notna(k), None)
         return out
 
-    return (
-        events.select_columns([user_col, type_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__sp")
-        .map_groups(merge, batch_format="pandas")
+    partials = events.select_columns([user_col, type_col]).map_batches(
+        partial, batch_format="pyarrow"
     )
+    return exchange(partials, user_col, num_partitions, merge, batch_format="pandas")
 
 
 def event_funnel(
@@ -338,11 +314,9 @@ def event_funnel(
             out[user_col] = k.where(pd.notna(k), None)
         return out
 
-    return (
-        events.select_columns([user_col, ts_col, type_col])
-        .map_batches(_hash_part(user_col, num_partitions), batch_format="pyarrow")
-        .groupby("__sp")
-        .map_groups(part, batch_format="pandas")
+    return exchange(
+        events.select_columns([user_col, ts_col, type_col]), user_col, num_partitions, part,
+        batch_format="pandas",
     )
 
 
@@ -395,10 +369,7 @@ def window_distinct(
             }
         )
         pairs["n_events_part"] = np.int64(0)
-        out = pd.concat([pairs, ev], ignore_index=True)
-        h = pd.util.hash_array(out["win_start"].to_numpy(np.int64), categorize=False)
-        out["__wp"] = (h % np.uint64(num_partitions)).astype(np.int64)
-        return out
+        return pd.concat([pairs, ev], ignore_index=True)
 
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
         if not len(df):
@@ -409,7 +380,6 @@ def window_distinct(
                     "n_events": pd.Series([], dtype=np.int64),
                 }
             )
-        df = df.drop(columns=["__wp"])
         g = df.groupby("win_start", sort=False)
         nd = g["e"].nunique(dropna=True)
         ne = g["n_events_part"].sum()
@@ -421,12 +391,10 @@ def window_distinct(
             }
         )
 
-    return (
-        events.select_columns([ts_col, entity_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__wp")
-        .map_groups(resolve, batch_format="pandas")
+    partials = events.select_columns([ts_col, entity_col]).map_batches(
+        partial, batch_format="pyarrow"
     )
+    return exchange(partials, "win_start", num_partitions, resolve, batch_format="pandas")
 
 
 def rolling_agg(
@@ -476,7 +444,7 @@ def rolling_agg(
                     "sum_win": pd.Series([], dtype=np.float64),
                 }
             )
-        df = df.drop(columns=["__sp"]).sort_values([user_col, ts_col], kind="stable")
+        df = df.sort_values([user_col, ts_col], kind="stable")
         if df[ts_col].dtype != "datetime64[us]":
             df = df.copy()
             df[ts_col] = df[ts_col].astype("datetime64[us]")
@@ -530,11 +498,9 @@ def rolling_agg(
         out["sum_win"] = s
         return out
 
-    return (
-        events.select_columns([user_col, ts_col, value_col])
-        .map_batches(_hash_part(user_col, num_partitions), batch_format="pyarrow")
-        .groupby("__sp")
-        .map_groups(part, batch_format="pandas")
+    return exchange(
+        events.select_columns([user_col, ts_col, value_col]), user_col, num_partitions, part,
+        batch_format="pandas",
     )
 
 
@@ -591,9 +557,7 @@ def session_stats(
             }
         )
 
-    return (
-        events.select_columns([user_col, ts_col])
-        .map_batches(_hash_part(user_col, num_partitions), batch_format="pyarrow")
-        .groupby("__sp")
-        .map_groups(part, batch_format="pandas")
+    return exchange(
+        events.select_columns([user_col, ts_col]), user_col, num_partitions, part,
+        batch_format="pandas",
     )

@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..cluster.union_find import connected_components
+from ..exchange import exchange, partition_ids
 from ..joins.blocked import build_edges_blocked
 from ..joins.hashjoin import hash_join
 from ..state.checkpoint import Manifest, fingerprint
@@ -291,18 +292,11 @@ def match_edges(
         # filter cannot push below the LSH shuffle — resume here skips
         # the WRITE of completed partitions, not their compute (the
         # exact-blocking path above skips both)
-        import pandas as pd
-
         num_parts, missing, col = ckpt_parts
         want = np.asarray(sorted(missing), dtype=np.int64)
 
         def tag_filter(t: pa.Table) -> pa.Table:
-            h = (
-                pd.util.hash_array(
-                    np.asarray(t["src"].to_numpy(zero_copy_only=False)), categorize=False
-                )
-                % num_parts
-            ).astype(np.int64)
+            h = partition_ids([t["src"]], num_parts)
             keep = np.isin(h, want)
             return t.append_column(col, pa.array(h)).filter(pa.array(keep))
 
@@ -414,13 +408,6 @@ def _key_rep_rows(keys: rd.Dataset, num_partitions: int) -> rd.Dataset:
     exchange of (doc, key) rows."""
     import pandas as pd
 
-    def add_part(t: pa.Table) -> pa.Table:
-        keyarr = t["key"].combine_chunks() if isinstance(t["key"], pa.ChunkedArray) else t["key"]
-        h = pd.util.hash_array(
-            np.asarray(keyarr.to_numpy(zero_copy_only=False)), categorize=False
-        )
-        return t.append_column("__kp", pa.array((h % num_partitions).astype(np.int64)))
-
     def rep_rows(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["key"].notna()]
         if not len(df):
@@ -437,11 +424,7 @@ def _key_rep_rows(keys: rd.Dataset, num_partitions: int) -> rd.Dataset:
         reps = df.groupby("key", sort=False)["doc_id"].transform("min")
         return pd.DataFrame({"doc_id": df["doc_id"], "rep": reps, "key": df["key"]})
 
-    return (
-        keys.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__kp")
-        .map_groups(rep_rows, batch_format="pandas")
-    )
+    return exchange(keys, "key", num_partitions, rep_rows, batch_format="pandas")
 
 
 def _distinct_key_reps(keys: rd.Dataset, num_partitions: int) -> rd.Dataset:

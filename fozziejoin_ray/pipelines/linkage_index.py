@@ -44,6 +44,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from ..exchange import partition_ids
 from .dedup import _band_emitter, _bucket_scorer
 
 _META = "index_meta.json"
@@ -55,8 +56,6 @@ def _index_emission(reps: rd.Dataset, meta: dict) -> rd.Dataset:
     the jaro char-bound's, which is threshold-independent (the threshold
     enters only at ``keep`` time), so the index serves any jw
     ``max_distance``; non-jaro probes simply ignore it."""
-    import pandas as pd
-
     from .linkage import JaroCharBoundFilter
 
     emit = _band_emitter(
@@ -72,8 +71,7 @@ def _index_emission(reps: rd.Dataset, meta: dict) -> rd.Dataset:
 
     def fn(t: pa.Table) -> pa.Table:
         e = emit(t)
-        h = pd.util.hash_array(e["__bucket"].to_numpy(), categorize=False)
-        return e.append_column("__part", pa.array((h % P).astype(np.int64)))
+        return e.append_column("__part", pa.array(partition_ids([e["__bucket"]], P)))
 
     return reps.map_batches(fn, batch_format="pyarrow")
 

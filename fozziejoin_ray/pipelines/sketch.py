@@ -31,7 +31,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from ..kernels.stablehash import stable_col_hash, stable_row_hash
+from ..exchange import exchange
+from ..kernels.stablehash import stable_col_hash
 from .lm import _flat_tokens
 
 
@@ -305,12 +306,11 @@ def group_hll_distinct(
         if not len(df):
             out = pd.DataFrame({k: df[k] for k in keys})
             out["__reg"] = pd.Series([], dtype=object)
-            out["__gk"] = pd.Series([], dtype=np.int64)
             return out
         # EXACT intra-batch grouping (groupby.ngroup, C-vectorized) —
         # factorizing a 64-bit key hash here could silently merge two
-        # colliding tuples with no recovery; only the exchange key
-        # (__gk below) may collide, where the in-group groupby recovers
+        # colliding tuples with no recovery; the exchange co-locates
+        # several tuples per partition and the merge groupby separates them
         codes = (
             df.groupby(keys, sort=False, dropna=False).ngroup().to_numpy()
         )
@@ -331,18 +331,9 @@ def group_hll_distinct(
         np.maximum.at(regs.reshape(-1), codes[valid] * m + idx, rank)
         out = df.iloc[first][keys].reset_index(drop=True)
         out["__reg"] = [r.tobytes() for r in regs]
-        # group on an int64 key hash: Ray's sort-shuffle cannot order
-        # None vs str; a hash collision only co-locates two tuples in
-        # one merge group, where the in-group groupby separates them.
-        # The hash must be dtype-STABLE (stablehash.py): the raw-block
-        # hash_pandas_object sent key 7 (int64 block) and 7.0
-        # (null-degraded float64 block) to different merge groups,
-        # emitting duplicate output rows per key (ADVICE r4)
-        out["__gk"] = stable_row_hash(out, keys).view(np.int64)
         return out
 
     def merge(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.drop(columns=["__gk"])
         g = df.groupby(keys, sort=False, dropna=False)["__reg"]
 
         def est(rows) -> int:
@@ -357,10 +348,7 @@ def group_hll_distinct(
 
         return g.apply(est).rename(out_col).reset_index()
 
-    part = (
-        ds.select_columns(list(dict.fromkeys(keys + [col])))
-        .map_batches(partial, batch_format="pandas")
-        .groupby("__gk")
-        .map_groups(merge, batch_format="pandas")
+    partials = ds.select_columns(list(dict.fromkeys(keys + [col]))).map_batches(
+        partial, batch_format="pandas"
     )
-    return part
+    return exchange(partials, keys, num_partitions, merge, batch_format="pandas")

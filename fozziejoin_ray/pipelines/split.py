@@ -20,11 +20,15 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..exchange import exchange
 from .text import _fp_powers
 
 _M = np.uint64(2147483647)
 _BASE = 131
 _BUCKETS = 10_000
+# sample_per_group's exchange width (hash partitions, each holding many
+# groups: one map_groups call per partition, not per group)
+_GROUP_PARTITIONS = 32
 
 
 def _horner_mix(codes: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -279,20 +283,8 @@ def sample_per_group(
         return srt.filter(pa.array(pos < k))
 
     def prune(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        from fozziejoin_ray.kernels.stablehash import stable_col_hash
-
         h = _rank_of(t.column(key_col), salt).astype(np.int64)
         t2 = t.append_column("__spg_h", pa.array(h))
-        # exchange on a dtype-stable int64 group hash, not the raw group
-        # values: Ray's sort-shuffle cannot order None-vs-str groups and
-        # per-block dtype drift splits one group across exchange groups
-        # (the __gk pattern from sketch.group_hll_distinct; ADVICE r4).
-        # A hash collision only co-locates two groups — `final`
-        # re-separates by the actual group value
-        gk = stable_col_hash(t.column(group_col).to_pandas()).view(np.int64)
-        t2 = t2.append_column("__spg_gk", pa.array(gk))
         if t.num_rows <= k:
             return t2
         srt = t2.sort_by(
@@ -304,10 +296,13 @@ def sample_per_group(
         srt = t.sort_by(
             [(group_col, "ascending"), ("__spg_h", "ascending"), (key_col, "ascending")]
         )
-        return _keep_k_per_run(srt).drop_columns(["__spg_h", "__spg_gk"])
+        return _keep_k_per_run(srt).drop_columns(["__spg_h"])
 
+    # exchange on the group's partition hash, never the raw group values:
+    # Ray's sort-shuffle cannot order None-vs-str groups. A partition
+    # holds several groups; `final` separates them by value
     cand = ds.map_batches(prune, batch_format="pyarrow")
-    return cand.groupby("__spg_gk").map_groups(final, batch_format="pyarrow")
+    return exchange(cand, group_col, _GROUP_PARTITIONS, final, batch_format="pyarrow")
 
 
 def split_sql_expr(key_expr: str, ratios: dict[str, float], *, salt: str = "") -> str:

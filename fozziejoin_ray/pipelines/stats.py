@@ -32,6 +32,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..exchange import exchange
+
 
 def value_counts(ds: rd.Dataset, col: str) -> rd.Dataset:
     """(value, count) per distinct value of ``col``; NULLs dropped.
@@ -144,18 +146,9 @@ def group_aggregate(
             else:
                 s = getattr(g[col], how)()
             cols[pc_] = s
-        out = pd.DataFrame(cols).reset_index()
-        # dtype-stable key hash (see kernels/stablehash.py): a null in a
-        # block's int key column degraded the whole block to float64 and
-        # split one key tuple across __gp partitions
-        from fozziejoin_ray.kernels.stablehash import stable_row_hash
-
-        h = stable_row_hash(out, keys)
-        out["__gp"] = (h % np.uint64(num_partitions)).astype(np.int64)
-        return out
+        return pd.DataFrame(cols).reset_index()
 
     def merge(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.drop(columns=["__gp"])
         if not len(df):
             cols = {k: df[k] for k in keys}  # keep key dtypes
             for o, (agg, _c) in aggs.items():
@@ -187,12 +180,8 @@ def group_aggregate(
     cols_needed = list(
         dict.fromkeys(keys + [c for _, c in aggs.values() if c != "*"])
     )
-    return (
-        ds.select_columns(cols_needed)
-        .map_batches(partial, batch_format="pandas")
-        .groupby("__gp")
-        .map_groups(merge, batch_format="pandas")
-    )
+    partials = ds.select_columns(cols_needed).map_batches(partial, batch_format="pandas")
+    return exchange(partials, keys, num_partitions, merge, batch_format="pandas")
 
 
 def grouped_quantiles(
@@ -229,14 +218,11 @@ def grouped_quantiles(
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df[[key_col, col]].dropna(subset=[col])
-        out = (
+        return (
             df.groupby([key_col, col], sort=False, dropna=False)
             .size()
             .reset_index(name="__c")
         )
-        h = pd.util.hash_array(out[key_col].to_numpy(), categorize=False)
-        out["__kp"] = (h % np.uint64(num_partitions)).astype(np.int64)
-        return out
 
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
         if not len(df):
@@ -248,8 +234,7 @@ def grouped_quantiles(
                 }
             )
         m = (
-            df.drop(columns=["__kp"])
-            .groupby([key_col, col], sort=True, dropna=False)["__c"]
+            df.groupby([key_col, col], sort=True, dropna=False)["__c"]
             .sum()
             .reset_index()
         )
@@ -290,12 +275,8 @@ def grouped_quantiles(
             out[key_col] = k.where(pd.notna(k), None)
         return out
 
-    return (
-        ds.select_columns([key_col, col])
-        .map_batches(partial, batch_format="pandas")
-        .groupby("__kp")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    partials = ds.select_columns([key_col, col]).map_batches(partial, batch_format="pandas")
+    return exchange(partials, key_col, num_partitions, resolve, batch_format="pandas")
 
 
 def group_count_distinct(
@@ -327,32 +308,23 @@ def group_count_distinct(
         raise ValueError("keys must name at least one grouping column")
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        from fozziejoin_ray.kernels.stablehash import stable_row_hash
-
         # keep NULL-col tuples too: a key whose values are all NULL must
         # still surface with count 0 (SQL GROUP BY emits the group)
-        df = df[keys + [col]].drop_duplicates()
-        # dtype-STABLE tuple hash: hash_pandas_object on the raw block
-        # hashed int64 blocks differently from null-degraded float64
-        # blocks, splitting one distinct tuple across __cd partitions
-        # and double-counting it (ADVICE r4)
-        h = stable_row_hash(df)
-        df = df.copy()
-        df["__cd"] = (h % np.uint64(num_partitions)).astype(np.int64)
-        return df
+        return df[keys + [col]].drop_duplicates()
 
     def count_part(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.drop(columns=["__cd"]).drop_duplicates()
+        df = df.drop_duplicates()
         # .count() counts NON-NULL col entries per key; the (key, NULL)
         # tuple contributes the key with 0, never inflating the sum
         g = df.groupby(keys, sort=False, dropna=False)[col].count()
         return g.rename(out_col).reset_index()
 
-    part = (
-        ds.select_columns(list(dict.fromkeys(keys + [col])))
-        .map_batches(partial, batch_format="pandas")
-        .groupby("__cd")
-        .map_groups(count_part, batch_format="pandas")
+    partials = ds.select_columns(list(dict.fromkeys(keys + [col]))).map_batches(
+        partial, batch_format="pandas"
+    )
+    part = exchange(
+        partials, list(dict.fromkeys(keys + [col])), num_partitions, count_part,
+        batch_format="pandas",
     )
     return group_aggregate(
         part, keys, {out_col: ("sum", out_col)}, num_partitions=num_partitions

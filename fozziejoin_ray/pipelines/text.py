@@ -13,6 +13,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..exchange import exchange
+
 # small built-in stopword profiles (public common-word lists)
 STOPWORDS = {
     "en": {"the", "and", "of", "to", "a", "in", "is", "it", "you", "that", "for", "on", "with", "as"},
@@ -495,12 +497,6 @@ def build_inverted_index(
 
     flat = _doc_term_counts(ds, text_col, id_col)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            np.asarray(t["term"].to_numpy(zero_copy_only=False)), categorize=False
-        )
-        return t.append_column("__tp", pa.array((h % np.uint64(num_partitions)).astype(np.int64)))
-
     def per_term(df: "pd.DataFrame") -> pa.Table:
         df = df.sort_values(["term", id_col], kind="stable")
         terms = df["term"].to_numpy(object)
@@ -522,8 +518,4 @@ def build_inverted_index(
             }
         )
 
-    return (
-        flat.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__tp")
-        .map_groups(per_term, batch_format="pandas")
-    )
+    return exchange(flat, "term", num_partitions, per_term, batch_format="pandas")

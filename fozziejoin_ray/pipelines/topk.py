@@ -15,8 +15,9 @@ row number under that total order, matching a SQL
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 import ray.data as rd
+
+from ..exchange import exchange
 
 
 def top_k_per_group(
@@ -44,16 +45,7 @@ def top_k_per_group(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    def add_part(t: pa.Table) -> pa.Table:
-        h = np.zeros(t.num_rows, dtype=np.uint64)
-        for c in group_cols:
-            h = h * np.uint64(0x9E3779B97F4A7C15) ^ pd.util.hash_array(
-                np.asarray(t[c].to_numpy(zero_copy_only=False)), categorize=False
-            )
-        return t.append_column("__tp", pa.array((h % num_partitions).astype(np.int64)))
-
     def part(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.drop(columns=["__tp"])
         if not len(df):
             if rank_col is not None:
                 df[rank_col] = pd.Series([], dtype=np.int64)
@@ -78,8 +70,4 @@ def top_k_per_group(
             out = out.assign(**{rank_col: rank[keep].astype(np.int64)})
         return out
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__tp")
-        .map_groups(part, batch_format="pandas")
-    )
+    return exchange(ds, group_cols, num_partitions, part, batch_format="pandas")

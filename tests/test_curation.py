@@ -560,3 +560,32 @@ def test_remove_dup_spans_shuffle_id_contract():
     )
     assert got["text_dedup"].tolist() == want["text_dedup"].tolist()
     assert got["n_removed"].tolist() == want["n_removed"].tolist()
+
+
+def test_remove_dup_spans_auto_propagates_other_value_errors(monkeypatch):
+    """Only the id-contract violation (IdContractError) triggers the
+    auto-mode broadcast fallback; any other ValueError from the shuffle
+    tier propagates."""
+    import warnings
+
+    from fozziejoin_ray.pipelines import curation
+
+    assert issubclass(curation.IdContractError, ValueError)
+
+    def broken(ds, id_col):
+        raise ValueError("shuffle tier exploded")
+
+    monkeypatch.setattr(curation, "_validate_unique_ids", broken)
+    dup_text = "a b c d e f g h"
+    t = pa.table(
+        {
+            "doc_id": pa.array(["x", "y", "z"], pa.string()),
+            "text": pa.array([dup_text, dup_text, "z z z z z"], pa.string()),
+        }
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no fallback warning
+        with pytest.raises(ValueError, match="shuffle tier exploded"):
+            curation.remove_dup_spans(
+                rd.from_arrow(t), strategy="auto", n=5, max_broadcast_hashes=0
+            )

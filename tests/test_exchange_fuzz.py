@@ -1,18 +1,22 @@
-"""Hypothesis fuzz of the remaining exchange primitives (VERDICT r4
-Next #6): split/sample bucket hashing (`_rank_of`/`_bucket_of`), LSH
-band hashing, and blocked-join partition hashing must be pure functions
-of the logical value — invariant to block layout, null placement,
-dtype representation and unicode boundaries. The null-key dtype bug in
+"""Hypothesis fuzz of the exchange primitives (VERDICT r4 Next #6):
+split/sample bucket hashing (`_rank_of`/`_bucket_of`), LSH band hashing
+and the one partition function every exchange uses
+(`fozziejoin_ray.exchange.partition_ids`) must be pure functions of the
+logical value — invariant to block layout, null placement, dtype
+representation and unicode boundaries. The null-key dtype bug in
 hash_join sat latent for two rounds because TPC-H keys are never null;
-these properties close the same hole for the other primitives."""
+these properties close the same hole for the other primitives. A
+source scan keeps new partition ids from being hand-rolled."""
 
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fozziejoin_ray.exchange import partition_ids
 from fozziejoin_ray.pipelines.split import _BUCKETS, _bucket_of, _rank_of
 
 _keys = st.one_of(
@@ -87,12 +91,165 @@ def test_band_hashes_row_order_invariant(bands, nrows, seed):
     st.integers(min_value=1, max_value=16),
 )
 def test_blocked_partition_hash_deterministic(bks, nparts):
-    """Blocked-join partition ids are stable across calls and layouts
-    (the unit of checkpoint resume)."""
-    from fozziejoin_ray.joins.blocked import _bk_part_hash
-
-    a = np.asarray(bks, dtype=object)
-    h1 = _bk_part_hash(a, nparts)
-    h2 = _bk_part_hash(a[::-1].copy(), nparts)[::-1]
+    """Blocked-join partition ids (the shared exchange partition
+    function over the full block key) are stable across calls and
+    layouts (the unit of checkpoint resume)."""
+    a = pa.array(bks, pa.string())
+    h1 = partition_ids([a], nparts)
+    h2 = partition_ids([pa.array(bks[::-1], pa.string())], nparts)[::-1]
     assert (h1 == h2).all()
     assert ((h1 >= 0) & (h1 < nparts)).all()
+
+
+# ------------------------------------------------- exchange.partition_ids
+
+_ints = st.integers(min_value=-(2**31) + 1, max_value=2**31 - 1)
+_parts = st.integers(min_value=1, max_value=64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1)), min_size=1, max_size=40),
+    st.lists(st.one_of(st.none(), st.text(max_size=8)), min_size=1, max_size=40),
+    st.integers(0, 40),
+    st.integers(0, 2**32),
+    _parts,
+)
+def test_partition_ids_invariant_to_chunks_and_order(ints, strs, cut, seed, nparts):
+    """Ids are a per-row pure function of the key tuple: any chunking
+    of the columns and any row permutation give the same ids."""
+    n = min(len(ints), len(strs))
+    ints, strs = ints[:n], strs[:n]
+    cut = min(cut, n)
+    a, b = pa.array(ints, pa.int64()), pa.array(strs, pa.string())
+    full = partition_ids([a, b], nparts)
+    chunked = [
+        pa.chunked_array([c.slice(0, cut), c.slice(cut)], type=c.type) for c in (a, b)
+    ]
+    assert (partition_ids(chunked, nparts) == full).all()
+    perm = np.random.RandomState(seed % 2**31).permutation(n)
+    idx = pa.array(perm)
+    assert (partition_ids([a.take(idx), b.take(idx)], nparts) == full[perm]).all()
+    assert ((full >= 0) & (full < nparts)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_ints, min_size=1, max_size=30),
+    st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=30),
+    _parts,
+)
+def test_partition_ids_dtype_stable(vals, big, nparts):
+    """The same values as int32, int64, uint64 (< 2^63) and float64 in
+    a block that also holds a null land alike."""
+    i64 = partition_ids([pa.array(vals, pa.int64())], nparts)
+    assert (partition_ids([pa.array(vals, pa.int32())], nparts) == i64).all()
+    f64 = partition_ids([pa.array([float(v) for v in vals] + [None], pa.float64())], nparts)
+    assert (f64[:-1] == i64).all()
+    for ints in ([v for v in vals if v >= 0], big):
+        if ints:
+            u = partition_ids([pa.array(ints, pa.uint64())], nparts)
+            assert (u == partition_ids([pa.array(ints, pa.int64())], nparts)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(st.none(), _ints), min_size=1, max_size=30),
+    st.lists(st.one_of(st.none(), st.text(max_size=6)), min_size=1, max_size=30),
+    _parts,
+)
+def test_partition_ids_nulls_share_one_partition(ints, strs, nparts):
+    """Every null key, whatever its column type (or an all-null block's
+    `null` type), lands in one partition."""
+    cols = [
+        pa.array(ints, pa.int64()),
+        pa.array([None if v is None else float(v) for v in ints], pa.float64()),
+        pa.array(strs, pa.string()),
+        pa.array([None] * len(ints), pa.null()),
+    ]
+    null_ids = set()
+    for c in cols:
+        ids = partition_ids([c], nparts)
+        null_ids |= set(ids[~np.asarray(c.is_valid())].tolist())
+    assert len(null_ids) <= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=30),
+    st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=30),
+    st.lists(st.text(max_size=12), min_size=1, max_size=30),
+    st.integers(min_value=1, max_value=2**20),
+)
+def test_partition_ids_match_hash_array_mod_p(i64, u64, strs, nparts):
+    """Bit-for-bit compatibility with ``pd.util.hash_array(values) % P``
+    for non-null int64, uint64 (< 2^63) and string columns: the formula
+    the persisted LSH index, checkpoint tags and hash_join partitions
+    were written with."""
+    for arr, np_vals in (
+        (pa.array(i64, pa.int64()), np.asarray(i64, np.int64)),
+        (pa.array(u64, pa.uint64()), np.asarray(u64, np.uint64)),
+        (pa.array(strs, pa.string()), np.asarray(strs, dtype=object)),
+    ):
+        want = (pd.util.hash_array(np_vals, categorize=False) % nparts).astype(np.int64)
+        assert (partition_ids([arr], nparts) == want).all()
+
+
+# ------------------------------------------------ hand-rolled hash guard
+
+# The only pd.util.hash_array calls the package may make: CONTENT hashes,
+# whose values are not partition ids. (module, qualified function) -> why.
+_CONTENT_HASHES = {
+    ("exchange.py", "_hash_i64"): "the partition function itself",
+    ("exchange.py", "_hash_f64"): "the partition function itself",
+    ("exchange.py", "_col_hash"): "the partition function itself",
+    ("kernels/stablehash.py", "_hash_i64"): "value hashing kernel",
+    ("kernels/stablehash.py", "_hash_f64"): "value hashing kernel",
+    ("kernels/stablehash.py", "stable_col_hash"): "value hashing kernel",
+    ("pipelines/lm.py", "_hash_pairs"): "lm bigram pair-count keys",
+    ("pipelines/lm.py", "build_bigram_lm"): "lm prefix-count keys",
+    ("pipelines/lm.py", "_LmScorer.__call__"): "lm prefix-count probe keys",
+    ("pipelines/curation.py", "_gram_hashes"): "dup-gram membership set",
+    ("pipelines/sketch.py", "_cms_hashes"): "count-min sketch rows",
+    ("sources/docgen.py", "spansify_table"): "deterministic media ref",
+    ("blocking/strategies.py", "value_salt_hash"): "AllPairs value salts",
+    ("blocking/strategies.py", "id_salt_hash"): "hot-block id sub-salts",
+    ("cluster/union_find.py", "_edges_checksum.fn"): "edge-set checksum",
+    ("pipelines/dedup.py", "lsh_fused_edges.make_route.route"): "LSH tile block within a bucket",
+}
+
+
+def _hash_array_calls():
+    """((module, qualified function), line) per ``*.hash_array(...)``
+    call in the package source."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent / "fozziejoin_ray"
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def visit(node, qual, mod):
+        if isinstance(node, scopes):
+            qual = f"{qual}.{node.name}" if qual else node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "hash_array"
+        ):
+            yield (mod, qual or "<module>"), node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, qual, mod)
+
+    for path in sorted(root.rglob("*.py")):
+        yield from visit(ast.parse(path.read_text()), "", path.relative_to(root).as_posix())
+
+
+def test_no_hand_rolled_partition_hash():
+    """Every partition id comes from fozziejoin_ray.exchange; a new raw
+    ``hash_array`` call must be a content hash added to the allowlist
+    with its reason."""
+    calls = list(_hash_array_calls())
+    stray = [f"{m}:{ln} in {fn}()" for (m, fn), ln in calls if (m, fn) not in _CONTENT_HASHES]
+    assert not stray, "raw hash_array outside the content-hash allowlist: " + ", ".join(stray)
+    seen = {site for site, _ in calls}
+    assert not set(_CONTENT_HASHES) - seen, "stale allowlist entries"

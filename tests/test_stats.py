@@ -3,6 +3,7 @@ same multisets (the convention contract), plus edge cases."""
 
 import duckdb
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data as rd
@@ -143,6 +144,65 @@ def test_grouped_quantiles_vs_brute():
     assert len(got) == 12
     with pytest.raises(ValueError, match="quantile"):
         grouped_quantiles(ds, "k", "v", [1.5])
+
+
+def _duck_grouped_quantiles(tables, qs):
+    con = duckdb.connect()
+    con.register("t", pa.concat_tables(tables))
+    return {
+        (k, q): v
+        for q in qs
+        for k, v in con.execute(
+            f"SELECT k, quantile_disc(v, {q}) FROM t WHERE v IS NOT NULL GROUP BY k"
+        ).fetchall()
+    }
+
+
+def _grouped_quantile_rows(ds, qs, num_partitions):
+    from fozziejoin_ray.pipelines.stats import grouped_quantiles
+
+    rows = grouped_quantiles(ds, "k", "v", qs, num_partitions=num_partitions).take_all()
+    # keys from null-degraded float64 blocks come back as floats (7.0)
+    # and the null key as None or NaN
+    return [(None if pd.isna(d["k"]) else int(d["k"]), d["q"], d["value"]) for d in rows]
+
+
+@pytest.mark.parametrize("num_partitions", [4, 8, 16, 32])
+def test_grouped_quantiles_int_key_null_in_some_blocks(num_partitions):
+    """An int64 key that shares a block with a NULL key turns float64 in
+    the pandas partial; its partials must still meet the same key's
+    partials from null-free blocks (one row per (key, q))."""
+    qs = [0.5]
+    blocks = [
+        pa.table({"k": pa.array([7, 7, 8], pa.int64()), "v": pa.array([1, 2, 3], pa.int64())}),
+        pa.table({"k": pa.array([7, None, 7], pa.int64()), "v": pa.array([10, 5, 11], pa.int64())}),
+    ]
+    rows = _grouped_quantile_rows(rd.from_arrow(blocks), qs, num_partitions)
+    assert len(rows) == len({(k, q) for k, q, _ in rows})
+    got = {(k, q): v for k, q, v in rows}
+    assert got == _duck_grouped_quantiles(blocks, qs)
+    assert got[(7, 0.5)] == 2
+
+
+def test_grouped_quantiles_int_key_nulls_random_layout():
+    rng = np.random.default_rng(23)
+    n = 2000
+    keys = rng.integers(0, 60, n)
+    valid = np.ones(n, dtype=bool)
+    valid[rng.choice(n // 2, 40, replace=False)] = False  # nulls in the first half only
+    t = pa.table(
+        {
+            "k": pa.array(keys, pa.int64(), mask=~valid),
+            "v": pa.array(rng.integers(0, 30, n), pa.int64()),
+        }
+    )
+    blocks = [t.slice(i, 250) for i in range(0, n, 250)]
+    qs = [0.1, 0.5, 0.9]
+    want = _duck_grouped_quantiles(blocks, qs)
+    for ds in (rd.from_arrow(blocks), rd.from_arrow(blocks).repartition(5)):
+        rows = _grouped_quantile_rows(ds, qs, 8)
+        assert len(rows) == len({(k, q) for k, q, _ in rows})
+        assert {(k, q): v for k, q, v in rows} == want
 
 
 def test_group_aggregate_allnull_sum_is_null():
