@@ -101,18 +101,18 @@ def pagerank(
     e = edges.select_columns([src_col, dst_col]).map_batches(
         clean, batch_format="pyarrow"
     ).materialize()
-    nodes = _distinct_nodes(e)
-    n = len(nodes)
-    if n == 0:
+    if e.count() == 0:
         return rd.from_arrow(
             pa.table({"node": pa.array([], pa.string()), "rank": pa.array([], pa.float64())})
         )
     if strategy == "shuffle":
-        return _pagerank_shuffle(e, nodes, damping, iters, num_partitions, round_to)
+        return _pagerank_shuffle(e, damping, iters, num_partitions, round_to)
 
     # ---- broadcast strategy: dense [0, N) re-encoding, one pass/iter
     import pandas as pd
 
+    nodes = _distinct_nodes(e)
+    n = len(nodes)
     idx = pd.Index(nodes.to_pandas())
     nref = ray.put(idx)
 
@@ -224,7 +224,9 @@ class _PRPartition:
     def register_nodes(self, *incoming) -> int:
         """Own every node in src_ids ∪ (dst lists other shards routed
         here); precompute position maps so incoming contribution
-        vectors scatter by integer index forever after."""
+        vectors scatter by integer index forever after. Every owned
+        node hashes to this shard, so no node is owned twice and the
+        shards' counts sum to the node count."""
         import pandas as pd
 
         incoming = [
@@ -234,6 +236,8 @@ class _PRPartition:
         allids = np.concatenate([np.asarray(self.src_ids, dtype=object)] + incoming)
         codes, uniq = pd.factorize(allids, sort=False)
         self.node_ids = np.asarray(uniq, dtype=object)
+        owner = partition_ids([pa.array(self.node_ids, pa.string())], self.P)
+        assert (owner == self.pid).all(), f"shard {self.pid} holds nodes of another shard"
         index = pd.Index(self.node_ids)
         self.src_pos = index.get_indexer(self.src_ids).astype(np.int64)
         self.maps = [index.get_indexer(v).astype(np.int64) for v in incoming]
@@ -278,9 +282,7 @@ class _PRPartition:
         )
 
 
-def _pagerank_shuffle(
-    e, nodes, damping, iters, num_partitions, round_to
-) -> rd.Dataset:
+def _pagerank_shuffle(e, damping, iters, num_partitions, round_to) -> rd.Dataset:
     """Web-scale path: BSP over co-partitioned shard actors.
 
     Setup (once): edges stream through one routing pass into P actors
@@ -295,10 +297,10 @@ def _pagerank_shuffle(
     hash joins per iteration (~21 s/iter fixed cost on the sf0.1
     bench graph; see BASELINE.md round-5 A/B).
 
-    Driver state: O(P) scalars/refs per iteration — ranks stay sharded,
-    matching the strategy's reason to exist (node sets beyond the
-    broadcast path's O(N) driver vector)."""
-    n = len(nodes)
+    Driver state: O(P) scalars/refs — the node count is the sum of the
+    shards' owned-node counts, and ranks stay sharded, matching the
+    strategy's reason to exist (node sets beyond the broadcast path's
+    O(N) driver vector)."""
     P = max(1, int(num_partitions))
     # num_cpus=0: shard actors are idle between BSP phases; reserving P
     # full CPUs would deadlock the ingest Dataset tasks on small boxes.
@@ -332,9 +334,7 @@ def _pagerank_shuffle(
     else:
         lists = [actors[0].local_index.remote()]
         counts = [actors[0].register_nodes.remote(lists[0])]
-    owned = sum(ray.get(counts))
-    assert owned == n, f"shard node ownership {owned} != node count {n}"
-
+    n = sum(ray.get(counts))
     dangling = sum(ray.get([a.init_ranks.remote(n) for a in actors]))
     for _ in range(iters):
         add_term = (1.0 - damping) / n + damping * dangling / n

@@ -401,7 +401,7 @@ def build_edges_lsh(
     that). One-row bands admit more junk candidates than multi-row
     bands, but the prefilter + vectorized kernel make verification the
     cheap side of the trade at join selectivities."""
-    from ..pipelines.dedup import lsh_fused_edges
+    from ..pipelines.dedup import MinHashBands, lsh_fused_edges
     from ..pipelines.linkage import string_scorer
 
     lkey, rkey = by[0]
@@ -411,9 +411,7 @@ def build_edges_lsh(
         lkey,
         lid,
         score_fn,
-        num_perm=num_perm,
-        bands=bands,
-        shingle_k=shingle_k,
+        key=MinHashBands(num_perm, bands, shingle_k),
         num_partitions=num_partitions,
         tile_bucket=tile_bucket,
         prefilter=prefilter,

@@ -402,101 +402,6 @@ def _triu_pairs_by_bucket(
     return np.concatenate(ai_parts), np.concatenate(bi_parts)
 
 
-def _pairs_from_buckets(
-    bucketed: rd.Dataset, id_col: str, max_bucket: int = 4096, num_partitions: int = 64
-) -> rd.Dataset:
-    """(a, b) candidate pairs per bucket, a < b; deduped across buckets by
-    a later groupby.
-
-    Implementation note: bucket keys are high-cardinality (mostly
-    singleton), and Ray's per-group ``map_groups`` UDF dispatch costs
-    more than the work — so buckets are hash-partitioned and each
-    partition is processed in ONE pandas call that skips singleton
-    buckets via value_counts and emits pairs with vectorized
-    triu indices. Buckets larger than ``max_bucket`` are skipped — the
-    standard LSH stop-word cap (near-zero signal per pair, quadratic
-    cost; documented recall caveat)."""
-    import pandas as pd
-
-    def pairs_part(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df[id_col].to_numpy()
-        ai, bi = _triu_pairs_by_bucket(df["__bucket"].to_numpy(), max_bucket=max_bucket)
-        if not len(ai):
-            return pd.DataFrame(
-                {"a": pd.Series([], dtype=df[id_col].dtype), "b": pd.Series([], dtype=df[id_col].dtype)}
-            )
-        ia = ids[ai]
-        ib = ids[bi]
-        ok = ia != ib  # an id never repeats within a bucket by construction; guard anyway
-        a = np.where(ia < ib, ia, ib)[ok]
-        b = np.where(ia < ib, ib, ia)[ok]
-        return pd.DataFrame({"a": a, "b": b})
-
-    cand = exchange(bucketed, "__bucket", num_partitions, pairs_part, batch_format="pandas")
-    # a pair sharing multiple buckets appears multiple times -> distinct
-    return _distinct_pairs(cand, num_partitions=num_partitions)
-
-
-def _distinct_pairs(cand: rd.Dataset, num_partitions: int = 64) -> rd.Dataset:
-    """Globally distinct (a, b) rows WITHOUT Ray's sort-based
-    multi-column aggregate (measured minutes-slow on millions of rows):
-    hash-partition on a combined pair hash, then one pandas
-    ``drop_duplicates`` per partition. A given pair always lands in
-    exactly one partition, so per-partition distinct is globally exact."""
-    def uniq(df: pd.DataFrame) -> pa.Table:
-        # arrow out: downstream schema probes need Arrow types, not
-        # pandas block dtypes
-        return pa.Table.from_pandas(
-            df.drop_duplicates(["a", "b"])[["a", "b"]], preserve_index=False
-        )
-
-    return exchange(cand, ["a", "b"], num_partitions, uniq, batch_format="pandas")
-
-
-def _attach_pair_texts(
-    cand: rd.Dataset, ds: rd.Dataset, text_col: str, id_col: str, num_partitions: int
-) -> rd.Dataset:
-    """Join both sides' text onto (a, b) candidate pairs -> columns
-    (a, b, __a_text, __t_text)."""
-    texts = ds.map_batches(
-        lambda t: pa.table({"__t_id": t[id_col], "__t_text": t[text_col]}),
-        batch_format="pyarrow",
-    )
-    j = hash_join(cand, texts, "a", "__t_id", how="inner", num_partitions=num_partitions)
-    j = j.map_batches(
-        lambda t: t.rename_columns(
-            [{"__t_text": "__a_text"}.get(c, c) for c in t.column_names]
-        ),
-        batch_format="pyarrow",
-    )
-    return hash_join(j, texts, "b", "__t_id", how="inner", num_partitions=num_partitions)
-
-
-def _verify_pairs_jaccard(
-    cand: rd.Dataset,
-    ds: rd.Dataset,
-    text_col: str,
-    id_col: str,
-    shingle_k: int,
-    threshold: float,
-    num_partitions: int,
-) -> rd.Dataset:
-    """Join text back onto candidate pairs and keep exact set-jaccard >= t."""
-    j = _attach_pair_texts(cand, ds, text_col, id_col, num_partitions)
-
-    def verify(t: pa.Table) -> pa.Table:
-        at = t.column("__a_text").to_pylist()
-        bt = t.column("__t_text").to_pylist()
-        sims = jaccard_pairs_batch(at, bt, shingle_k)
-        keep = sims >= threshold
-        # typed indices: an all-filtered batch would otherwise infer a
-        # null-typed index array and break take
-        out = t.take(pa.array(np.nonzero(keep)[0], pa.int64())).select(["a", "b"])
-        return out.append_column("jaccard", pa.array(sims[keep], pa.float64()))
-
-    return j.map_batches(verify, batch_format="pyarrow")
-
-
 _INDEX_CACHE: dict = {}
 
 
@@ -545,32 +450,65 @@ class _IndexJaccardScore:
         return keep, sims[keep]
 
 
-class _BroadcastJaccardVerify:
-    """Actor-pool verifier for (a, b) candidate pairs against a
-    broadcast :class:`DocShingleIndex` (:class:`_IndexJaccardScore`) —
-    no shuffle at all. When candidate pairs outnumber docs by orders of
-    magnitude (the degenerate-blocking regime), this replaces two
-    hash-join all-to-alls carrying pair x text payload. A doc table
-    above the caller's broadcast limit never takes this path (join-back
-    instead)."""
-
-    def __init__(self, ref, threshold: float):
-        self.score = _IndexJaccardScore(ref, threshold)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        keep, sims = self.score(
-            t["a"].to_numpy(zero_copy_only=False), t["b"].to_numpy(zero_copy_only=False)
-        )
-        out = t.filter(pa.array(keep)).select(["a", "b"])
-        return out.append_column("jaccard", pa.array(sims, pa.float64()))
-
-
-# minhash_lsh_dedup's payload layout: texts longer than _CARRY_CUTOFF
-# bytes (mean) stay out of the band exchange when the doc table fits a
-# broadcast shingle index of at most _BROADCAST_DOC_LIMIT docs (the same
-# limit picks ngram_jaccard_dedup's broadcast verification)
+# the jaccard dedups' payload layout (_jaccard_edges): texts longer than
+# _CARRY_CUTOFF bytes (mean) stay out of the bucket exchange when the
+# doc table fits a broadcast shingle index of at most
+# _BROADCAST_DOC_LIMIT docs
 _BROADCAST_DOC_LIMIT = 2_000_000
 _CARRY_CUTOFF = 128
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+
+
+def _jaccard_edges(
+    ds: rd.Dataset,
+    text_col: str,
+    id_col: str,
+    key,
+    threshold: float,
+    num_partitions: int,
+    tile_bucket: int | None = None,
+) -> rd.Dataset:
+    """Exact set-jaccard >= ``threshold`` edges over ``key``'s bucket
+    candidates: one call to :func:`lsh_fused_edges`, with only the
+    payload that rides in the bucket exchange chosen, from doc-table
+    size and MEASURED mean text length (the exchange carries one copy
+    of the payload per emission row):
+
+    - texts <= ``_CARRY_CUTOFF`` bytes, or a table over
+      ``_BROADCAST_DOC_LIMIT`` docs: the text rides in each emission and
+      is re-shingled per bucket partition (measured 42s vs 50s for an
+      index gather at 120k 63-byte docs on 32 CPUs);
+    - long texts on a table that fits a broadcast: emissions carry only
+      ids, and :class:`_IndexJaccardScore` verifies against a broadcast
+      :class:`DocShingleIndex` (measured 2.7s vs 3.2s with the texts
+      carried, 5,000 297-byte docs on 4 CPUs).
+
+    Both payloads see the same candidates and the same exact
+    set-jaccard, so results are identical. ``ds`` is materialized: the
+    count, the layout probe and the emission all read it."""
+    from fozziejoin_ray.joins.string_join import _collect_right
+
+    score_fn = jaccard_score_fn(key.shingle_k, threshold)
+    if ds.count() <= _BROADCAST_DOC_LIMIT:
+        mat = _collect_right(ds, [id_col, text_col])
+        tl = pa.compute.binary_length(pa.compute.fill_null(mat[text_col], ""))
+        if float(pa.compute.mean(tl).as_py() or 0.0) > _CARRY_CUTOFF:
+            index = DocShingleIndex(mat[id_col].to_pylist(), mat[text_col].to_pylist(), key.shingle_k)
+            score_fn = _IndexJaccardScore(ray.put(index), threshold)
+    return lsh_fused_edges(
+        ds,
+        text_col,
+        id_col,
+        score_fn,
+        key=key,
+        num_partitions=num_partitions,
+        tile_bucket=tile_bucket,
+        prefilter=JaccardSizeBoundFilter(threshold),
+    )
 
 
 def minhash_lsh_dedup(
@@ -590,29 +528,11 @@ def minhash_lsh_dedup(
     """Near-duplicate classes via MinHash+LSH: shingle -> minhash ->
     banded buckets -> candidate pairs -> exact-jaccard verify ->
     connected components. Returns (doc_id, dup_group) for every doc;
-    dup_group = min doc_id of its duplicate class.
-
-    One call to :func:`lsh_fused_edges`; only the payload that rides in
-    the band exchange is chosen, from doc-table size and MEASURED mean
-    text length (the exchange carries ``bands x len(text)`` bytes per
-    doc):
-
-    - texts <= ``_CARRY_CUTOFF`` bytes, or a table over
-      ``_BROADCAST_DOC_LIMIT`` docs: the text rides in each band
-      emission and is re-shingled per bucket partition (measured 42s vs
-      50s for an index gather at 120k 63-byte docs on 32 CPUs);
-    - long texts on a table that fits a broadcast: emissions carry only
-      ids, and :class:`_IndexJaccardScore` verifies against a broadcast
-      :class:`DocShingleIndex` (measured 2.7s vs 3.2s with the texts
-      carried, 5,000 297-byte docs on 4 CPUs).
-
-    Both payloads see the same candidates (same bucket math,
-    ``max_bucket`` cap, ownership and ``tile_bucket`` tiling) and the
-    same exact set-jaccard, so results are identical."""
-    import ray
-
-    from fozziejoin_ray.joins.string_join import _collect_right
-
+    dup_group = min doc_id of its duplicate class. Candidates are
+    :class:`MinHashBands` buckets; the payload is chosen by
+    :func:`_jaccard_edges`. Raises ``ValueError`` unless
+    ``0 < threshold <= 1``."""
+    _check_threshold(threshold)
     # Materialize the (id, text) projection ONCE: count, the layout
     # probe, the band/bucket stage and the final id join all consume it,
     # and on a derived input each would otherwise re-execute the whole
@@ -621,27 +541,8 @@ def minhash_lsh_dedup(
     ds = ds.map_batches(
         lambda t: t.select([id_col, text_col]), batch_format="pyarrow"
     ).materialize()
-
-    score_fn = jaccard_score_fn(shingle_k, threshold)
-    if ds.count() <= _BROADCAST_DOC_LIMIT:
-        mat = _collect_right(ds, [id_col, text_col])
-        tl = pa.compute.binary_length(pa.compute.fill_null(mat[text_col], ""))
-        if float(pa.compute.mean(tl).as_py() or 0.0) > _CARRY_CUTOFF:
-            index = DocShingleIndex(mat[id_col].to_pylist(), mat[text_col].to_pylist(), shingle_k)
-            score_fn = _IndexJaccardScore(ray.put(index), threshold)
-    edges = lsh_fused_edges(
-        ds,
-        text_col,
-        id_col,
-        score_fn,
-        num_perm=num_perm,
-        bands=bands,
-        shingle_k=shingle_k,
-        seed=seed,
-        num_partitions=num_partitions,
-        tile_bucket=tile_bucket,
-        prefilter=JaccardSizeBoundFilter(threshold),
-    )
+    key = MinHashBands(num_perm, bands, shingle_k, seed)
+    edges = _jaccard_edges(ds, text_col, id_col, key, threshold, num_partitions, tile_bucket)
     return _dup_groups(ds, edges, id_col, num_partitions, id_type)
 
 
@@ -750,60 +651,33 @@ def simhash_dedup(
     num_partitions: int = 32,
     id_type=None,
 ) -> rd.Dataset:
-    """Near-dup classes under SimHash hamming distance <= k: the 64-bit
-    signature is split into k+1 blocks (pigeonhole: any pair within k
-    bits shares at least one exact block); block buckets generate
-    candidates via the shared hash-partitioned pair builder
-    (:func:`_pairs_from_buckets` — vectorized triu, singleton skip,
-    oversized-bucket cap, exactly-once dedup), signatures join back onto
-    the surviving pairs and a vectorized popcount verifies."""
-    blocks = max_hamming + 1
-    width = 64 // blocks
-
+    """Near-dup classes under SimHash hamming distance <= ``max_hamming``
+    (0..63, else ``ValueError``): each doc's 64-bit signature is
+    computed once into the value column, its :class:`SimHashBlocks`
+    pigeonhole blocks are the LSH bands of :func:`lsh_fused_edges`, and
+    each bucket partition verifies ``popcount(a ^ b) <= max_hamming``."""
+    if not 0 <= max_hamming <= 63:
+        raise ValueError(f"max_hamming must be in [0, 63], got {max_hamming}")
     # one upstream execution: signatures AND the final id join both read
     # this materialized projection
     ds = ds.map_batches(
         lambda t: t.select([id_col, text_col]), batch_format="pyarrow"
     ).materialize()
+    sigs = ds.map_batches(
+        lambda t: pa.table(
+            {id_col: t[id_col], "__sig": pa.array(simhash64_batch(t[text_col].to_pylist()))}
+        ),
+        batch_format="pyarrow",
+    )
 
-    def sig_table(t: pa.Table) -> pa.Table:
-        sigs = simhash64_batch(t.column(text_col).to_pylist())
-        return pa.table({id_col: t[id_col], "__sig": pa.array(sigs)})
+    def within(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dist = _popcount64(a ^ b)
+        keep = dist <= max_hamming
+        return keep, dist[keep]
 
-    sigs = ds.map_batches(sig_table, batch_format="pyarrow")
-
-    def emit(t: pa.Table) -> pa.Table:
-        sig = t.column("__sig").to_numpy(zero_copy_only=False).astype(np.uint64)
-        idc = t.column(id_col)
-        buckets = []
-        for bi in range(blocks):
-            lo = bi * width
-            hi = 64 if bi == blocks - 1 else lo + width
-            part = (sig >> np.uint64(lo)) & np.uint64((1 << (hi - lo)) - 1)
-            # collision-free for blocks <= 8 except top-3-bit wrap on the
-            # full-width block; wrap collisions only add candidates, which
-            # the popcount verify removes
-            buckets.append((part << np.uint64(3)) | np.uint64(bi))
-        return pa.table(
-            {
-                "__bucket": pa.array(np.concatenate(buckets)),
-                id_col: pa.concat_arrays(
-                    [idc.combine_chunks() if isinstance(idc, pa.ChunkedArray) else idc] * blocks
-                ),
-            }
-        )
-
-    bucketed = sigs.map_batches(emit, batch_format="pyarrow")
-    cand = _pairs_from_buckets(bucketed, id_col, num_partitions=num_partitions)
-    j = _attach_pair_texts(cand, sigs, "__sig", id_col, num_partitions)
-
-    def verify(t: pa.Table) -> pa.Table:
-        sa = t.column("__a_text").to_numpy(zero_copy_only=False).astype(np.uint64)
-        sb = t.column("__t_text").to_numpy(zero_copy_only=False).astype(np.uint64)
-        keep = _popcount64(np.bitwise_xor(sa, sb)) <= max_hamming
-        return t.filter(pa.array(keep)).select(["a", "b"])
-
-    edges = j.map_batches(verify, batch_format="pyarrow")
+    edges = lsh_fused_edges(
+        sigs, "__sig", id_col, within, key=SimHashBlocks(max_hamming), num_partitions=num_partitions
+    )
     return _dup_groups(ds, edges, id_col, num_partitions, id_type)
 
 
@@ -877,10 +751,11 @@ def ngram_jaccard_dedup(
     id_type=None,
 ) -> rd.Dataset:
     """Exact n-gram-Jaccard duplicate classes WITHOUT minhash
-    approximation, for thresholds > 0.5: block on the ``m`` smallest
-    shingle hashes (prefix filtering — two sets with jaccard >= t must
-    share one of each other's smallest ceil((1-t)|S|)+1 hashes); verify
-    exact jaccard in-group.
+    approximation, for any threshold in (0, 1] (else ``ValueError``):
+    block on :class:`PrefixTokens` (prefix filtering — two sets with
+    jaccard >= t must share one of each other's first
+    ceil((1-t)|S|)+1 shingles under one global order) and verify exact
+    jaccard in the bucket partition (:func:`_jaccard_edges`).
 
     Prefixes are taken under a document-frequency total order (rarest
     shingles first — the PPJoin ordering): the prefix theorem holds for
@@ -892,88 +767,18 @@ def ngram_jaccard_dedup(
     pruning quality degrades past the cap.
 
     Exactness caveat: candidate buckets larger than
-    :func:`_pairs_from_buckets`'s ``max_bucket`` cap are dropped
-    (stop-word shingles), a recall trade-off. Tables of at most
-    ``_BROADCAST_DOC_LIMIT`` docs verify against a broadcast shingle
-    index; larger ones join the pair texts through two exchanges."""
-    import ray
-
-    # one upstream execution: the hot-shingle pass, the emit stage, the
+    :func:`lsh_fused_edges`' ``max_bucket`` cap are dropped (stop-word
+    shingles), a recall trade-off."""
+    _check_threshold(threshold)
+    # one upstream execution: the hot-shingle pass, the emission, the
     # count probe and the id join all read this materialized projection
     ds = ds.map_batches(
         lambda t: t.select([id_col, text_col]), batch_format="pyarrow"
     ).materialize()
-
     hot_ref = ray.put(_hot_shingle_order(ds, text_col, shingle_k, num_partitions=num_partitions))
-
-    class Emit:
-        def __init__(self):
-            self.hot_sorted, self.hot_rank = ray.get(hot_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t.column(id_col).to_pylist()
-            texts = t.column(text_col).to_pylist()
-            out_bucket, out_id, counts = [], [], []
-            for d, txt in zip(ids, texts):
-                sh = char_shingles(txt or "", shingle_k)  # sorted by hash
-                if not len(sh):
-                    continue
-                prefix = int(np.ceil((1 - threshold) * len(sh))) + 1
-                prefix = min(prefix, len(sh))
-                si = sh.view(np.int64)
-                pos = np.searchsorted(self.hot_sorted, si)
-                pos[pos >= len(self.hot_sorted)] = 0
-                ishot = (
-                    self.hot_sorted[pos] == si
-                    if len(self.hot_sorted)
-                    else np.zeros(len(si), dtype=bool)
-                )
-                # cold (rank 0) first by hash, hot ascending df-rank last
-                rank = np.where(ishot, self.hot_rank[pos] + 1, 0)
-                order = np.lexsort((si, rank))[:prefix]
-                out_bucket.append(si[order])
-                out_id.append(d)
-                counts.append(len(order))
-            if not out_bucket:
-                return pa.table(
-                    {
-                        "__bucket": pa.array([], pa.int64()),
-                        id_col: pa.array([], type=t.column(id_col).type),
-                    }
-                )
-            return pa.table(
-                {
-                    "__bucket": pa.array(np.concatenate(out_bucket)),
-                    id_col: pa.array(
-                        np.repeat(np.asarray(out_id, dtype=object), counts),
-                        type=t.column(id_col).type,
-                    ),
-                }
-            )
-
-    bucketed = ds.map_batches(Emit, batch_format="pyarrow", concurrency=(1, 8))
-    cand = _pairs_from_buckets(bucketed, id_col, num_partitions=num_partitions)
-    # candidate counts can dwarf the doc table (degenerate blocking on
-    # small-vocabulary corpora): when docs fit a broadcast, verify with a
-    # shuffle-free actor pool instead of two pair x text hash joins
-    if ds.count() <= _BROADCAST_DOC_LIMIT:
-        from fozziejoin_ray.joins.string_join import _collect_right
-
-        mat = _collect_right(ds, [id_col, text_col])
-        ref = ray.put(
-            DocShingleIndex(mat[id_col].to_pylist(), mat[text_col].to_pylist(), shingle_k)
-        )
-        verified = cand.map_batches(
-            _BroadcastJaccardVerify,
-            fn_constructor_args=(ref, threshold),
-            batch_format="pyarrow",
-            concurrency=(1, 8),
-        )
-    else:
-        verified = _verify_pairs_jaccard(
-            cand, ds, text_col, id_col, shingle_k, threshold, num_partitions
-        )
-    return _dup_groups(ds, verified, id_col, num_partitions, id_type)
+    key = PrefixTokens(shingle_k, threshold, hot_ref)
+    edges = _jaccard_edges(ds, text_col, id_col, key, threshold, num_partitions)
+    return _dup_groups(ds, edges, id_col, num_partitions, id_type)
 
 
 def _cross_pairs_by_bucket(
@@ -1250,52 +1055,140 @@ def _arr(t: pa.Table, col: str) -> pa.Array:
     return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
 
 
+# ------------------------------------------------------------ bucket keys
+#
+# A bucket key decides what lsh_fused_edges buckets on. Its
+# ``buckets(values)`` (one batch's non-null values) returns
+# ``(bucket, reps, BH, shingles)``: the uint64 bucket of every emission
+# row, the number of consecutive rows each value emits, the per-value
+# band vector ``BH`` ((n, bands) uint32, row i's bucket in band j being
+# j << 32 | BH[i, j]) or None, and the shingle arrays a prefilter may
+# reuse (or None). ``bands`` is None for keys without a fixed band
+# vector, which skip first-agreeing-band ownership.
+
+
+def _band_buckets(BH: np.ndarray) -> np.ndarray:
+    """Flat band << 32 | band value buckets, row-major over (row, band)."""
+    band_hi = np.arange(BH.shape[1], dtype=np.uint64)[None, :] << np.uint64(32)
+    return (band_hi | BH.astype(np.uint64)).ravel()
+
+
+class MinHashBands:
+    """Banded MinHash over char ``shingle_k``-gram sets: ``bands``
+    buckets per value, each the FNV mix of ``num_perm // bands``
+    signature rows (:func:`_band_hashes`)."""
+
+    def __init__(self, num_perm: int = 64, bands: int = 32, shingle_k: int = 2, seed: int = 13):
+        if num_perm % bands:
+            raise ValueError(f"num_perm={num_perm} is not a multiple of bands={bands}")
+        self.bands, self.shingle_k = bands, shingle_k
+        self.ma, self.mb = _minhash_params(num_perm, seed)
+
+    def buckets(self, values: np.ndarray):
+        sh = [char_shingles(v, self.shingle_k) for v in values]
+        BH = _band_hashes(minhash_signatures_batch(sh, self.ma, self.mb), self.bands)
+        return _band_buckets(BH), self.bands, BH, sh
+
+
+class SimHashBlocks:
+    """The ``max_hamming + 1`` pigeonhole blocks of 64-bit SimHash
+    signatures (the values) as bands: two signatures within
+    ``max_hamming`` bits agree exactly on at least one block. Blocks are
+    ``64 // bands`` bits, the last one taking the remainder; all fit in
+    32 bits except the single 64-bit block at ``max_hamming = 0``, which
+    is folded to 32 bits (a fold collision only adds a candidate, which
+    the hamming verify removes)."""
+
+    def __init__(self, max_hamming: int):
+        self.bands = max_hamming + 1
+
+    def buckets(self, values: np.ndarray):
+        sig = np.asarray(values, np.uint64)
+        width = 64 // self.bands
+        BH = np.empty((len(sig), self.bands), np.uint32)
+        for b in range(self.bands):
+            lo = b * width
+            bits = 64 - lo if b == self.bands - 1 else width
+            part = sig >> np.uint64(lo)
+            if bits == 64:
+                part = part ^ (part >> np.uint64(32))
+            else:
+                part = part & np.uint64((1 << bits) - 1)
+            BH[:, b] = part.astype(np.uint32)
+        return _band_buckets(BH), self.bands, BH, None
+
+
+class PrefixTokens:
+    """Prefix-filter tokens for exact char-``shingle_k``-gram jaccard >=
+    ``threshold``: each value emits its first ceil((1-t)|S|)+1 distinct
+    shingles (bucket = shingle hash) under one global order: cold
+    shingles first by hash, then hot ones by ascending df rank
+    (``hot_ref`` holds :func:`_hot_shingle_order`'s tables). Two sets at
+    jaccard >= t share a prefix token. Values with no shingle emit
+    nothing. No band vector: a pair sharing several tokens is scored
+    once per shared token."""
+
+    bands = None
+
+    def __init__(self, shingle_k: int, threshold: float, hot_ref):
+        self.shingle_k, self.threshold, self.hot_ref = shingle_k, threshold, hot_ref
+
+    def buckets(self, values: np.ndarray):
+        hot_sorted, hot_rank = ray.get(self.hot_ref)
+        sh = [char_shingles(v, self.shingle_k) for v in values]
+        lens = np.fromiter((len(x) for x in sh), np.int64, count=len(sh))
+        n_pre = np.minimum(np.ceil((1 - self.threshold) * lens).astype(np.int64) + 1, lens)
+        si = np.concatenate(sh).view(np.int64) if lens.sum() else np.empty(0, np.int64)
+        rank = np.zeros(len(si), np.int64)  # cold: rank 0, ordered by hash
+        if len(hot_sorted):
+            pos = np.minimum(np.searchsorted(hot_sorted, si), len(hot_sorted) - 1)
+            hot = hot_sorted[pos] == si
+            rank[hot] = hot_rank[pos[hot]] + 1
+        row = np.repeat(np.arange(len(sh)), lens)
+        order = np.lexsort((si, rank, row))  # rows stay contiguous
+        in_row = np.arange(len(si)) - np.repeat(np.cumsum(lens) - lens, lens)
+        sel = order[in_row < np.repeat(n_pre, lens)]
+        return si[sel].view(np.uint64), n_pre, None, sh
+
+
+def _fixed_list(M: np.ndarray, typ: pa.DataType) -> pa.FixedSizeListArray:
+    return pa.FixedSizeListArray.from_arrays(pa.array(M.ravel(), typ), M.shape[1])
+
+
 def _band_emitter(
     text_col: str,
     id_col: str,
+    key,
     *,
-    num_perm: int,
-    bands: int,
-    shingle_k: int,
-    seed: int,
     carry_text: bool = True,
     prefilter=None,
     side: int = 0,
 ):
-    """The banded-MinHash emission, as a per-batch function: one row per
-    (non-null-text row, band) with ``__bucket`` = band << 32 |
-    band_hash, the id, the text (unless ``carry_text`` is off),
-    ``__lsh_side`` = ``side``, the source row's FULL band-hash vector
-    ``__bh`` (the ownership filter's input) and, with a ``prefilter``,
-    its sketch ``__sk``. Rows with null text emit nothing (NA never
-    matches). Rows of one source row are consecutive, bands in order."""
-    if num_perm % bands:
-        raise ValueError(f"num_perm={num_perm} is not a multiple of bands={bands}")
-    ma, mb = _minhash_params(num_perm, seed)
-    band_hi = np.arange(bands, dtype=np.uint64)[None, :] << np.uint64(32)
+    """The LSH emission, as a per-batch function: ``key.buckets`` rows
+    per non-null ``text_col`` value, each with ``__bucket``, the id, the
+    value (unless ``carry_text`` is off), ``__lsh_side`` = ``side``, the
+    source row's FULL band vector ``__bh`` (banded keys only — the
+    ownership filter's input) and, with a ``prefilter``, its sketch
+    ``__sk``. Null values emit nothing (NA never matches). Rows of one
+    source row are consecutive, in the key's order."""
 
     def emit(t: pa.Table) -> pa.Table:
         idc, tc = _arr(t, id_col), _arr(t, text_col)
         if pa.types.is_null(tc.type):  # an all-null block from a pandas stage
             tc = tc.cast(pa.string())
-        kv = tc.to_numpy(zero_copy_only=False)
-        vrows = np.nonzero(np.fromiter((v is not None for v in kv), bool, count=len(kv)))[0]
-        sh = [char_shingles(kv[i], shingle_k) for i in vrows]
-        BH = _band_hashes(minhash_signatures_batch(sh, ma, mb), bands)  # (m, bands) uint32
-        bucket = (band_hi | BH.astype(np.uint64)).ravel()
-        take = pa.array(np.repeat(vrows, bands), pa.int64())
+        vrows = np.nonzero(tc.is_valid().to_numpy(zero_copy_only=False))[0]
+        vals = tc.to_numpy(zero_copy_only=False)[vrows]
+        bucket, reps, BH, sh = key.buckets(vals)
+        take = pa.array(np.repeat(vrows, reps), pa.int64())
         cols = {"__bucket": pa.array(bucket, pa.uint64()), id_col: idc.take(take)}
         if carry_text:
             cols[text_col] = tc.take(take)
         cols["__lsh_side"] = pa.array(np.full(len(bucket), side, np.int8))
-        cols["__bh"] = pa.FixedSizeListArray.from_arrays(
-            pa.array(np.repeat(BH, bands, axis=0).ravel(), pa.uint32()), bands
-        )
+        if BH is not None:
+            cols["__bh"] = _fixed_list(np.repeat(BH, reps, axis=0), pa.uint32())
         if prefilter is not None:
-            SK = prefilter.sketch([kv[i] for i in vrows], shingles=sh)  # (m, width) uint64
-            cols["__sk"] = pa.FixedSizeListArray.from_arrays(
-                pa.array(np.repeat(SK, bands, axis=0).ravel(), pa.uint64()), int(prefilter.width)
-            )
+            SK = prefilter.sketch(vals, shingles=sh)  # (m, width) uint64
+            cols["__sk"] = _fixed_list(np.repeat(SK, reps, axis=0), pa.uint64())
         return pa.table(cols)
 
     return emit
@@ -1306,7 +1199,7 @@ def _bucket_scorer(
     value_col: str,
     score_fn,
     *,
-    bands: int,
+    bands: int | None,
     max_bucket: int,
     prefilter=None,
     two_table: bool = False,
@@ -1317,7 +1210,8 @@ def _bucket_scorer(
     ``capped`` is the sorted global stop-word-capped bucket set. Pairs
     come from the within-bucket triu (self) or side-0 x side-1 cross
     (``two_table``) expansion with the fused ``prefilter``, keep only
-    the first-agreeing-band owner (:func:`_own_pairs_mask`), and are
+    the first-agreeing-band owner (:func:`_own_pairs_mask`; skipped when
+    ``bands`` is None), and are
     verified by ONE ``score_fn(values_a, values_b) -> (keep, scores)``
     call over ``value_col``. Self-join edges come back with a < b;
     two-table edges as (side-0 id, side-1 id)."""
@@ -1394,13 +1288,14 @@ def _bucket_scorer(
             bi = np.concatenate(pb_parts) if pb_parts else np.empty(0, np.int64)
         if not len(ai):
             return empty
-        # first-agreeing-band ownership: keep the pair only when THIS
-        # band is the first non-capped band whose bucket holds both rows
-        BHp = _arr(t, "__bh").flatten().to_numpy(zero_copy_only=False).reshape(-1, bands)
-        own = _own_pairs_mask(bucket, BHp, ai, bi, capped, bands)
-        ai, bi = ai[own], bi[own]
-        if not len(ai):
-            return empty
+        if bands is not None:
+            # first-agreeing-band ownership: keep the pair only when THIS
+            # band is the first non-capped band whose bucket holds both rows
+            BHp = _arr(t, "__bh").flatten().to_numpy(zero_copy_only=False).reshape(-1, bands)
+            own = _own_pairs_mask(bucket, BHp, ai, bi, capped, bands)
+            ai, bi = ai[own], bi[own]
+            if not len(ai):
+                return empty
         kv = _arr(t, value_col).to_numpy(zero_copy_only=False)
         ids = _arr(t, id_col).to_numpy(zero_copy_only=False)
         # numpy object arrays go straight to the score_fn — materializing
@@ -1430,10 +1325,7 @@ def lsh_fused_edges(
     id_col: str,
     score_fn,
     *,
-    num_perm: int = 64,
-    bands: int = 32,
-    shingle_k: int = 2,
-    seed: int = 13,
+    key,
     num_partitions: int = 64,
     max_bucket: int = 4096,
     tile_bucket: int | None = None,
@@ -1442,8 +1334,15 @@ def lsh_fused_edges(
     right_text_col: str | None = None,
     right_id_col: str | None = None,
 ) -> rd.Dataset:
-    """Fused LSH candidate generation + verification -> (a, b, score),
-    each surviving pair exactly once with a < b.
+    """Fused LSH candidate generation + verification -> (a, b, score)
+    with a < b: the package's only bucketed candidate generator.
+    ``key`` decides the buckets (:class:`MinHashBands`,
+    :class:`SimHashBlocks` or :class:`PrefixTokens`, see "bucket keys").
+    Banded keys give each surviving pair exactly once;
+    :class:`PrefixTokens` has no band vector and skips ownership, so a
+    pair sharing several prefix tokens may be scored, and returned, once
+    per shared token — harmless for its callers, which only feed the
+    edges to connected components (:func:`_dup_groups`).
 
     LARGE-BUCKET TILING (``tile_bucket``): a bucket's pair expansion is
     an indivisible atom owned by one partition task — ~count^2/2 pairs
@@ -1468,8 +1367,8 @@ def lsh_fused_edges(
     recall on hot buckets — a 100k-row bucket is 5e9 pairs, hours of
     one core, and tiling is what makes that cap feasible.
 
-    Emission rows (:func:`_band_emitter`) carry (numeric bucket =
-    band<<32 | band_hash, id, text, the row's full band-hash vector).
+    Emission rows (:func:`_band_emitter`) carry (numeric bucket, id,
+    value, the row's full band vector for banded keys).
     Each bucket-hash partition (:func:`_bucket_scorer`) builds candidate
     pairs with one vectorized triu expansion per bucket-size class and
     verifies them in ONE ``score_fn(texts_a, texts_b) -> (keep_mask,
@@ -1492,9 +1391,7 @@ def lsh_fused_edges(
     ANY non-capped band co-buckets it — bit-identical to the dedup
     design.
 
-    Signatures are batch-vectorized (segment-min over the batch's
-    concatenated shingles, :func:`minhash_signatures_batch`); rows with
-    null text are skipped (NA never matches); buckets larger than
+    Rows with null values are skipped (NA never matches); buckets larger than
     ``max_bucket`` are dropped (the standard LSH stop-word cap — a
     documented recall caveat).
 
@@ -1519,10 +1416,7 @@ def lsh_fused_edges(
         _band_emitter,
         text_col,
         id_col,
-        num_perm=num_perm,
-        bands=bands,
-        shingle_k=shingle_k,
-        seed=seed,
+        key,
         carry_text=not by_id,
         prefilter=prefilter,
     )
@@ -1600,7 +1494,7 @@ def lsh_fused_edges(
         id_col,
         id_col if by_id else text_col,
         score_fn,
-        bands=bands,
+        bands=key.bands,
         max_bucket=max_bucket,
         prefilter=prefilter,
         two_table=two_table,
@@ -1803,8 +1697,7 @@ def cross_neardup_pairs(
     keep 32 bands only when the threshold is near 0.5 or exactness at
     the boundary matters; use 16 for bulk contamination sweeps at
     t >= 0.7."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    _check_threshold(threshold)
     if bands is None:
         # the measured rule above, expressed in rows-per-band so a
         # non-default num_perm keeps the intended recall regime:
@@ -1815,10 +1708,7 @@ def cross_neardup_pairs(
         text_col,
         id_col,
         jaccard_score_fn(shingle_k, threshold),
-        num_perm=num_perm,
-        bands=bands,
-        shingle_k=shingle_k,
-        seed=seed,
+        key=MinHashBands(num_perm, bands, shingle_k, seed),
         num_partitions=num_partitions,
         max_bucket=max_bucket,
         tile_bucket=tile_bucket,

@@ -261,7 +261,7 @@ def match_edges(
     # Fused LSH candidate generation + verification (shared machinery,
     # dedup.lsh_fused_edges): exactly-once across bands, no candidate
     # dedup shuffle, no text join-back.
-    from .dedup import lsh_fused_edges
+    from .dedup import MinHashBands, lsh_fused_edges
 
     score_fn, prefilter = string_scorer(method, max_distance, q)
     scored = lsh_fused_edges(
@@ -269,9 +269,7 @@ def match_edges(
         "key",
         "rep",
         score_fn,
-        num_perm=minhash_perm,
-        bands=minhash_bands,
-        shingle_k=shingle_k,
+        key=MinHashBands(minhash_perm, minhash_bands, shingle_k),
         num_partitions=num_partitions,
         tile_bucket=tile_bucket,
         prefilter=prefilter,

@@ -45,7 +45,7 @@ import ray
 import ray.data as rd
 
 from ..exchange import partition_ids
-from .dedup import _band_emitter, _bucket_scorer
+from .dedup import MinHashBands, _band_emitter, _bucket_scorer
 
 _META = "index_meta.json"
 
@@ -61,10 +61,7 @@ def _index_emission(reps: rd.Dataset, meta: dict) -> rd.Dataset:
     emit = _band_emitter(
         "key",
         "doc_id",
-        num_perm=meta["minhash_perm"],
-        bands=meta["minhash_bands"],
-        shingle_k=meta["shingle_k"],
-        seed=meta["seed"],
+        MinHashBands(meta["minhash_perm"], meta["minhash_bands"], meta["shingle_k"], meta["seed"]),
         prefilter=JaroCharBoundFilter(0.0),
     )
     P = meta["num_partitions"]

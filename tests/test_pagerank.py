@@ -71,3 +71,28 @@ def test_pagerank_dangling_and_edge_cases():
         pagerank(edges, iters=0)
     with pytest.raises(ValueError):
         pagerank(edges, strategy="nope")
+
+
+def test_pagerank_shuffle_keeps_no_node_array_on_driver(monkeypatch):
+    """The shuffle strategy takes the node count from its shards: the
+    driver-side distinct-node pass must never run, and ranks still
+    match the brute power iteration (an empty edge table included)."""
+    import fozziejoin_ray.cluster.pagerank as pr
+
+    def no_driver_nodes(*_):
+        raise AssertionError("shuffle strategy collected the node set on the driver")
+
+    monkeypatch.setattr(pr, "_distinct_nodes", no_driver_nodes)
+    src, dst = _graph(seed=11)
+    edges = rd.from_arrow(
+        pa.table({"src": src.astype(str), "dst": dst.astype(str)})
+    ).repartition(4)
+    out = {
+        r["node"]: r["rank"]
+        for r in pagerank(edges, strategy="shuffle", iters=8, num_partitions=3).take_all()
+    }
+    ids, expected = _brute(src, dst, 8)
+    assert sorted(out) == ids
+    assert np.abs(np.array([out[v] for v in ids]) - expected).max() < 1e-8
+    empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()), "dst": pa.array([], pa.string())}))
+    assert pagerank(empty, strategy="shuffle", num_partitions=3).take_all() == []

@@ -65,7 +65,7 @@ def test_lsh_ownership_with_capped_buckets():
     bucket is capped: 60 near-identical docs force giant buckets in
     every band; with max_bucket=8 most buckets are globally capped, yet
     the two distinctive near-dup docs must still pair exactly once."""
-    from fozziejoin_ray.pipelines.dedup import lsh_fused_edges
+    from fozziejoin_ray.pipelines.dedup import MinHashBands, lsh_fused_edges
 
     texts = ["the quick brown fox jumps over the lazy dog %d" % (i % 3) for i in range(60)]
     texts += [
@@ -88,7 +88,7 @@ def test_lsh_ownership_with_capped_buckets():
         return keep, sims[keep]
 
     edges = lsh_fused_edges(
-        ds, "text", "doc_id", jac, num_perm=64, bands=16, shingle_k=5,
+        ds, "text", "doc_id", jac, key=MinHashBands(num_perm=64, bands=16, shingle_k=5),
         num_partitions=4, max_bucket=8,
     ).take_all()
     pairs = [(r["a"], r["b"]) for r in edges]
@@ -105,7 +105,7 @@ def test_lsh_large_bucket_tiling_bit_identical():
     (left-block x right-block tiles)."""
     import pandas as pd
 
-    from fozziejoin_ray.pipelines.dedup import lsh_fused_edges
+    from fozziejoin_ray.pipelines.dedup import MinHashBands, lsh_fused_edges
 
     def mk(n, pre):
         words = ["alpha", "beta", "gamma", "delta", "epsilon"]
@@ -129,7 +129,7 @@ def test_lsh_large_bucket_tiling_bit_identical():
     def run_self(tile):
         edges = lsh_fused_edges(
             rd.from_pandas(df), "text", "doc_id", jac,
-            num_perm=64, bands=16, shingle_k=3, num_partitions=8,
+            key=MinHashBands(num_perm=64, bands=16, shingle_k=3), num_partitions=8,
             max_bucket=4096, tile_bucket=tile,
         ).take_all()
         return sorted((r["a"], r["b"], round(r["score"], 9)) for r in edges)
@@ -144,7 +144,7 @@ def test_lsh_large_bucket_tiling_bit_identical():
     def run_two(tile):
         edges = lsh_fused_edges(
             rd.from_pandas(L), "text", "doc_id", jac,
-            num_perm=64, bands=16, shingle_k=3, num_partitions=8,
+            key=MinHashBands(num_perm=64, bands=16, shingle_k=3), num_partitions=8,
             max_bucket=4096, tile_bucket=tile,
             right=rd.from_pandas(R), right_text_col="text", right_id_col="doc_id",
         ).take_all()
@@ -247,6 +247,118 @@ def test_simhash_dedup_exact_dup_together():
     ).take_all()}
     assert out["d5"] == out["d0"]
     assert out["d3"] != out["d0"]
+
+
+def _union_find_groups(ids, linked):
+    """Brute-force duplicate classes: union every pair ``linked(i, j)``
+    accepts, label each id with its class's min id."""
+    parent = list(range(len(ids)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in itertools.combinations(range(len(ids)), 2):
+        if linked(i, j):
+            ri, rj = find(i), find(j)
+            parent[max(ri, rj)] = min(ri, rj)
+    return {d: ids[find(i)] for i, d in enumerate(ids)}
+
+
+def _family_docs(seed=3, families=6, members=6, vocab_size=60, words=30):
+    """Families of word-sequence docs, member m carrying m random word
+    substitutions, plus an exact dup, an empty text, a null and a loner."""
+    rng = np.random.RandomState(seed)
+    vocab = [f"w{i}" for i in range(vocab_size)]
+    texts = []
+    for _ in range(families):
+        base = list(rng.choice(vocab, words))
+        for m in range(members):
+            w = list(base)
+            for _ in range(m):
+                w[rng.randint(len(w))] = vocab[rng.randint(len(vocab))]
+            texts.append(" ".join(w))
+    texts += [texts[0], "", None, "solo"]
+    return [f"t{i:03d}" for i in range(len(texts))], texts
+
+
+@pytest.mark.parametrize("max_hamming", [0, 1, 3, 7])
+def test_simhash_dedup_matches_bruteforce(max_hamming):
+    """Exact vs pure-python simhash64 + hamming + union-find: 0 is the
+    single 64-bit block (folded to 32 bits), 7 is eight 8-bit blocks."""
+    from fozziejoin_ray.pipelines.dedup import simhash64
+
+    ids, texts = _family_docs()
+    sig = [simhash64(t or "") for t in texts]
+    expected = _union_find_groups(
+        ids, lambda i, j: bin(sig[i] ^ sig[j]).count("1") <= max_hamming
+    )
+    ds = rd.from_arrow(pa.table({"doc_id": ids, "text": texts})).repartition(3)
+    out = {r["doc_id"]: r["dup_group"] for r in simhash_dedup(
+        ds, "text", "doc_id", max_hamming=max_hamming, num_partitions=4
+    ).take_all()}
+    assert out == expected
+    assert len(set(expected.values())) < len(ids)  # some class formed
+
+
+def test_ngram_jaccard_dedup_payloads_match_bruteforce(monkeypatch):
+    """The id payload (broadcast shingle index) and the forced text
+    carry (a table over the broadcast limit) give the brute-force
+    classes."""
+    import fozziejoin_ray.pipelines.dedup as dd
+
+    ids, texts = _family_docs(seed=4)
+    sh = [char_shingles(t or "", 5) for t in texts]
+    expected = _union_find_groups(
+        ids, lambda i, j: len(sh[i]) and len(sh[j]) and jaccard_sets(sh[i], sh[j]) >= 0.6
+    )
+    assert len(set(expected.values())) < len(ids)
+    made = []
+    index_score = dd._IndexJaccardScore
+    monkeypatch.setattr(
+        dd, "_IndexJaccardScore", lambda ref, thr: made.append(1) or index_score(ref, thr)
+    )
+
+    def run():
+        ds = rd.from_arrow(pa.table({"doc_id": ids, "text": texts})).repartition(3)
+        return {r["doc_id"]: r["dup_group"] for r in ngram_jaccard_dedup(
+            ds, "text", "doc_id", threshold=0.6, num_partitions=4
+        ).take_all()}
+
+    monkeypatch.setattr(dd, "_CARRY_CUTOFF", 0)
+    assert run() == expected
+    assert made == [1]  # ids rode the exchange, verified by the index
+    monkeypatch.setattr(dd, "_BROADCAST_DOC_LIMIT", 0)
+    assert run() == expected
+    assert made == [1]  # texts carried: no index built
+
+
+def test_ngram_jaccard_dedup_no_shared_shingle():
+    """No 5-gram occurs in two docs: the rare-first order table is
+    empty and every doc is its own class."""
+    texts = ["aaaaaaaaaa", "bbbbbbbbbbbb", "cdefghijklmnop"]
+    ds = rd.from_arrow(pa.table({"doc_id": ["a", "b", "c"], "text": texts}))
+    out = {r["doc_id"]: r["dup_group"] for r in ngram_jaccard_dedup(
+        ds, "text", "doc_id", threshold=0.8, num_partitions=4
+    ).take_all()}
+    assert out == {"a": "a", "b": "b", "c": "c"}
+
+
+@pytest.mark.parametrize(
+    "fn,kw",
+    [
+        (minhash_lsh_dedup, {"threshold": 0.0}),
+        (minhash_lsh_dedup, {"threshold": 1.5}),
+        (ngram_jaccard_dedup, {"threshold": 0.0}),
+        (ngram_jaccard_dedup, {"threshold": -0.2}),
+        (simhash_dedup, {"max_hamming": -1}),
+        (simhash_dedup, {"max_hamming": 64}),
+    ],
+)
+def test_dedup_rejects_out_of_range_inputs(fn, kw):
+    with pytest.raises(ValueError):
+        fn(docs_ds(), "text", "doc_id", num_partitions=4, **kw)
 
 
 def _rand_embeddings(n=64, d=16, seed=3):

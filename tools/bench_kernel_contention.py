@@ -81,8 +81,7 @@ def _prepare():
     # the emission match_edges' minhash tier scores: distinct-key reps,
     # banded by the package's own emitter with the jw sketch
     emit = dd._band_emitter(
-        "key", "doc_id", num_perm=64, bands=BANDS, shingle_k=2, seed=13,
-        prefilter=JaroCharBoundFilter(0.12),
+        "key", "doc_id", dd.MinHashBands(64, BANDS, 2, 13), prefilter=JaroCharBoundFilter(0.12)
     )
     reps = _distinct_key_reps(extract_keys(rd.read_parquet(GEN_DIR)), 64)
     emitted = reps.map_batches(emit, batch_format="pyarrow").materialize()
