@@ -180,7 +180,13 @@ class _PRPartition:
         shard's ENTIRE edge group in one call, so a retried routing
         task re-sends identical content and the overwrite is a no-op —
         no double-ingest under Ray Data task retries / lineage
-        re-execution (round-5 review)."""
+        re-execution (round-5 review).
+
+        Memory bound: that one call is the whole group, about E/P rows
+        for E edges over P shards. The routing task that builds the
+        group, the object store copy it sends and this actor each hold
+        all of it at once, so E/P rows must fit in one worker's and one
+        actor's memory; raise ``num_partitions`` to shrink it."""
         self._edges = t
         return t.num_rows
 

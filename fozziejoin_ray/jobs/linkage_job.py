@@ -23,7 +23,9 @@ Local smoke run (single node, same code path)::
 
 Production nightly/daily cycle (incremental fold-in)::
 
-    # nightly: full clustering, retain keys, persist the LSH index
+    # nightly: one pass — keys are extracted once, the cluster label
+    # join carries them, and the clusters, the keys and the
+    # cluster-baked LSH index are all written from that one table
     ray job submit -- python -m fozziejoin_ray.jobs.linkage_job \
         --input /data/docs.lance --format lance --output /data/nightly \
         --emit-keys /data/keys --build-index /data/lsh_index
@@ -78,9 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "implicit ray.init; ignored when attached to a cluster")
     # --- nightly/daily production cycle -------------------------------
     p.add_argument("--build-index", default=None, metavar="DIR",
-                   help="after clustering, persist the banded LSH linkage index "
-                        "(keys + cluster supervertices) to DIR — the nightly "
-                        "artifact the daily --incremental fold-in probes")
+                   help="persist the banded LSH linkage index to DIR: one row "
+                        "per band of each distinct key, labelled with its "
+                        "cluster — the nightly artifact the daily --incremental "
+                        "fold-in probes. Written from the same keyed cluster "
+                        "table as --output and --emit-keys")
     p.add_argument("--incremental", action="store_true",
                    help="fold-in mode: --input is the DELTA; requires "
                         "--old-keys and --old-clusters (prior nightly outputs); "
@@ -114,7 +118,8 @@ def main(argv: list[str] | None = None) -> int:
 
     import pyarrow as pa
 
-    from ..pipelines.linkage import cluster_documents
+    from ..joins.modes import _project
+    from ..pipelines.linkage_index import build_linkage_lsh_index, write_linkage_lsh_index
     from ..sources.io import read_table, write_table
 
     t0 = time.time()
@@ -130,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.incremental:
         if not (args.old_keys and args.old_clusters):
             raise SystemExit("--incremental requires --old-keys and --old-clusters")
-        from ..pipelines.linkage import cluster_documents_incremental
+        from ..pipelines.linkage import cluster_documents_incremental, extract_keys
 
         old_keys = read_table(args.old_keys, format="parquet")
         old_clusters = read_table(args.old_clusters, format="parquet")
@@ -146,8 +151,16 @@ def main(argv: list[str] | None = None) -> int:
             blocking=args.blocking,
             old_index_dir=args.index_dir,
         )
+        # the next nightly artifacts must cover old + new keys
+        keys = extract_keys(docs).union(old_keys)
+        if args.emit_keys and args.build_index:
+            keys = keys.materialize()
     else:
-        clusters = cluster_documents(
+        from ..pipelines.linkage import cluster_keys
+
+        # (doc_id, key, cluster_id): the clusters, the key table and the
+        # index are all written from this one table
+        labelled = cluster_keys(
             docs,
             method=args.method,
             max_distance=args.max_distance,
@@ -157,29 +170,25 @@ def main(argv: list[str] | None = None) -> int:
             id_type=id_type,
             blocking=args.blocking,
         )
+        if args.emit_keys or args.build_index:
+            labelled = labelled.materialize()
+        clusters = _project(labelled, ["doc_id", "cluster_id"])
+        keys = _project(labelled, ["doc_id", "key"])
     write_table(clusters, args.output, format=args.output_format)
-    if args.emit_keys or args.build_index:
-        from ..pipelines.linkage import extract_keys
-
-        keys = extract_keys(docs)
-        if args.incremental:
-            # the next nightly artifacts must cover old + new keys
-            keys = keys.union(old_keys)
-        keys = keys.materialize()
-        if args.emit_keys:
-            write_table(keys, args.emit_keys, format="parquet")
-        if args.build_index:
-            from ..pipelines.linkage_index import build_linkage_lsh_index
-
-            # read the just-written assignments back rather than
-            # re-executing the (lazy) clustering plan a second time
-            build_linkage_lsh_index(
-                keys,
-                args.build_index,
-                old_clusters=read_table(args.output, format=args.output_format),
-                num_partitions=args.num_partitions,
-                id_type=id_type,
-            )
+    if args.emit_keys:
+        write_table(keys, args.emit_keys, format="parquet")
+    if args.build_index and args.incremental:
+        # read the just-written assignments back rather than
+        # re-executing the (lazy) fold-in plan a second time
+        build_linkage_lsh_index(
+            keys,
+            args.build_index,
+            old_clusters=read_table(args.output, format=args.output_format),
+            num_partitions=args.num_partitions,
+            id_type=id_type,
+        )
+    elif args.build_index:
+        write_linkage_lsh_index(labelled, args.build_index, num_partitions=args.num_partitions)
 
     wall = time.time() - t0
     metrics = {

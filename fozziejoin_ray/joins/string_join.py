@@ -392,8 +392,10 @@ def build_edges_lsh(
     """Two-table LSH-blocked edges (see fuzzy_string_join strategy='lsh').
     Both sides emit banded-MinHash buckets over their key's shingles; the
     within-bucket left x right cross products are verified with the exact
-    string kernel; edges that met in several bands dedup once. jw rides
-    the recall-lossless SWAR char-bound prefilter.
+    string kernel. A pair that meets in several bands is emitted once,
+    by the first band it agrees on (first-agreeing-band ownership), so
+    no dedup step runs. jw rides the recall-lossless SWAR char-bound
+    prefilter.
 
     Default 64 bands x 1 row: a pair is missed only if NO single minhash
     agrees — miss probability (1-j)^64, i.e. < 1e-9 even at shingle

@@ -1081,7 +1081,7 @@ class MinHashBands:
     def __init__(self, num_perm: int = 64, bands: int = 32, shingle_k: int = 2, seed: int = 13):
         if num_perm % bands:
             raise ValueError(f"num_perm={num_perm} is not a multiple of bands={bands}")
-        self.bands, self.shingle_k = bands, shingle_k
+        self.num_perm, self.bands, self.shingle_k, self.seed = num_perm, bands, shingle_k, seed
         self.ma, self.mb = _minhash_params(num_perm, seed)
 
     def buckets(self, values: np.ndarray):

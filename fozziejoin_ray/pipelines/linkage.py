@@ -30,7 +30,15 @@ from ..cluster.union_find import connected_components
 from ..exchange import exchange, partition_ids
 from ..joins.blocked import build_edges_blocked
 from ..joins.hashjoin import hash_join
+from ..joins.modes import _project
 from ..state.checkpoint import Manifest, fingerprint
+from .dedup import MinHashBands
+
+# The minhash tier's banding. The nightly self-join, the persisted index
+# and the daily fold-in's self-join, probe and live cross join must all
+# band alike, or the fold-in equals no full re-run; the index records it
+# in its meta and the probe refuses an index banded otherwise.
+LINKAGE_BANDS = MinHashBands(num_perm=64, bands=32, shingle_k=2, seed=13)
 
 
 def extract_keys(docs: rd.Dataset) -> rd.Dataset:
@@ -179,10 +187,6 @@ def match_edges(
     allpairs_salts: tuple[int, int] = (8, 8),
     blocking: str = "exact",
     num_partitions: int = 32,
-    minhash_bands: int = 32,
-    minhash_perm: int = 64,
-    shingle_k: int = 2,
-    tile_bucket: int | None = None,
     ckpt_parts: tuple[int, list[int], str] | None = None,
 ) -> rd.Dataset:
     """Self-join the key table under fozziejoin string semantics; edges
@@ -192,8 +196,9 @@ def match_edges(
     - "exact": the method's recall-complete strategy (for jw this is a
       salted cross product — O(n^2) candidates, exactly the reference's
       all-pairs semantics; fine up to ~10^4-10^5 keys);
-    - "minhash": banded MinHash buckets over key shingles generate
-      candidates, the string kernel verifies ``dist <= max_distance``.
+    - "minhash": :data:`LINKAGE_BANDS` MinHash buckets over key
+      shingles generate candidates, the string kernel verifies
+      ``dist <= max_distance``.
       Near-linear in corpus size; recall is approximate (a matching
       pair is missed only if no band agrees — vanishing for the high
       shingle overlap that small string distances imply). This is the
@@ -261,7 +266,7 @@ def match_edges(
     # Fused LSH candidate generation + verification (shared machinery,
     # dedup.lsh_fused_edges): exactly-once across bands, no candidate
     # dedup shuffle, no text join-back.
-    from .dedup import MinHashBands, lsh_fused_edges
+    from .dedup import lsh_fused_edges
 
     score_fn, prefilter = string_scorer(method, max_distance, q)
     scored = lsh_fused_edges(
@@ -269,9 +274,8 @@ def match_edges(
         "key",
         "rep",
         score_fn,
-        key=MinHashBands(minhash_perm, minhash_bands, shingle_k),
+        key=LINKAGE_BANDS,
         num_partitions=num_partitions,
-        tile_bucket=tile_bucket,
         prefilter=prefilter,
     )
     edges = scored.map_batches(
@@ -302,7 +306,13 @@ def match_edges(
     return out
 
 
-def cluster_documents(
+def cluster_documents(docs: rd.Dataset, **kwargs) -> rd.Dataset:
+    """(doc_id, cluster_id) for every document: :func:`cluster_keys`
+    without its key column (same keyword arguments)."""
+    return _project(cluster_keys(docs, **kwargs), ["doc_id", "cluster_id"])
+
+
+def cluster_keys(
     docs: rd.Dataset,
     *,
     method: str = "jaro_winkler",
@@ -315,12 +325,16 @@ def cluster_documents(
     id_type: pa.DataType = pa.string(),
     blocking: str = "exact",
 ) -> rd.Dataset:
-    """(doc_id, cluster_id) for every document; cluster_id = min doc_id of
-    the connected component; singletons cluster to themselves.
+    """(doc_id, key, cluster_id) for every document: its extracted key
+    and its cluster, cluster_id = min doc_id of the connected component;
+    singletons cluster to themselves. Keys are extracted and
+    materialized once, and the label join carries them along, so the
+    nightly job writes its clusters, its key table and its LSH index
+    from this one table.
 
     ``id_type`` is the Arrow type of ``doc_id`` — passed explicitly so no
     ``schema()`` sampling executes on the (possibly derived) input."""
-    keys = extract_keys(docs)
+    keys = extract_keys(docs).materialize()
 
     params = {
         "method": method,
@@ -373,27 +387,22 @@ def cluster_documents(
         labels = connected_components(edges, "src", "dst", num_partitions=num_partitions)
 
     # every document gets a cluster row; unmatched docs cluster to themselves
-    labels_r = labels.map_batches(
-        lambda t: pa.table({"__cc_node": t["node"], "__cc_lbl": t["cluster"]}),
-        batch_format="pyarrow",
-    )
-    idt = id_type
-    ids = keys.map_batches(lambda t: t.select(["doc_id"]), batch_format="pyarrow")
     joined = hash_join(
-        ids,
-        labels_r,
+        keys,
+        labels,
         "doc_id",
-        "__cc_node",
+        "node",
         how="left_outer",
         num_partitions=num_partitions,
-        left_schema=pa.schema([("doc_id", idt)]),
-        right_schema=pa.schema([("__cc_node", idt), ("__cc_lbl", idt)]),
+        left_schema=pa.schema([("doc_id", id_type), ("key", pa.string())]),
+        right_schema=pa.schema([("node", id_type), ("cluster", id_type)]),
     )
     return joined.map_batches(
         lambda t: pa.table(
             {
                 "doc_id": t["doc_id"],
-                "cluster_id": pc.coalesce(t["__cc_lbl"], t["doc_id"]),
+                "key": t["key"],
+                "cluster_id": pc.coalesce(t["cluster"], t["doc_id"]),
             }
         ),
         batch_format="pyarrow",
@@ -429,7 +438,7 @@ def _distinct_key_reps(keys: rd.Dataset, num_partitions: int) -> rd.Dataset:
     """(doc_id, key), one row per distinct non-null key, doc_id = the
     min id holding that key — the match_edges value-dedup rep
     (:func:`_key_rep_rows`), exposed for the incremental cross join and
-    the persisted LSH index; output bounded by distinct-key
+    the persisted-index probe; output bounded by distinct-key
     cardinality."""
     return _key_rep_rows(keys, num_partitions).map_batches(
         lambda t: t.filter(pc.equal(t["doc_id"], t["rep"])).select(["doc_id", "key"]),
@@ -450,9 +459,6 @@ def cluster_documents_incremental(
     num_partitions: int = 32,
     id_type: pa.DataType = pa.string(),
     blocking: str = "exact",
-    minhash_bands: int = 32,
-    minhash_perm: int = 64,
-    shingle_k: int = 2,
     old_index_dir: str | None = None,
 ) -> rd.Dataset:
     """Fold NEW documents into an EXISTING clustering without
@@ -487,8 +493,8 @@ def cluster_documents_incremental(
     signatures are a pure per-key hash, so whether a key PAIR shares a
     band is corpus-independent — the incremental candidate set for any
     new-old / new-new pair equals the full run's, and the equivalence
-    guarantee carries over verbatim PROVIDED the prior run used the
-    same banding parameters. Both cross sides are value-deduped to
+    guarantee carries over verbatim, since every run bands with
+    :data:`LINKAGE_BANDS`. Both cross sides are value-deduped to
     distinct keys first (the match_edges rep design): same-key docs
     are already tied (zero distance) within their own side, so one
     representative per distinct key carries all cross connectivity.
@@ -505,18 +511,20 @@ def cluster_documents_incremental(
     execution shape).
 
     ``old_index_dir`` (minhash only) is the production fold-in path:
-    point it at a :func:`~fozziejoin_ray.pipelines.linkage_index.
-    build_linkage_lsh_index` directory persisted by the nightly run
-    and the cross join probes that index partition-locally instead of
-    re-exchanging the old key table — per-delta shuffle volume drops
-    from O(N_old) to O(delta x bands); same candidate semantics
-    (pytest pins probe == live cross == full re-run)."""
+    point it at the cluster-baked index the nightly run persisted
+    (:mod:`~fozziejoin_ray.pipelines.linkage_index`) and the cross join
+    probes that index partition-locally instead of re-exchanging the
+    old key table — per-delta shuffle volume drops from O(N_old) to
+    O(delta x bands); same candidate semantics (pytest pins probe ==
+    live cross == full re-run). The index's ids are old cluster ids, so
+    probe edges need no cluster-collapse join. The probe raises
+    ``ValueError`` for an index of other banding or one not
+    cluster-baked."""
     new_keys = extract_keys(new_docs)
     if blocking not in ("exact", "minhash"):
         raise ValueError(f"blocking must be 'exact' or 'minhash', got {blocking!r}")
     if old_index_dir is not None and blocking != "minhash":
         raise ValueError("old_index_dir is a minhash-tier feature; pass blocking='minhash'")
-    _index_has_clusters = False
 
     nn = match_edges(
         new_keys,
@@ -527,139 +535,88 @@ def cluster_documents_incremental(
         allpairs_salts=allpairs_salts,
         blocking=blocking,
         num_partitions=num_partitions,
-        minhash_bands=minhash_bands,
-        minhash_perm=minhash_perm,
-        shingle_k=shingle_k,
     )
 
-    if blocking == "exact":
-        no = build_edges_blocked(
-            new_keys,
-            old_keys,
-            [("key", "key")],
-            method,
-            max_distance,
-            q,
-            0,
-            0.0,
-            "doc_id",
-            "doc_id",
-            pair_budget=pair_budget,
-            allpairs_salts=allpairs_salts,
-        )
-    elif old_index_dir is not None:
-        import json as _json
-        import os as _os
-
+    if old_index_dir is not None:
         from .linkage_index import probe_linkage_lsh_index
 
-        with open(_os.path.join(old_index_dir, "index_meta.json")) as _f:
-            _meta = _json.load(_f)
-        _index_has_clusters = bool(_meta.get("has_clusters"))
-        # banding params MUST agree between the index (new-old probe)
-        # and the new-new self-join, or the candidate set matches
-        # neither parameterization's full re-run
-        _want = {
-            "minhash_bands": minhash_bands,
-            "minhash_perm": minhash_perm,
-            "shingle_k": shingle_k,
-        }
-        _mismatch = {
-            k: (_meta.get(k), v) for k, v in _want.items() if _meta.get(k) != v
-        }
-        if _mismatch:
-            raise ValueError(
-                f"old_index_dir banding params disagree with the fold-in's: "
-                f"{_mismatch} (index value, argument value) — rebuild the "
-                "index or pass matching minhash_* arguments"
-            )
-        no = probe_linkage_lsh_index(
-            new_keys,
-            old_index_dir,
-            method=method,
-            max_distance=max_distance,
-            q=q,
-        ).map_batches(
-            lambda t: pa.table({"__fj_lid": t["src"], "__fj_rid": t["dst"]}),
-            batch_format="pyarrow",
-        )
-    else:
-        from ..joins.string_join import build_edges_lsh
-
-        no = build_edges_lsh(
-            _distinct_key_reps(new_keys, num_partitions),
-            _distinct_key_reps(old_keys, num_partitions),
-            [("key", "key")],
-            method,
-            max_distance,
-            q,
-            0,
-            0.0,
-            "doc_id",
-            "doc_id",
-            num_partitions=num_partitions,
-            num_perm=minhash_perm,
-            bands=minhash_bands,
-            shingle_k=shingle_k,
-        )
-    def _sd(src_col, dst_col):
-        return lambda t: pa.table({"src": t[src_col], "dst": t[dst_col]})
-
-    if old_index_dir is not None and _index_has_clusters:
-        # the index baked cluster supervertices into its rep ids: probe
-        # edges are already (new doc, old cluster) — the fold-in's last
-        # O(N_old) exchange (the cluster-collapse join) disappears
-        no_c = no.map_batches(
-            lambda t: pa.table({"__fj_lid": t["__fj_lid"], "__oc_cl": t["__fj_rid"]}),
-            batch_format="pyarrow",
-        )
-    else:
-        oc = old_clusters.map_batches(
-            lambda t: pa.table({"__oc_doc": t["doc_id"], "__oc_cl": t["cluster_id"]}),
-            batch_format="pyarrow",
-        )
-        # collapse the old endpoint to its cluster supervertex
-        no_c = hash_join(
-            no.map_batches(
-                lambda t: pa.table({"__fj_lid": t["__fj_lid"], "__fj_rid": t["__fj_rid"]}),
-                batch_format="pyarrow",
+        # the index's ids are old cluster ids: probe edges are already
+        # (new doc, old cluster), with no O(N_old) collapse join
+        no_c = _project(
+            probe_linkage_lsh_index(
+                new_keys, old_index_dir, method=method, max_distance=max_distance, q=q
             ),
-            oc,
-            "__fj_rid",
-            "__oc_doc",
-            how="inner",
-            num_partitions=num_partitions,
-            left_schema=pa.schema([("__fj_lid", id_type), ("__fj_rid", id_type)]),
-            right_schema=pa.schema([("__oc_doc", id_type), ("__oc_cl", id_type)]),
+            ["src", "dst"],
+        )
+    else:
+        if blocking == "exact":
+            no = build_edges_blocked(
+                new_keys,
+                old_keys,
+                [("key", "key")],
+                method,
+                max_distance,
+                q,
+                0,
+                0.0,
+                "doc_id",
+                "doc_id",
+                pair_budget=pair_budget,
+                allpairs_salts=allpairs_salts,
+            )
+        else:
+            from ..joins.string_join import build_edges_lsh
+
+            no = build_edges_lsh(
+                _distinct_key_reps(new_keys, num_partitions),
+                _distinct_key_reps(old_keys, num_partitions),
+                [("key", "key")],
+                method,
+                max_distance,
+                q,
+                0,
+                0.0,
+                "doc_id",
+                "doc_id",
+                num_partitions=num_partitions,
+                num_perm=LINKAGE_BANDS.num_perm,
+                bands=LINKAGE_BANDS.bands,
+                shingle_k=LINKAGE_BANDS.shingle_k,
+            )
+        # collapse the old endpoint to its cluster supervertex
+        no_c = _project(
+            hash_join(
+                _project(no, ["__fj_lid", "__fj_rid"]),
+                old_clusters,
+                "__fj_rid",
+                "doc_id",
+                how="inner",
+                num_partitions=num_partitions,
+                left_schema=pa.schema([("__fj_lid", id_type), ("__fj_rid", id_type)]),
+                right_schema=pa.schema([("doc_id", id_type), ("cluster_id", id_type)]),
+            ),
+            ["src", "dst"],
+            rename={"__fj_lid": "src", "cluster_id": "dst"},
         )
 
-    edges = nn.map_batches(_sd("src", "dst"), batch_format="pyarrow").union(
-        no_c.map_batches(_sd("__fj_lid", "__oc_cl"), batch_format="pyarrow")
-    )
-    labels = connected_components(edges, "src", "dst", num_partitions=num_partitions)
+    edges = _project(nn, ["src", "dst"]).union(no_c)
     # delta-bounded: one row per node touched by a new edge; materialized
     # once because both the new-doc join and the relabel broadcast read it
-    labels_r = labels.map_batches(
-        lambda t: pa.table({"__cc_node": t["node"], "__cc_lbl": t["cluster"]}),
-        batch_format="pyarrow",
-    ).materialize()
+    labels = connected_components(edges, "src", "dst", num_partitions=num_partitions).materialize()
 
     # new docs: their own node's label, else themselves
-    new_ids = new_keys.map_batches(
-        lambda t: t.select(["doc_id"]), batch_format="pyarrow"
-    )
     new_out = hash_join(
-        new_ids,
-        labels_r,
+        _project(new_keys, ["doc_id"]),
+        labels,
         "doc_id",
-        "__cc_node",
+        "node",
         how="left_outer",
         num_partitions=num_partitions,
         left_schema=pa.schema([("doc_id", id_type)]),
-        right_schema=pa.schema([("__cc_node", id_type), ("__cc_lbl", id_type)]),
+        right_schema=pa.schema([("node", id_type), ("cluster", id_type)]),
     ).map_batches(
         lambda t: pa.table(
-            {"doc_id": t["doc_id"], "cluster_id": pc.coalesce(t["__cc_lbl"], t["doc_id"])}
+            {"doc_id": t["doc_id"], "cluster_id": pc.coalesce(t["cluster"], t["doc_id"])}
         ),
         batch_format="pyarrow",
     )
@@ -672,9 +629,9 @@ def cluster_documents_incremental(
     import ray as _ray
 
     mk, mv = [], []
-    for b in labels_r.iter_batches(batch_size=None, batch_format="pyarrow"):
-        mk.append(b["__cc_node"].to_numpy(zero_copy_only=False))
-        mv.append(b["__cc_lbl"].to_numpy(zero_copy_only=False))
+    for b in labels.iter_batches(batch_size=None, batch_format="pyarrow"):
+        mk.append(b["node"].to_numpy(zero_copy_only=False))
+        mv.append(b["cluster"].to_numpy(zero_copy_only=False))
     mk = np.concatenate(mk) if mk else np.empty(0, dtype=object)
     mv = np.concatenate(mv) if mv else np.empty(0, dtype=object)
     order = np.argsort(mk, kind="stable")

@@ -4,7 +4,9 @@
 old key table through the band exchange on every fold-in — correct, but
 O(N_old) shuffle per daily delta. This module removes that term: the
 nightly run persists its banded-MinHash emission table ONCE, hive-
-partitioned by bucket hash, and each daily probe
+partitioned by bucket hash, from its keyed label join (each distinct
+key labelled with its cluster, so the index's ids ARE old cluster
+ids), and each daily probe
 
     new reps ── same banding ──► route by bucket partition   [exchange
                                                               of the
@@ -40,96 +42,73 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
 from ..exchange import partition_ids
-from .dedup import MinHashBands, _band_emitter, _bucket_scorer
+from .dedup import _band_emitter, _bucket_scorer
+from .linkage import LINKAGE_BANDS, JaroCharBoundFilter, _distinct_key_reps, string_scorer
 
 _META = "index_meta.json"
+_BANDING = {
+    "minhash_bands": LINKAGE_BANDS.bands,
+    "minhash_perm": LINKAGE_BANDS.num_perm,
+    "shingle_k": LINKAGE_BANDS.shingle_k,
+    "seed": LINKAGE_BANDS.seed,
+}
+
+# The live join's band emission (text carried). The sketch is the jaro
+# char-bound's, which is threshold-independent (the threshold enters
+# only at ``keep`` time), so the index serves any jw ``max_distance``;
+# non-jaro probes simply ignore it.
+_emit = _band_emitter("key", "doc_id", LINKAGE_BANDS, prefilter=JaroCharBoundFilter(0.0))
 
 
-def _index_emission(reps: rd.Dataset, meta: dict) -> rd.Dataset:
-    """(doc_id, key) reps -> the live join's band emission (text
-    carried) plus ``__part``, the bucket's hash partition. The sketch is
-    the jaro char-bound's, which is threshold-independent (the threshold
-    enters only at ``keep`` time), so the index serves any jw
-    ``max_distance``; non-jaro probes simply ignore it."""
-    from .linkage import JaroCharBoundFilter
-
-    emit = _band_emitter(
-        "key",
-        "doc_id",
-        MinHashBands(meta["minhash_perm"], meta["minhash_bands"], meta["shingle_k"], meta["seed"]),
-        prefilter=JaroCharBoundFilter(0.0),
-    )
-    P = meta["num_partitions"]
-
-    def fn(t: pa.Table) -> pa.Table:
-        e = emit(t)
-        return e.append_column("__part", pa.array(partition_ids([e["__bucket"]], P)))
-
-    return reps.map_batches(fn, batch_format="pyarrow")
-
-
-def build_linkage_lsh_index(
-    old_keys: rd.Dataset,
-    index_dir: str,
-    *,
-    old_clusters: rd.Dataset | None = None,
-    minhash_bands: int = 32,
-    minhash_perm: int = 64,
-    shingle_k: int = 2,
-    seed: int = 13,
-    num_partitions: int = 32,
-    id_type: pa.DataType = pa.string(),
-) -> dict:
-    """Persist the banded emission of ``old_keys``' distinct-key reps,
-    hive-partitioned by bucket-hash partition (`write_partitioned`
-    layout: resumable, partition-prunable). Returns the meta dict also
-    written to ``index_dir/index_meta.json``.
-
-    Pass ``old_clusters`` (the nightly run's (doc_id, cluster_id)) to
-    bake each rep's cluster supervertex INTO the index: probes then
-    emit (new doc, old CLUSTER) edges directly, and the fold-in skips
-    its only remaining O(N_old) exchanges (the cluster-collapse join).
-    The rep->cluster join runs once here, amortized into the nightly
-    build."""
-    from .linkage import _distinct_key_reps
-
-    meta = {
-        "minhash_bands": minhash_bands,
-        "minhash_perm": minhash_perm,
-        "shingle_k": shingle_k,
-        "seed": seed,
-        "num_partitions": num_partitions,
-        "has_clusters": old_clusters is not None,
-    }
-    reps = _distinct_key_reps(old_keys, num_partitions)
-    if old_clusters is not None:
-        from ..joins.hashjoin import hash_join
-
-        oc = old_clusters.map_batches(
-            lambda t: pa.table({"__ix_doc": t["doc_id"], "__ix_cl": t["cluster_id"]}),
-            batch_format="pyarrow",
+def _read_meta(index_dir: str) -> dict:
+    """The index's meta, checked: probing an index of other banding, or
+    one whose ids are doc ids rather than cluster ids (its meta carries
+    a ``has_clusters`` key), would give a fold-in that equals no full
+    re-run."""
+    with open(os.path.join(index_dir, _META)) as f:
+        meta = json.load(f)
+    want = {**_BANDING, "num_partitions": meta.get("num_partitions")}
+    if meta != want:
+        raise ValueError(
+            f"{index_dir} is not a cluster-baked index of this banding: its "
+            f"{_META} is {meta}, expected {want}; rebuild it"
         )
-        reps = hash_join(
-            reps,
-            oc,
-            "doc_id",
-            "__ix_doc",
-            how="inner",
-            num_partitions=num_partitions,
-            left_schema=pa.schema([("doc_id", id_type), ("key", pa.string())]),
-            right_schema=pa.schema([("__ix_doc", id_type), ("__ix_cl", id_type)]),
-        ).map_batches(
-            # the probe connects to the CLUSTER supervertex, so the rep's
-            # doc id can simply BE its cluster id from here on
-            lambda t: pa.table({"doc_id": t["__ix_cl"], "key": t["key"]}),
-            batch_format="pyarrow",
-        )
-    emitted = _index_emission(reps, meta)
+    return meta
+
+
+def _with_part(e: pa.Table, num_partitions: int) -> pa.Table:
+    """``__part``: the hash partition of each emission row's bucket."""
+    return e.append_column("__part", pa.array(partition_ids([e["__bucket"]], num_partitions)))
+
+
+def write_linkage_lsh_index(labelled: rd.Dataset, index_dir: str, *, num_partitions: int = 32) -> dict:
+    """Persist the banded emission of a (doc_id, key, cluster_id) table
+    — the nightly run's keyed label join — hive-partitioned by
+    bucket-hash partition (`write_partitioned` layout: resumable,
+    partition-prunable). Returns the meta dict also written to
+    ``index_dir/index_meta.json``.
+
+    The index holds one row per band of each distinct non-null key,
+    its id the cluster of the key's min doc id: probes then emit (new
+    doc, old CLUSTER) edges directly, and the fold-in needs no
+    cluster-collapse join. Every doc emits its bands; all copies of a
+    key land in the same bucket partitions, where the write keeps the
+    min doc id's row per (bucket, key), so no value-dedup exchange
+    runs before the emission."""
+    meta = {**_BANDING, "num_partitions": num_partitions}
+
+    def emit(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t["key"]))
+        e = _emit(t)  # LINKAGE_BANDS.bands consecutive rows per input row
+        cl = t["cluster_id"].take(pa.array(np.repeat(np.arange(t.num_rows), LINKAGE_BANDS.bands)))
+        return _with_part(e.append_column("__cl", cl), num_partitions)
+
     # each partition is written SORTED by bucket in small row groups, so
     # probes prune to the row groups overlapping the delta's buckets via
     # parquet min/max statistics instead of scanning the whole partition
@@ -137,16 +116,53 @@ def build_linkage_lsh_index(
 
     def write_part(t: pa.Table) -> pa.Table:
         part = int(t["__part"][0].as_py())
-        srt = t.sort_by("__bucket").drop_columns(["__part", "__lsh_side"])
+        # every copy of a key emits the same buckets: keep one row per
+        # (bucket, key), the one of the key's min doc id
+        t = t.sort_by([("__bucket", "ascending"), ("key", "ascending"), ("doc_id", "ascending")])
+        b, k = (t[c].to_numpy(zero_copy_only=False) for c in ("__bucket", "key"))
+        t = t.filter(pa.array(np.r_[True, (b[1:] != b[:-1]) | (k[1:] != k[:-1])]))
+        srt = pa.table(
+            {"__bucket": t["__bucket"], "doc_id": t["__cl"], "key": t["key"], "__bh": t["__bh"], "__sk": t["__sk"]}
+        )
         d = os.path.join(index_dir, f"__part={part}")
         os.makedirs(d, exist_ok=True)
         pq.write_table(srt, os.path.join(d, "index.parquet"), row_group_size=65536)
-        return pa.table({"part": pa.array([part], pa.int64()), "rows": pa.array([t.num_rows], pa.int64())})
+        return pa.table({"part": pa.array([part], pa.int64()), "rows": pa.array([srt.num_rows], pa.int64())})
 
-    emitted.groupby("__part").map_groups(write_part, batch_format="pyarrow").count()
+    labelled.map_batches(emit, batch_format="pyarrow").groupby("__part").map_groups(
+        write_part, batch_format="pyarrow"
+    ).count()
     with open(os.path.join(index_dir, _META), "w") as f:
         json.dump(meta, f)
     return meta
+
+
+def build_linkage_lsh_index(
+    keys: rd.Dataset,
+    index_dir: str,
+    *,
+    old_clusters: rd.Dataset,
+    num_partitions: int = 32,
+    id_type: pa.DataType = pa.string(),
+) -> dict:
+    """:func:`write_linkage_lsh_index` of ``keys`` (an
+    :func:`~fozziejoin_ray.pipelines.linkage.extract_keys` table)
+    labelled by ``old_clusters`` (their run's (doc_id, cluster_id)):
+    the index for key and cluster tables that were not produced
+    together, as in the incremental job."""
+    from ..joins.hashjoin import hash_join
+
+    labelled = hash_join(
+        keys,
+        old_clusters,
+        "doc_id",
+        "doc_id",
+        how="inner",
+        num_partitions=num_partitions,
+        left_schema=pa.schema([("doc_id", id_type), ("key", pa.string())]),
+        right_schema=pa.schema([("doc_id", id_type), ("cluster_id", id_type)]),
+    )
+    return write_linkage_lsh_index(labelled, index_dir, num_partitions=num_partitions)
 
 
 def _read_part(
@@ -207,12 +223,12 @@ def probe_linkage_lsh_index(
     the new side alone holds more than ``max_bucket`` rows, generated
     exactly once (first such band owns the pair), then verified with
     the exact string kernel."""
-    from .linkage import _distinct_key_reps, string_scorer
-
-    with open(os.path.join(index_dir, _META)) as f:
-        meta = json.load(f)
-    P = meta["num_partitions"]
-    new_emit = _index_emission(_distinct_key_reps(new_keys, P), meta).materialize()
+    P = _read_meta(index_dir)["num_partitions"]
+    new_emit = (
+        _distinct_key_reps(new_keys, P)
+        .map_batches(lambda t: _with_part(_emit(t), P), batch_format="pyarrow")
+        .materialize()
+    )
 
     # ---- phase A: per-side census -> the (tiny) capped set. The cap
     # rule mirrors the live two-table LSH join exactly (dedup.py
@@ -248,7 +264,7 @@ def probe_linkage_lsh_index(
         "doc_id",
         "key",
         score_fn,
-        bands=meta["minhash_bands"],
+        bands=LINKAGE_BANDS.bands,
         max_bucket=max_bucket,
         prefilter=prefilter,
         two_table=True,

@@ -97,3 +97,94 @@ def test_job_nightly_daily_cycle(tmp_path, capsys):
     got = pq.read_table(str(tmp_path / "daily")).sort_by("doc_id")
     want = pq.read_table(str(tmp_path / "full")).sort_by("doc_id")
     assert got.equals(want)
+
+
+def _nightly(tmp_path):
+    return main([
+        "--input", f"{SF}/documents.parquet", "--spansify",
+        "--output", str(tmp_path / "nightly"),
+        "--num-partitions", "4", "--blocking", "minhash",
+        "--emit-keys", str(tmp_path / "keys"),
+        "--build-index", str(tmp_path / "idx"),
+    ])
+
+
+def test_nightly_is_one_pass(tmp_path, capsys, monkeypatch):
+    """The nightly run extracts keys and runs the value-dedup exchange
+    once each, and writes clusters, keys and index from the keyed label
+    join: 4 groupby exchanges outside connected components (rep
+    exchange, LSH bucket exchange, label join, index write)."""
+    import ray.data as rd
+
+    from fozziejoin_ray.pipelines import linkage
+
+    calls = {"extract_keys": 0, "_key_rep_rows": 0, "groupby": 0}
+    in_cc = [False]
+
+    def counted(name):
+        orig = getattr(linkage, name)
+
+        def fn(*a, **kw):
+            calls[name] += 1
+            return orig(*a, **kw)
+
+        return fn
+
+    for name in ("extract_keys", "_key_rep_rows"):
+        monkeypatch.setattr(linkage, name, counted(name))
+    orig_cc = linkage.connected_components
+
+    def cc(*a, **kw):
+        in_cc[0] = True
+        try:
+            return orig_cc(*a, **kw)
+        finally:
+            in_cc[0] = False
+
+    monkeypatch.setattr(linkage, "connected_components", cc)
+    orig_groupby = rd.Dataset.groupby
+
+    def groupby(self, *a, **kw):
+        calls["groupby"] += not in_cc[0]
+        return orig_groupby(self, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "groupby", groupby)
+    assert _nightly(tmp_path) == 0
+    capsys.readouterr()
+    assert calls == {"extract_keys": 1, "_key_rep_rows": 1, "groupby": 4}
+
+
+def _index_rows(d):
+    """All index partitions' rows, sorted: (bucket, key) is unique."""
+    import glob
+
+    import pyarrow as pa
+
+    t = pa.concat_tables([pq.read_table(f) for f in sorted(glob.glob(f"{d}/__part=*/*.parquet"))])
+    return t.sort_by([("__bucket", "ascending"), ("key", "ascending")])
+
+
+def test_nightly_index_equals_public_build(tmp_path, capsys):
+    """The index the nightly CLI writes from its keyed label join holds
+    the same rows, across all partitions, as the public
+    build_linkage_lsh_index over the same keys and the nightly's own
+    cluster output."""
+    import ray.data as rd
+
+    from fozziejoin_ray.pipelines.linkage import extract_keys
+    from fozziejoin_ray.pipelines.linkage_index import build_linkage_lsh_index
+    from fozziejoin_ray.sources.docgen import spansify_table
+
+    assert _nightly(tmp_path) == 0
+    capsys.readouterr()
+    docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"]).map_batches(
+        spansify_table, batch_format="pyarrow"
+    )
+    build_linkage_lsh_index(
+        extract_keys(docs), str(tmp_path / "idx_public"),
+        old_clusters=rd.read_parquet(str(tmp_path / "nightly")), num_partitions=4,
+    )
+    got = _index_rows(tmp_path / "idx")
+    want = _index_rows(tmp_path / "idx_public")
+    assert got.num_rows > 0
+    assert got.equals(want)

@@ -485,7 +485,9 @@ def test_incremental_index_probe_equals_live_cross(docs_and_labels, tmp_path):
         blocking="minhash", num_partitions=8,
     )
 
-    build_linkage_lsh_index(old_keys, str(tmp_path / "idx"), num_partitions=8)
+    build_linkage_lsh_index(
+        old_keys, str(tmp_path / "idx"), old_clusters=old_clusters, num_partitions=8
+    )
 
     def run(index_dir):
         return {
@@ -548,7 +550,9 @@ def test_index_probe_cap_semantics_vs_brute():
     import tempfile
 
     with tempfile.TemporaryDirectory() as d:
-        build_linkage_lsh_index(old, d, num_partitions=4)
+        old_ids = pa.array([f"o{i:03d}" for i in range(len(old_keys_v))])
+        identity = rd.from_arrow(pa.table({"doc_id": old_ids, "cluster_id": old_ids}))
+        build_linkage_lsh_index(old, d, old_clusters=identity, num_partitions=4)
         MAXB = 2
         got = {
             (r["src"], r["dst"])
@@ -587,6 +591,48 @@ def test_index_probe_cap_semantics_vs_brute():
     assert want  # scenario sanity: some pairs survive
     # scenario sanity: the cap actually bit somewhere
     assert any(c > MAXB for c in cnt_o.values())
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"minhash_bands": 16},  # other banding
+        {"seed": 7},
+        {"has_clusters": False},  # ids are rep doc ids, not cluster ids
+    ],
+)
+def test_fold_in_rejects_foreign_index(docs_and_labels, tmp_path, edit):
+    """index_meta.json is outside input: the fold-in refuses an index of
+    other banding or one that is not cluster-baked, since probing it
+    would give a fold-in that equals no full re-run."""
+    import json
+
+    from fozziejoin_ray.pipelines.linkage import cluster_documents_incremental
+    from fozziejoin_ray.pipelines.linkage_index import build_linkage_lsh_index
+
+    docs_t, _ = docs_and_labels
+    old_t, new_t = docs_t.slice(0, 40), docs_t.slice(40, 10)
+    old_keys = extract_keys(rd.from_arrow(old_t))
+    old_clusters = cluster_documents(
+        rd.from_arrow(old_t), method=METHOD, max_distance=MAXD,
+        blocking="minhash", num_partitions=4,
+    )
+    d = tmp_path / "idx"
+    build_linkage_lsh_index(old_keys, str(d), old_clusters=old_clusters, num_partitions=4)
+
+    def fold_in():
+        return cluster_documents_incremental(
+            rd.from_arrow(new_t), old_keys, old_clusters, method=METHOD,
+            max_distance=MAXD, blocking="minhash", num_partitions=4,
+            old_index_dir=str(d),
+        ).take_all()
+
+    assert len(fold_in()) == docs_t.slice(0, 50).num_rows
+    meta_path = d / "index_meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, **edit}))
+    with pytest.raises(ValueError, match="not a cluster-baked index of this banding"):
+        fold_in()
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47])
