@@ -161,40 +161,6 @@ def _driver_union_find_batches(batches, src: str, dst: str, node_type=None) -> "
     )
 
 
-def _driver_union_find(edge_pairs, node_type=None) -> "rd.Dataset":
-    """Exact union-find on the driver for small edge sets."""
-    parent: dict = {}
-
-    def find(x):
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
-    for a, b in edge_pairs:
-        if a not in parent:
-            parent[a] = a
-        if b not in parent:
-            parent[b] = b
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-    nodes = list(parent)
-    labels = [find(n) for n in nodes]
-    return rd.from_arrow(
-        pa.table(
-            {
-                NODE: pa.array(nodes, type=node_type),
-                CLUSTER: pa.array(labels, type=node_type),
-            }
-        )
-    )
-
-
 def _contract_round(edges: rd.Dataset, num_partitions: int) -> rd.Dataset:
     """Parallel graph contraction (the sparsify step of two-phase CC):
     hash-partition edges on ``a``, run an exact union-find inside each
@@ -227,7 +193,7 @@ def _contract_round(edges: rd.Dataset, num_partitions: int) -> rd.Dataset:
     return exchange(edges, "a", num_partitions, contract_part, batch_format="pandas")
 
 
-def _star_round(edges: rd.Dataset, kind: str, num_partitions: int = 32) -> rd.Dataset:
+def _star_round(edges: rd.Dataset, kind: str, num_partitions: int) -> rd.Dataset:
     """One large- or small-star half-round. ``edges`` columns (a, b).
 
     large: group neighbors around each center u (both directions);
@@ -407,8 +373,8 @@ def connected_components(
         n = n2
     prev = _edges_checksum(e)
     for _ in range(max_iters):
-        e = _star_round(e, "large").materialize()
-        e = _star_round(e, "small").materialize()
+        e = _star_round(e, "large", num_partitions).materialize()
+        e = _star_round(e, "small", num_partitions).materialize()
         chk = _edges_checksum(e)
         if chk == prev:
             break

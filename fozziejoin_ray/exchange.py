@@ -21,9 +21,10 @@ then ``groupby(tag).map_groups(fn)``. This module owns both halves:
   output from its Arrow form, where a null-degraded float64 key is
   again a whole number.
 
-Sites that replicate rows, deliver to actors or write files (the LSH
-tile router, PageRank ownership, the persisted index build/probe, the
-blocked join's checkpoint filter) call :func:`partition_ids` directly.
+Sites that deliver to actors, filter or tag by partition, or name a
+partition's files (PageRank ownership, the checkpoint filters and
+tags, the persisted LSH index's ``__part=p`` directories) call
+:func:`partition_ids` directly.
 Content hashes (hashes of values that are NOT partition ids) stay
 where they are; ``kernels/stablehash.py`` keeps value hashing.
 """

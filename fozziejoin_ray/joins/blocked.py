@@ -49,7 +49,7 @@ from ..blocking.strategies import _cross_expand, id_salt_hash, strategy_for
 from ..exchange import partition_ids
 from ..kernels.strdist import edit_bag_bound, score_pairs
 from ..semantics import canon_method
-from .string_join import LID, RID, dist_names, refine_score
+from .string_join import LID, RID, dist_names, group_positions, refine_score
 
 BK = "__fj_bk"
 SIDE = "__fj_side"
@@ -206,17 +206,6 @@ def _plan_salts(
     return plan
 
 
-def _group_positions(codes: np.ndarray, n_uniq: int):
-    """Row positions per factorized code: (sorted positions, starts,
-    counts) so group k's rows are pos_sorted[starts[k] : starts[k]+counts[k]]."""
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    rng = np.arange(n_uniq, dtype=np.int64)
-    starts = np.searchsorted(sorted_codes, rng, side="left")
-    counts = np.searchsorted(sorted_codes, rng, side="right") - starts
-    return order, starts, counts
-
-
 def _make_group_scorer(cfg: dict):
     strategy = strategy_for(
         cfg["method"], cfg["max_distance"], cfg["q"], allpairs_salts=cfg["allpairs_salts"]
@@ -274,14 +263,14 @@ def _make_group_scorer(cfg: dict):
 
         lcodes, lu = pd.factorize(lkv[0][lpos])
         lu = np.asarray(lu, dtype=object)
-        lorder, lstarts, lcounts = _group_positions(lcodes, len(lu))
+        lorder, lstarts, lcounts = group_positions(lcodes, len(lu))
         lrows_sorted = lpos[lorder]
         if selfjoin:
             ru, rrows_sorted, rstarts, rcounts = lu, lrows_sorted, lstarts, lcounts
         else:
             rcodes, ru = pd.factorize(rkv[0][rpos])
             ru = np.asarray(ru, dtype=object)
-            rorder, rstarts, rcounts = _group_positions(rcodes, len(ru))
+            rorder, rstarts, rcounts = group_positions(rcodes, len(ru))
             rrows_sorted = rpos[rorder]
         if not len(lu) or not len(ru):
             return empty(t)

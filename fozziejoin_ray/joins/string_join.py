@@ -383,27 +383,25 @@ def build_edges_lsh(
     lid: str,
     rid: str,
     *,
+    key,
     num_partitions: int = 32,
-    num_perm: int = 64,
-    bands: int = 64,
-    shingle_k: int = 2,
-    tile_bucket: int | None = None,
 ) -> rd.Dataset:
     """Two-table LSH-blocked edges (see fuzzy_string_join strategy='lsh').
-    Both sides emit banded-MinHash buckets over their key's shingles; the
-    within-bucket left x right cross products are verified with the exact
-    string kernel. A pair that meets in several bands is emitted once,
-    by the first band it agrees on (first-agreeing-band ownership), so
-    no dedup step runs. jw rides the recall-lossless SWAR char-bound
-    prefilter.
+    Both sides emit ``key``'s buckets (a
+    :class:`~fozziejoin_ray.pipelines.dedup.MinHashBands`) over their
+    key's shingles; the within-bucket left x right cross products are
+    verified with the exact string kernel. A pair that meets in several
+    bands is emitted once, by the first band it agrees on
+    (first-agreeing-band ownership), so no dedup step runs. jw rides the
+    recall-lossless SWAR char-bound prefilter.
 
-    Default 64 bands x 1 row: a pair is missed only if NO single minhash
-    agrees — miss probability (1-j)^64, i.e. < 1e-9 even at shingle
-    jaccard 0.3 (short keys within small edit distances sit well above
-    that). One-row bands admit more junk candidates than multi-row
-    bands, but the prefilter + vectorized kernel make verification the
-    cheap side of the trade at join selectivities."""
-    from ..pipelines.dedup import MinHashBands, lsh_fused_edges
+    fuzzy_string_join's key is 64 bands x 1 row: a pair is missed only
+    if NO single minhash agrees — miss probability (1-j)^64, i.e. < 1e-9
+    even at shingle jaccard 0.3 (short keys within small edit distances
+    sit well above that). One-row bands admit more junk candidates than
+    multi-row bands, but the prefilter + vectorized kernel make
+    verification the cheap side of the trade at join selectivities."""
+    from ..pipelines.dedup import lsh_fused_edges
     from ..pipelines.linkage import string_scorer
 
     lkey, rkey = by[0]
@@ -413,9 +411,8 @@ def build_edges_lsh(
         lkey,
         lid,
         score_fn,
-        key=MinHashBands(num_perm, bands, shingle_k),
+        key=key,
         num_partitions=num_partitions,
-        tile_bucket=tile_bucket,
         prefilter=prefilter,
         right=right.select_columns([rid, rkey]),
         right_text_col=rkey,
@@ -538,8 +535,11 @@ def fuzzy_string_join(
         # every emitted edge is exact (kernel-verified). Single-key only.
         if len(by) != 1:
             raise ValueError("strategy='lsh' supports exactly one by key pair")
+        from ..pipelines.dedup import MinHashBands
+
         edges = build_edges_lsh(
             left, right, by, method, max_distance, q, max_prefix, prefix_weight, lid, rid,
+            key=MinHashBands(64, 64, 2),
             num_partitions=num_partitions,
         )
     else:

@@ -21,7 +21,7 @@ import ray.data as rd
 _EMPTY_U64 = np.empty(0, np.uint64)
 
 from ..cluster.union_find import connected_components
-from ..exchange import exchange, partition_ids
+from ..exchange import exchange
 from ..joins.hashjoin import hash_join
 
 _MERSENNE = (1 << 61) - 1
@@ -470,7 +470,6 @@ def _jaccard_edges(
     key,
     threshold: float,
     num_partitions: int,
-    tile_bucket: int | None = None,
 ) -> rd.Dataset:
     """Exact set-jaccard >= ``threshold`` edges over ``key``'s bucket
     candidates: one call to :func:`lsh_fused_edges`, with only the
@@ -506,7 +505,6 @@ def _jaccard_edges(
         score_fn,
         key=key,
         num_partitions=num_partitions,
-        tile_bucket=tile_bucket,
         prefilter=JaccardSizeBoundFilter(threshold),
     )
 
@@ -523,7 +521,6 @@ def minhash_lsh_dedup(
     seed: int = 13,
     num_partitions: int = 32,
     id_type=None,
-    tile_bucket: int | None = None,
 ) -> rd.Dataset:
     """Near-duplicate classes via MinHash+LSH: shingle -> minhash ->
     banded buckets -> candidate pairs -> exact-jaccard verify ->
@@ -542,7 +539,7 @@ def minhash_lsh_dedup(
         lambda t: t.select([id_col, text_col]), batch_format="pyarrow"
     ).materialize()
     key = MinHashBands(num_perm, bands, shingle_k, seed)
-    edges = _jaccard_edges(ds, text_col, id_col, key, threshold, num_partitions, tile_bucket)
+    edges = _jaccard_edges(ds, text_col, id_col, key, threshold, num_partitions)
     return _dup_groups(ds, edges, id_col, num_partitions, id_type)
 
 
@@ -942,29 +939,17 @@ def _own_pairs_mask(
 def _bucket_census(
     emitted: rd.Dataset,
     max_bucket: int,
-    tile_bucket: int | None = None,
     two_table: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Global LSH bucket census: (capped_ids, tile_ids, tile_nb).
-
-    ``capped_ids`` — sorted u64 ids of globally-capped buckets (count >
-    max_bucket; per (bucket, side) in two-table mode, collapsed back to
-    bucket ids): the stop-word cap, dropped entirely.
-
-    ``tile_ids``/``tile_nb`` (only when ``tile_bucket`` is set) — sorted
-    ids and block counts of LARGE buckets (tile_bucket < count <=
-    max_bucket; max over sides in two-table mode). Their quadratic pair
-    expansion is an indivisible straggler atom when one partition owns
-    the whole bucket (a near-cap bucket is ~max_bucket^2/2 pairs — tens
-    of seconds of one core while the rest of the node idles), so
-    lsh_fused_edges tiles them: rows split into nb = ceil(count /
-    tile_bucket) blocks and each block-pair routes to its own partition.
+) -> np.ndarray:
+    """Global LSH bucket census: the sorted u64 ids of globally-capped
+    buckets (count > max_bucket; per (bucket, side) in two-table mode,
+    collapsed back to bucket ids): the stop-word cap, dropped entirely.
 
     Two cheap passes over the materialized emission — the counts never
-    shuffle. Pass 1 (pigeonhole prune): a bucket with global count > T
-    over B blocks must have >= ceil((T+1)/B) rows in SOME block, so
-    per-block partials below that threshold can't belong to a candidate
-    and never reach the driver. Pass 2 exact-counts only the surviving
+    shuffle. Pass 1 (pigeonhole prune): a bucket with global count >
+    T = max_bucket over B blocks must have >= ceil((T+1)/B) rows in
+    SOME block, so per-block partials below that threshold can't belong
+    to a candidate and never reach the driver. Pass 2 exact-counts only the surviving
     candidates, folded vectorized (unique + bincount), no Python rows."""
 
     def _sided(t: pa.Table) -> np.ndarray:
@@ -976,12 +961,8 @@ def _bucket_census(
             col = (col << np.uint64(1)) | sd
         return col
 
-    # prune with the smaller threshold so BOTH capped and tile-large
-    # candidates survive pass 1 (tile_bucket > max_bucket just disables
-    # tiling — every bucket that big is capped anyway)
-    census_thresh = min(tile_bucket, max_bucket) if tile_bucket is not None else max_bucket
     n_blocks = max(1, emitted.num_blocks())
-    part_thresh = -(-(census_thresh + 1) // n_blocks)  # ceil
+    part_thresh = -(-(max_bucket + 1) // n_blocks)  # ceil
 
     def candidate_counts(t: pa.Table) -> pa.Table:
         u, c = np.unique(_sided(t), return_counts=True)
@@ -1031,23 +1012,7 @@ def _bucket_census(
     if two_table and len(capped_ids):
         # a capped side caps the whole bucket for ownership eligibility
         capped_ids = np.unique(capped_ids >> np.uint64(1))
-
-    tile_ids = _EMPTY_U64
-    tile_nb = np.empty(0, np.int64)
-    if tile_bucket is not None and len(uu):
-        lm = (tot > tile_bucket) & (tot <= max_bucket)
-        if two_table:
-            lb = uu[lm] >> np.uint64(1)
-            ub, invb = np.unique(lb, return_inverse=True)
-            mx = np.zeros(len(ub), np.int64)
-            np.maximum.at(mx, invb, tot[lm])
-            keep = ~np.isin(ub, capped_ids)
-            tile_ids, sz = ub[keep], mx[keep]
-        else:
-            tile_ids, sz = uu[lm], tot[lm]
-        # block count per tiled bucket; int8 block labels downstream
-        tile_nb = np.minimum(-(-sz // tile_bucket), 127).astype(np.int64)
-    return capped_ids, tile_ids, tile_nb
+    return capped_ids
 
 
 def _arr(t: pa.Table, col: str) -> pa.Array:
@@ -1205,8 +1170,7 @@ def _bucket_scorer(
     two_table: bool = False,
 ):
     """The bucket-partition scorer, ``score_part(t, capped) -> (a, b,
-    score)``: ``t`` holds every emission row of its buckets (plus, when
-    the router tiled a bucket, the ``__tp``/``__tc`` tile columns) and
+    score)``: ``t`` holds every emission row of its buckets and
     ``capped`` is the sorted global stop-word-capped bucket set. Pairs
     come from the within-bucket triu (self) or side-0 x side-1 cross
     (``two_table``) expansion with the fused ``prefilter``, keep only
@@ -1233,59 +1197,15 @@ def _bucket_scorer(
         S = None
         if prefilter is not None:
             S = _arr(t, "__sk").flatten().to_numpy(zero_copy_only=False).reshape(-1, skw)
-        # pairing group key: (bucket, tile-pair) when any row is tiled —
-        # lexsort-factorized so two tiles of one bucket (or of colliding
-        # buckets) never merge; plain bucket otherwise (fast path)
-        tparr = t["__tp"].to_numpy(zero_copy_only=False) if "__tp" in t.column_names else None
-        tiled = tparr is not None and bool((tparr != -1).any())
-        if tiled:
-            tp64 = tparr.astype(np.int64)
-            order = np.lexsort((tp64, bucket))
-            bs, ts = bucket[order], tp64[order]
-            brk = np.r_[True, (bs[1:] != bs[:-1]) | (ts[1:] != ts[:-1])]
-            gk = np.empty(len(bucket), np.int64)
-            gk[order] = np.cumsum(brk) - 1
-        else:
-            gk = bucket
         if two_table:
-            # tiles are (left block, right block) pairs: the one cross
-            # call over the composite key handles tiled and plain alike
             side = t["__lsh_side"].to_numpy(zero_copy_only=False)
             ai, bi = _cross_pairs_by_bucket(
-                gk, side, max_bucket=max_bucket, sketch=S, keep_fn=keepf
-            )
-        elif not tiled:
-            ai, bi = _triu_pairs_by_bucket(
-                gk, max_bucket=max_bucket, sketch=S, keep_fn=keepf
+                bucket, side, max_bucket=max_bucket, sketch=S, keep_fn=keepf
             )
         else:
-            # diagonal tiles (and untiled buckets) pair via triu;
-            # off-diagonal tiles via the two-side cross kernel with
-            # side = (this row's block == the tile's high block)
-            lo, hi = tp64 >> 7, tp64 & 127
-            diag = (tparr == -1) | (lo == hi)
-            d_idx = np.nonzero(diag)[0]
-            c_idx = np.nonzero(~diag)[0]
-            pa_parts: list[np.ndarray] = []
-            pb_parts: list[np.ndarray] = []
-            if len(d_idx):
-                aid, bid = _triu_pairs_by_bucket(
-                    gk[d_idx], max_bucket=max_bucket,
-                    sketch=S[d_idx] if S is not None else None, keep_fn=keepf,
-                )
-                pa_parts.append(d_idx[aid])
-                pb_parts.append(d_idx[bid])
-            if len(c_idx):
-                tc = t["__tc"].to_numpy(zero_copy_only=False).astype(np.int64)
-                sidec = (tc[c_idx] == hi[c_idx]).astype(np.int8)
-                aic, bic = _cross_pairs_by_bucket(
-                    gk[c_idx], sidec, max_bucket=max_bucket,
-                    sketch=S[c_idx] if S is not None else None, keep_fn=keepf,
-                )
-                pa_parts.append(c_idx[aic])
-                pb_parts.append(c_idx[bic])
-            ai = np.concatenate(pa_parts) if pa_parts else np.empty(0, np.int64)
-            bi = np.concatenate(pb_parts) if pb_parts else np.empty(0, np.int64)
+            ai, bi = _triu_pairs_by_bucket(
+                bucket, max_bucket=max_bucket, sketch=S, keep_fn=keepf
+            )
         if not len(ai):
             return empty
         if bands is not None:
@@ -1328,7 +1248,6 @@ def lsh_fused_edges(
     key,
     num_partitions: int = 64,
     max_bucket: int = 4096,
-    tile_bucket: int | None = None,
     prefilter=None,
     right: rd.Dataset | None = None,
     right_text_col: str | None = None,
@@ -1344,32 +1263,10 @@ def lsh_fused_edges(
     per shared token — harmless for its callers, which only feed the
     edges to connected components (:func:`_dup_groups`).
 
-    LARGE-BUCKET TILING (``tile_bucket``): a bucket's pair expansion is
-    an indivisible atom owned by one partition task — ~count^2/2 pairs
-    of ONE core while the rest of the node drains. Buckets with
-    tile_bucket < count <= max_bucket (known from the same census pass
-    that finds capped buckets) are split into nb = ceil(count /
-    tile_bucket) blocks by hash(id) % nb, and every block pair (lo <=
-    hi) routes to its own partition: each row is replicated nb times
-    (to the nb block pairs containing its block), diagonal tiles pair
-    via triu, off-diagonal tiles via the two-side cross kernel. The
-    union over tiles is exactly the bucket's triu, each pair exactly
-    once; ownership/cap semantics are untouched because they read the
-    original ``__bucket``/``__bh`` columns, which tiling never
-    modifies (verified bit-identical in tests).
-
-    DEFAULT OFF: with the default ``max_bucket=4096`` the worst atom is
-    ~8.4M pairs — single-digit seconds — and the 480k-doc corpus
-    measured tiling as a net LOSS there (+60% stage cpu-s: the off-
-    diagonal cross path costs ~1.5x the triu class-matrix per pair and
-    census-large rows double the emission exchange). Enable it (e.g.
-    tile_bucket = max_bucket // 2) when RAISING max_bucket for full
-    recall on hot buckets — a 100k-row bucket is 5e9 pairs, hours of
-    one core, and tiling is what makes that cap feasible.
-
     Emission rows (:func:`_band_emitter`) carry (numeric bucket, id,
-    value, the row's full band vector for banded keys).
-    Each bucket-hash partition (:func:`_bucket_scorer`) builds candidate
+    value, the row's full band vector for banded keys) and cross one
+    :func:`~fozziejoin_ray.exchange.exchange` on ``__bucket``. Each
+    partition (:func:`_bucket_scorer`) builds candidate
     pairs with one vectorized triu expansion per bucket-size class and
     verifies them in ONE ``score_fn(texts_a, texts_b) -> (keep_mask,
     scores)`` call. A ``score_fn`` whose ``by_id`` attribute is true
@@ -1408,8 +1305,6 @@ def lsh_fused_edges(
     within-bucket left x right cross products, and edges come back as
     (a = left id, b = right id, score) — no canonical swap.
     """
-    import pandas as pd
-
     two_table = right is not None
     by_id = bool(getattr(score_fn, "by_id", False))
     emitter = functools.partial(
@@ -1430,66 +1325,6 @@ def lsh_fused_edges(
             ).map_batches(emitter(side=1), batch_format="pyarrow")
         )
 
-    def _route_plain(t: pa.Table, bp: np.ndarray, n: int) -> pa.Table:
-        return (
-            t.append_column("__bp", pa.array(bp))
-            .append_column("__tp", pa.array(np.full(n, -1, np.int16)))
-            .append_column("__tc", pa.array(np.zeros(n, np.int8)))
-        )
-
-    def make_route(tiles):
-        """Partition router. Untiled rows go to their bucket's partition as one
-        copy; rows of census-large buckets are replicated once per peer
-        block and each (bucket, block-pair) routes independently."""
-
-        def route(t: pa.Table) -> pa.Table:
-            bucket = _arr(t, "__bucket")
-            bk = np.asarray(bucket.to_numpy(zero_copy_only=False))
-            bp = partition_ids([bucket], num_partitions)
-            n = len(bk)
-            if tiles is None or n == 0:
-                return _route_plain(t, bp, n)
-            lid, lnb = tiles
-            pos = np.minimum(np.searchsorted(lid, bk), len(lid) - 1)
-            isbig = lid[pos] == bk
-            if not isbig.any():
-                return _route_plain(t, bp, n)
-            small_idx = np.nonzero(~isbig)[0]
-            big_idx = np.nonzero(isbig)[0]
-            nbv = lnb[pos[big_idx]]
-            ids = _arr(t, id_col).to_numpy(zero_copy_only=False)
-            hid = pd.util.hash_array(np.asarray(ids[big_idx]), categorize=False)
-            c_own = (hid % nbv.astype(np.uint64)).astype(np.int64)
-            # one copy per peer block: vectorized ragged arange
-            reps = np.repeat(big_idx, nbv)
-            tot = int(nbv.sum())
-            c2 = np.arange(tot, dtype=np.int64) - np.repeat(np.cumsum(nbv) - nbv, nbv)
-            co = np.repeat(c_own, nbv)
-            if two_table:
-                sd = t["__lsh_side"].to_numpy(zero_copy_only=False)[reps].astype(np.int64)
-                lo = np.where(sd == 0, co, c2)  # (left block, right block)
-                hi = np.where(sd == 0, c2, co)
-            else:
-                lo = np.minimum(co, c2)
-                hi = np.maximum(co, c2)
-            tp_big = (lo << 7 | hi).astype(np.int16)  # nb <= 127
-            # each (bucket, block pair) tile routes on its own
-            bp_big = partition_ids(
-                [bucket.take(pa.array(reps)), pa.array(tp_big)], num_partitions
-            )
-            take_idx = np.concatenate([small_idx, reps])
-            out = t.take(pa.array(take_idx))
-            tp_all = np.concatenate([np.full(len(small_idx), -1, np.int16), tp_big])
-            tc_all = np.concatenate([np.zeros(len(small_idx), np.int8), co.astype(np.int8)])
-            bp_all = np.concatenate([bp[small_idx], bp_big])
-            return (
-                out.append_column("__bp", pa.array(bp_all))
-                .append_column("__tp", pa.array(tp_all))
-                .append_column("__tc", pa.array(tc_all))
-            )
-
-        return route
-
     score_part = _bucket_scorer(
         id_col,
         id_col if by_id else text_col,
@@ -1499,20 +1334,17 @@ def lsh_fused_edges(
         prefilter=prefilter,
         two_table=two_table,
     )
-    # One census over the materialized emission feeds both broadcasts:
-    # globally-capped buckets (the stop-word cap, so every partition's
-    # ownership check agrees) and census-large buckets (tiled so no
-    # single partition owns a near-cap bucket's quadratic expansion).
+    # the census over the materialized emission broadcasts the
+    # globally-capped buckets (the stop-word cap), so every partition's
+    # ownership check agrees
     emitted = emitted.materialize()
-    capped, tile_ids, tile_nb = _bucket_census(
-        emitted, max_bucket, tile_bucket, two_table
-    )
-    capped_ref = ray.put(capped)
-    tiles = (tile_ids, tile_nb) if len(tile_ids) else None
-    return (
-        emitted.map_batches(make_route(tiles), batch_format="pyarrow")
-        .groupby("__bp")
-        .map_groups(lambda t: score_part(t, ray.get(capped_ref)), batch_format="pyarrow")
+    capped_ref = ray.put(_bucket_census(emitted, max_bucket, two_table))
+    return exchange(
+        emitted,
+        "__bucket",
+        num_partitions,
+        lambda t: score_part(t, ray.get(capped_ref)),
+        batch_format="pyarrow",
     )
 
 
@@ -1666,7 +1498,6 @@ def cross_neardup_pairs(
     seed: int = 13,
     num_partitions: int = 64,
     max_bucket: int = 4096,
-    tile_bucket: int | None = None,
 ) -> rd.Dataset:
     """Cross-corpus near-duplicate detection: every (left doc, right
     doc) pair with exact char-``shingle_k``-gram set-Jaccard >=
@@ -1711,7 +1542,6 @@ def cross_neardup_pairs(
         key=MinHashBands(num_perm, bands, shingle_k, seed),
         num_partitions=num_partitions,
         max_bucket=max_bucket,
-        tile_bucket=tile_bucket,
         prefilter=JaccardSizeBoundFilter(threshold),
         right=right,
         right_text_col=right_text_col or text_col,

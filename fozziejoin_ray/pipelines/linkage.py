@@ -578,10 +578,8 @@ def cluster_documents_incremental(
                 0.0,
                 "doc_id",
                 "doc_id",
+                key=LINKAGE_BANDS,
                 num_partitions=num_partitions,
-                num_perm=LINKAGE_BANDS.num_perm,
-                bands=LINKAGE_BANDS.bands,
-                shingle_k=LINKAGE_BANDS.shingle_k,
             )
         # collapse the old endpoint to its cluster supervertex
         no_c = _project(

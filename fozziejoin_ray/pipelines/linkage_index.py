@@ -47,7 +47,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..exchange import partition_ids
+from ..exchange import exchange, partition_ids
 from .dedup import _band_emitter, _bucket_scorer
 from .linkage import LINKAGE_BANDS, JaroCharBoundFilter, _distinct_key_reps, string_scorer
 
@@ -82,9 +82,10 @@ def _read_meta(index_dir: str) -> dict:
     return meta
 
 
-def _with_part(e: pa.Table, num_partitions: int) -> pa.Table:
-    """``__part``: the hash partition of each emission row's bucket."""
-    return e.append_column("__part", pa.array(partition_ids([e["__bucket"]], num_partitions)))
+def _part_of(t: pa.Table, num_partitions: int) -> int:
+    """The partition number of an :func:`exchange` group on
+    ``__bucket``: its first row's, which every row of the group shares."""
+    return int(partition_ids([t["__bucket"].slice(0, 1)], num_partitions)[0])
 
 
 def write_linkage_lsh_index(labelled: rd.Dataset, index_dir: str, *, num_partitions: int = 32) -> dict:
@@ -107,7 +108,7 @@ def write_linkage_lsh_index(labelled: rd.Dataset, index_dir: str, *, num_partiti
         t = t.filter(pc.is_valid(t["key"]))
         e = _emit(t)  # LINKAGE_BANDS.bands consecutive rows per input row
         cl = t["cluster_id"].take(pa.array(np.repeat(np.arange(t.num_rows), LINKAGE_BANDS.bands)))
-        return _with_part(e.append_column("__cl", cl), num_partitions)
+        return e.append_column("__cl", cl)
 
     # each partition is written SORTED by bucket in small row groups, so
     # probes prune to the row groups overlapping the delta's buckets via
@@ -115,7 +116,7 @@ def write_linkage_lsh_index(labelled: rd.Dataset, index_dir: str, *, num_partiti
     os.makedirs(index_dir, exist_ok=True)
 
     def write_part(t: pa.Table) -> pa.Table:
-        part = int(t["__part"][0].as_py())
+        part = _part_of(t, num_partitions)
         # every copy of a key emits the same buckets: keep one row per
         # (bucket, key), the one of the key's min doc id
         t = t.sort_by([("__bucket", "ascending"), ("key", "ascending"), ("doc_id", "ascending")])
@@ -129,8 +130,12 @@ def write_linkage_lsh_index(labelled: rd.Dataset, index_dir: str, *, num_partiti
         pq.write_table(srt, os.path.join(d, "index.parquet"), row_group_size=65536)
         return pa.table({"part": pa.array([part], pa.int64()), "rows": pa.array([srt.num_rows], pa.int64())})
 
-    labelled.map_batches(emit, batch_format="pyarrow").groupby("__part").map_groups(
-        write_part, batch_format="pyarrow"
+    exchange(
+        labelled.map_batches(emit, batch_format="pyarrow"),
+        "__bucket",
+        num_partitions,
+        write_part,
+        batch_format="pyarrow",
     ).count()
     with open(os.path.join(index_dir, _META), "w") as f:
         json.dump(meta, f)
@@ -224,11 +229,7 @@ def probe_linkage_lsh_index(
     exactly once (first such band owns the pair), then verified with
     the exact string kernel."""
     P = _read_meta(index_dir)["num_partitions"]
-    new_emit = (
-        _distinct_key_reps(new_keys, P)
-        .map_batches(lambda t: _with_part(_emit(t), P), batch_format="pyarrow")
-        .materialize()
-    )
+    new_emit = _distinct_key_reps(new_keys, P).map_batches(_emit, batch_format="pyarrow").materialize()
 
     # ---- phase A: per-side census -> the (tiny) capped set. The cap
     # rule mirrors the live two-table LSH join exactly (dedup.py
@@ -237,7 +238,7 @@ def probe_linkage_lsh_index(
     # side caps the whole bucket" ownership semantics, so probe == live
     # cross holds across the stop-word boundary too.
     def census(t: pa.Table) -> pa.Table:
-        part = int(t["__part"][0].as_py())
+        part = _part_of(t, P)
         nb = t["__bucket"].to_numpy(zero_copy_only=False)
         ob = _read_part(
             index_dir, part, columns=["__bucket"], want=np.unique(nb)
@@ -250,8 +251,7 @@ def probe_linkage_lsh_index(
 
     capped_parts = [
         b["__capped"].to_numpy(zero_copy_only=False)
-        for b in new_emit.groupby("__part")
-        .map_groups(census, batch_format="pyarrow")
+        for b in exchange(new_emit, "__bucket", P, census, batch_format="pyarrow")
         .iter_batches(batch_size=None, batch_format="pyarrow")
     ]
     capped = np.sort(np.concatenate(capped_parts)) if capped_parts else np.empty(0, np.uint64)
@@ -275,7 +275,7 @@ def probe_linkage_lsh_index(
         new = t.select(cols)
         nb = np.unique(t["__bucket"].to_numpy(zero_copy_only=False))
         old = _read_part(
-            index_dir, int(t["__part"][0].as_py()), columns=[c for c in cols if c != "__lsh_side"], want=nb
+            index_dir, _part_of(t, P), columns=[c for c in cols if c != "__lsh_side"], want=nb
         )
         rows = [new]
         if old.num_rows:
@@ -285,4 +285,4 @@ def probe_linkage_lsh_index(
         out = score_part(pa.concat_tables(rows), ray.get(cref))
         return out.rename_columns(["src", "dst", "dist"])
 
-    return new_emit.groupby("__part").map_groups(probe, batch_format="pyarrow")
+    return exchange(new_emit, "__bucket", P, probe, batch_format="pyarrow")

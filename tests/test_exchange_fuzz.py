@@ -215,7 +215,6 @@ _CONTENT_HASHES = {
     ("blocking/strategies.py", "value_salt_hash"): "AllPairs value salts",
     ("blocking/strategies.py", "id_salt_hash"): "hot-block id sub-salts",
     ("cluster/union_find.py", "_edges_checksum.fn"): "edge-set checksum",
-    ("pipelines/dedup.py", "lsh_fused_edges.make_route.route"): "LSH tile block within a bucket",
 }
 
 

@@ -191,6 +191,29 @@ def test_cc_mid_contraction_driver_exit_keeps_loops():
     assert len(rows) == 6
 
 
+def test_cc_star_rounds_use_num_partitions(monkeypatch):
+    """The distributed star rounds exchange into the caller's
+    ``num_partitions``, not a default."""
+    import fozziejoin_ray.cluster.union_find as uf
+
+    seen = []
+    real = uf.exchange
+
+    def spy(ds, keys, num_partitions, fn, **kw):
+        seen.append(num_partitions)
+        return real(ds, keys, num_partitions, fn, **kw)
+
+    monkeypatch.setattr(uf, "exchange", spy)
+    edges = rd.from_arrow(
+        pa.table({"src": [f"n{i}" for i in range(5)], "dst": [f"n{i+1}" for i in range(5)]})
+    )
+    rows = connected_components(
+        edges, driver_threshold=0, contract_rounds=0, num_partitions=3
+    ).take_all()
+    assert {r["cluster"] for r in rows} == {"n0"} and len(rows) == 6
+    assert seen and set(seen) == {3}
+
+
 def test_cc_null_endpoints_follow_na_rule():
     # engine NA rule: a null endpoint never asserts connectivity, but
     # the non-null endpoint still surfaces as its own node; (null, null)
@@ -466,6 +489,43 @@ def test_incremental_minhash_equals_full_rerun(docs_and_labels):
     assert len(inc) == docs_t.num_rows
     assert inc == full
     assert any(inc[d] != d for d in inc)
+
+
+def test_incremental_minhash_bands_with_linkage_bands(docs_and_labels, monkeypatch):
+    """Every LSH pass of a live minhash fold-in (the new-key self-join
+    and the new-vs-old cross join) bands with ``LINKAGE_BANDS``, seed
+    included."""
+    import fozziejoin_ray.pipelines.dedup as dd
+    import fozziejoin_ray.pipelines.linkage as lk
+    from fozziejoin_ray.pipelines.linkage import cluster_documents_incremental
+
+    monkeypatch.setattr(lk, "LINKAGE_BANDS", dd.MinHashBands(64, 32, 2, seed=7))
+    seeds = []
+    real = dd.lsh_fused_edges
+
+    def spy(*args, key, **kw):
+        seeds.append(key.seed)
+        return real(*args, key=key, **kw)
+
+    monkeypatch.setattr(dd, "lsh_fused_edges", spy)
+    docs_t, _ = docs_and_labels
+    idx = pa.array([i % 4 == 3 for i in range(docs_t.num_rows)])
+    old_t = docs_t.filter(pa.compute.invert(idx))
+    old_clusters = cluster_documents(
+        rd.from_arrow(old_t), method=METHOD, max_distance=MAXD,
+        blocking="minhash", num_partitions=4,
+    )
+    seeds.clear()
+    cluster_documents_incremental(
+        rd.from_arrow(docs_t.filter(idx)),
+        extract_keys(rd.from_arrow(old_t)),
+        old_clusters,
+        method=METHOD,
+        max_distance=MAXD,
+        blocking="minhash",
+        num_partitions=4,
+    ).materialize()
+    assert len(seeds) == 2 and set(seeds) == {7}, seeds
 
 
 def test_incremental_index_probe_equals_live_cross(docs_and_labels, tmp_path):

@@ -98,78 +98,17 @@ def test_lsh_ownership_with_capped_buckets():
     assert ("x060", "x061") in set(pairs)
 
 
-def test_lsh_large_bucket_tiling_bit_identical():
-    """Tiling census-large buckets across partitions (the straggler-atom
-    fix) must be invisible in the output: same edges, same scores, still
-    exactly-once — single-table (triu + cross tiles) AND two-table
-    (left-block x right-block tiles)."""
-    import pandas as pd
-
-    from fozziejoin_ray.pipelines.dedup import MinHashBands, lsh_fused_edges
-
-    def mk(n, pre):
-        words = ["alpha", "beta", "gamma", "delta", "epsilon"]
-        rows = [
-            (
-                f"{pre}{i:05d}",
-                " ".join(words[(i % 12 + j) % 5] for j in range(6))
-                + f" tail{i % 12} {'x' * (i % 3)}",
-            )
-            for i in range(n)
-        ]
-        return pd.DataFrame(rows, columns=["doc_id", "text"])
-
-    def jac(a_list, b_list):
-        sims = np.array([1.0 if a == b else 0.6 for a, b in zip(a_list, b_list)])
-        keep = sims >= 0.5
-        return keep, sims[keep]
-
-    df = mk(600, "d")
-
-    def run_self(tile):
-        edges = lsh_fused_edges(
-            rd.from_pandas(df), "text", "doc_id", jac,
-            key=MinHashBands(num_perm=64, bands=16, shingle_k=3), num_partitions=8,
-            max_bucket=4096, tile_bucket=tile,
-        ).take_all()
-        return sorted((r["a"], r["b"], round(r["score"], 9)) for r in edges)
-
-    plain = run_self(None)
-    tiled = run_self(7)  # families of ~50 docs force buckets >> 7
-    assert len(plain) == len(set(plain)) and plain
-    assert plain == tiled
-
-    L, R = mk(400, "L"), mk(300, "R")
-
-    def run_two(tile):
-        edges = lsh_fused_edges(
-            rd.from_pandas(L), "text", "doc_id", jac,
-            key=MinHashBands(num_perm=64, bands=16, shingle_k=3), num_partitions=8,
-            max_bucket=4096, tile_bucket=tile,
-            right=rd.from_pandas(R), right_text_col="text", right_id_col="doc_id",
-        ).take_all()
-        return sorted((r["a"], r["b"], round(r["score"], 9)) for r in edges)
-
-    plain2 = run_two(None)
-    tiled2 = run_two(7)
-    assert len(plain2) == len(set(plain2)) and plain2
-    assert plain2 == tiled2
-    assert all(a.startswith("L") and b.startswith("R") for a, b, _ in tiled2)
-
-
-def test_minhash_dedup_long_texts_honour_tile_bucket(monkeypatch):
+def test_minhash_dedup_payloads_agree(monkeypatch):
     """Long texts (mean > _CARRY_CUTOFF bytes) take the id-payload
-    layout, which tiles like every other path: tile_bucket=7 must give
-    the untiled (doc_id, dup_group) rows with no tile_bucket warning,
-    and forcing the texts into the emission must give them too."""
-    import warnings
-
+    layout, verified against a broadcast shingle index; forcing the
+    texts into the emission must give the same (doc_id, dup_group)
+    rows."""
     import fozziejoin_ray.pipelines.dedup as dd
 
     rng = np.random.RandomState(5)
     vocab = [f"w{i}" for i in range(400)]
     rows = []
-    for fam in range(8):  # families of ~20 near-identical long docs -> buckets >> 7
+    for fam in range(8):  # families of ~20 near-identical long docs
         base = list(rng.choice(vocab, 60))
         for m in range(20):
             words = list(base)
@@ -184,38 +123,22 @@ def test_minhash_dedup_long_texts_honour_tile_bucket(monkeypatch):
     monkeypatch.setattr(
         dd, "_IndexJaccardScore", lambda ref, thr: made.append(1) or index_score(ref, thr)
     )
-    tiled_buckets = []
-    census = dd._bucket_census
 
-    def counting_census(*args):
-        out = census(*args)
-        tiled_buckets.append(len(out[1]))
-        return out
-
-    monkeypatch.setattr(dd, "_bucket_census", counting_census)
-
-    def run(tile):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = minhash_lsh_dedup(
-                rd.from_arrow(t).repartition(4), "text", "doc_id",
-                threshold=0.5, num_partitions=4, tile_bucket=tile,
-            ).take_all()
-        assert not [w for w in caught if "tile_bucket" in str(w.message)]
+    def run():
+        out = minhash_lsh_dedup(
+            rd.from_arrow(t).repartition(4), "text", "doc_id",
+            threshold=0.5, num_partitions=4,
+        ).take_all()
         return sorted((r["doc_id"], r["dup_group"]) for r in out)
 
-    plain = run(None)
-    tiled = run(7)
-    assert len(made) == 2  # both runs verified against the shingle index
-    assert tiled_buckets[0] == 0 and tiled_buckets[1] > 0  # the second run tiled
-    assert plain == tiled
-    assert len(plain) == len(rows)
-    assert len({g for _, g in plain}) < len(rows)  # the families collapsed
+    by_id = run()
+    assert len(made) == 1  # verified against the shingle index
+    assert len(by_id) == len(rows)
+    assert len({g for _, g in by_id}) < len(rows)  # the families collapsed
 
     monkeypatch.setattr(dd, "_CARRY_CUTOFF", 1 << 30)
-    assert run(7) == plain
-    assert len(made) == 2  # texts carried: no index built
-    assert tiled_buckets[2] > 0
+    assert run() == by_id
+    assert len(made) == 1  # texts carried: no index built
 
 
 def test_ngram_jaccard_dedup_matches_bruteforce():

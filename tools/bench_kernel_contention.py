@@ -85,7 +85,7 @@ def _prepare():
     )
     reps = _distinct_key_reps(extract_keys(rd.read_parquet(GEN_DIR)), 64)
     emitted = reps.map_batches(emit, batch_format="pyarrow").materialize()
-    capped, _, _ = dd._bucket_census(emitted, MAXB, None, False)
+    capped = dd._bucket_census(emitted, MAXB)
     np.save(CAP_NPY, capped)
     emitted.write_parquet(EMIT_DIR + ".tmp")
     os.rename(EMIT_DIR + ".tmp", EMIT_DIR)

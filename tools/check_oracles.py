@@ -14,6 +14,7 @@ for the driver when strict mode reports OK.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -150,7 +151,12 @@ def main():
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=16, include_dashboard=False, logging_level="ERROR")
+        ray.init(
+            address="local",
+            num_cpus=len(os.sched_getaffinity(0)),
+            include_dashboard=False,
+            logging_level="ERROR",
+        )
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
