@@ -355,7 +355,8 @@ def _cluster_words_query(sf_dir: str):
         lambda t: pa.table({"word": t["wl"]}), batch_format="pyarrow"
     )
     edges = build_edges_blocked(
-        words, None, [("word", "word")], "lv", 1.0, 2, 0, 0.0, "word", None, pair_budget=None
+        words, None, [("word", "word")], "lv", 1.0, 2, 0, 0.0, "word", None,
+        pair_budget=None, num_partitions=8,
     )
     e = edges.map_batches(
         lambda t: pa.table({"src": t["__fj_lid"], "dst": t["__fj_rid"]}), batch_format="pyarrow"

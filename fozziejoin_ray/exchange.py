@@ -130,6 +130,9 @@ def exchange(
         # drop the tag before Ray's own batch conversion: no pandas copy
         return fn(BlockAccessor.for_block(t.drop_columns([_TAG])).to_batch_format(batch_format))
 
+    # Dataset.stats() names the operator after the partition function
+    run.__name__ = getattr(fn, "__name__", run.__name__)
+
     inputs = [ds] if isinstance(ds, rd.Dataset) else list(ds)
     tagged = [d.map_batches(tag, batch_format="pyarrow") for d in inputs]
     unioned = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]

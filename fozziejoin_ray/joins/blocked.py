@@ -14,10 +14,12 @@ candidate generation becomes a distributed blocking shuffle:
 2. **salt** (optional): a cheap pre-pass counts rows per block key,
    collects only the oversized blocks to the driver, and re-emits them
    under salted sub-keys — a grid split for two-table joins, a triangle
-   split for self-joins — so no single ``map_groups`` call exceeds the
+   split for self-joins — so no single block's scoring exceeds the
    pair budget. Every pair still meets in exactly one block.
-3. **score**: one ``groupby(block_key)`` co-locates candidates;
-   ``map_groups`` factorizes values, asks the strategy for the valid
+3. **score**: one ``exchange()`` on the block key co-locates candidates
+   in the caller's ``num_partitions`` partitions; each partition is
+   sorted by block key and scored one block at a time. Per block the
+   scorer factorizes values, asks the strategy for the valid
    unique-value pairs (vectorized: length masks, bucketed gram
    disqualification, salt-triangle masks — see
    ``strategies.candidates``), scores them with the vectorized kernels,
@@ -46,7 +48,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..blocking.strategies import _cross_expand, id_salt_hash, strategy_for
-from ..exchange import partition_ids
+from ..exchange import exchange, partition_ids
 from ..kernels.strdist import edit_bag_bound, score_pairs
 from ..semantics import canon_method
 from .string_join import LID, RID, dist_names, group_positions, refine_score
@@ -206,7 +208,7 @@ def _plan_salts(
     return plan
 
 
-def _make_group_scorer(cfg: dict):
+def _make_partition_scorer(cfg: dict):
     strategy = strategy_for(
         cfg["method"], cfg["max_distance"], cfg["q"], allpairs_salts=cfg["allpairs_salts"]
     )
@@ -374,7 +376,20 @@ def _make_group_scorer(cfg: dict):
             cols[ckpt[1]] = pa.array(np.full(len(apos), part, dtype=np.int64))
         return pa.table(cols)
 
-    return score_group
+    def score_partition(t: pa.Table) -> pa.Table:
+        # one exchange partition holds every row of each of its blocks
+        # and may hold many blocks: sort by block key, score each block
+        if not t.num_rows:
+            return empty(t)
+        t = t.sort_by(BK)
+        bks = t.column(BK).to_numpy(zero_copy_only=False)
+        starts = np.flatnonzero(np.r_[True, bks[1:] != bks[:-1]])
+        ends = np.r_[starts[1:], len(bks)]
+        outs = [score_group(t.slice(a, b - a)) for a, b in zip(starts, ends)]
+        outs = [o for o in outs if o.num_rows]
+        return pa.concat_tables(outs) if outs else empty(t)
+
+    return score_partition
 
 
 def build_edges_blocked(
@@ -392,9 +407,12 @@ def build_edges_blocked(
     pair_budget: int | None = 4_000_000,
     allpairs_salts: tuple[int, int] = (8, 8),
     ckpt_parts: tuple[int, list[int], str] | None = None,
+    num_partitions: int = 16,
 ) -> rd.Dataset:
     """Edges via blocking shuffle. ``right=None`` -> self-join on ``left``
-    (edges have id_a < id_b, one per unordered pair).
+    (edges have id_a < id_b, one per unordered pair). Scoring is one
+    :func:`~fozziejoin_ray.exchange.exchange` on the block key into
+    ``num_partitions`` partitions.
 
     ``ckpt_parts=(num_parts, missing, part_col)`` enables
     partition-granular checkpoint resume: each block (salted key) hashes
@@ -473,4 +491,6 @@ def build_edges_blocked(
             return t.filter(pa.array(keep))
 
         emitted = emitted.map_batches(part_filter, batch_format="pyarrow")
-    return emitted.groupby(BK).map_groups(_make_group_scorer(cfg), batch_format="pyarrow")
+    return exchange(
+        emitted, BK, num_partitions, _make_partition_scorer(cfg), batch_format="pyarrow"
+    )

@@ -10,7 +10,10 @@ streaming equality joins (joins/hashjoin.py) against the edge table:
 - semi:  left ⋉ edges.lid — one output row per matched left row;
 - anti:  left ▷ edges.lid — left rows with no match, null keys included;
 - left/right/full: inner ∪ the unmatched side(s) padded with nulls and
-  NaN distances (left.rs:57-76, full.rs:31-60).
+  NaN distances (left.rs:57-76, full.rs:31-60). These modes read the
+  edge set 2–3 times, and Ray Data shares no common subplan, so the
+  edges are materialized once first — as the reference computes its
+  matched id pairs once and slices every mode from them.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ def assemble(
     lschema_r = renamed_schema(lschema, lmap)
     rschema_r = renamed_schema(rschema, rmap)
 
-    def finish_inner() -> rd.Dataset:
+    def finish_inner(edges: rd.Dataset) -> rd.Dataset:
         j = hash_join(
             edges,
             left_r,
@@ -182,19 +185,17 @@ def assemble(
         )
 
     if how == "inner":
-        return finish_inner()
+        return finish_inner(edges)
 
     lid_schema = pa.schema([edge_schema.field(LID)])
     rid_schema = pa.schema([edge_schema.field(RID)])
-    edge_lids = _project(edges, [LID])
-    edge_rids = _project(edges, [RID])
 
     if how in ("semi", "anti"):
         # semi/anti output the left frame as-is (no right columns, so no
         # suffixing), cf. merge/semi.rs:5-12 and merge/anti.rs:5-11
         j = hash_join(
             left,
-            edge_lids,
+            _project(edges, [LID]),
             lid,
             LID,
             how="left_semi" if how == "semi" else "left_anti",
@@ -204,14 +205,19 @@ def assemble(
         )
         return _project(j, [c for c in lschema.names if c not in drop_ids])
 
-    inner = finish_inner()
+    if how not in ("left", "right", "full"):
+        raise ValueError(f"unknown join mode {how!r}")
+    # left/right/full read the edges 2-3 times (inner join, anti-join
+    # per padded side): run the edge plan once, not once per reader
+    edges = edges.materialize()
+    inner = finish_inner(edges)
     out_cols = keep_l + keep_r + list(distance_cols)
 
     def padded(side: str) -> rd.Dataset:
         if side == "left":
             un = hash_join(
                 left_r,
-                edge_lids,
+                _project(edges, [LID]),
                 lid_r,
                 LID,
                 how="left_anti",
@@ -224,7 +230,7 @@ def assemble(
         else:
             un = hash_join(
                 right_r,
-                edge_rids,
+                _project(edges, [RID]),
                 rid_r,
                 RID,
                 how="left_anti",
@@ -241,7 +247,4 @@ def assemble(
         return inner.union(padded("left"))
     if how == "right":
         return inner.union(padded("right"))
-    if how == "full":
-        return inner.union(padded("left")).union(padded("right"))
-
-    raise ValueError(f"unknown join mode {how!r}")
+    return inner.union(padded("left")).union(padded("right"))

@@ -35,11 +35,11 @@ def exceeds_rows(ds: rd.Dataset, threshold: int) -> bool:
     return ds.limit(threshold + 1).count() > threshold
 
 
-def assert_unique_ids(ds: rd.Dataset, id_col: str, num_partitions: int = 16) -> None:
-    """Raise ValueError if ``id_col`` carries duplicates — one groupby-count
-    probe (a hash shuffle of the single id column), early-stopped at the
-    first duplicate found. Opt-in insurance against the silent row
-    multiplication a non-unique id causes in join assembly."""
+def assert_unique_ids(ds: rd.Dataset, id_col: str) -> None:
+    """Raise ValueError if ``id_col`` carries duplicates — one
+    ``groupby().count()`` probe (a sort shuffle of the single id column),
+    early-stopped at the first duplicates found. Opt-in insurance against
+    the silent row multiplication a non-unique id causes in join assembly."""
     counts = (
         ds.select_columns([id_col])
         .groupby(id_col)

@@ -9,9 +9,10 @@ Two physical plans, chosen by ``strategy``:
   (/root/reference/src/rust/src/string/edit/mod.rs:32-48, utils.rs:7-20).
   The left side streams with backpressure; nothing materializes it.
 - ``blocked`` (both sides large, or self-join): recall-complete block
-  keys (blocking/strategies.py) are emitted per side, shuffled with one
-  ``groupby(block_key)``, and candidate pairs are scored inside
-  ``map_groups`` — see blocked.py.
+  keys (blocking/strategies.py) are emitted per side, co-located by one
+  ``exchange()`` on the block key into ``num_partitions`` partitions,
+  and candidate pairs are scored block by block inside each partition
+  — see blocked.py.
 
 Matching semantics (shared with the reference):
 
@@ -524,6 +525,7 @@ def fuzzy_string_join(
             prefix_weight,
             lid,
             rid,
+            num_partitions=num_partitions,
         )
     elif strategy == "lsh":
         # Two-huge-tables path for all-pairs metrics (jw, or any method

@@ -219,6 +219,7 @@ def match_edges(
             pair_budget=pair_budget,
             allpairs_salts=allpairs_salts,
             ckpt_parts=ckpt_parts,
+            num_partitions=num_partitions,
         )
         pc_col = None if ckpt_parts is None else ckpt_parts[2]
 
@@ -563,6 +564,7 @@ def cluster_documents_incremental(
                 "doc_id",
                 pair_budget=pair_budget,
                 allpairs_salts=allpairs_salts,
+                num_partitions=num_partitions,
             )
         else:
             from ..joins.string_join import build_edges_lsh

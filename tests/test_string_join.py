@@ -408,6 +408,74 @@ def test_blocked_equals_broadcast_salted_and_multikey():
     assert salted == unsalted and len(unsalted) > 0
 
 
+def test_blocked_scoring_uses_num_partitions(monkeypatch):
+    """Block scoring exchanges into the caller's ``num_partitions``, for
+    the two-table join and the linkage self-join alike."""
+    import fozziejoin_ray.joins.blocked as blocked
+    from fozziejoin_ray.pipelines.linkage import match_edges
+
+    seen = []
+    real = blocked.exchange
+
+    def spy(ds, keys, num_partitions, fn, **kw):
+        seen.append(num_partitions)
+        return real(ds, keys, num_partitions, fn, **kw)
+
+    monkeypatch.setattr(blocked, "exchange", spy)
+    L, R = _mutation_corpus()
+    l = rd.from_arrow(pa.table({"wl": L}))
+    r = rd.from_arrow(pa.table({"wr": R}))
+    out = fuzzy_string_join(
+        l, r, by={"wl": "wr"}, method="lv", max_distance=1, strategy="blocked",
+        num_partitions=3,
+    )
+    assert out.count() > 0
+    assert seen == [3]
+    keys = rd.from_arrow(pa.table({"doc_id": [f"d{i}" for i in range(len(L))], "key": L}))
+    assert match_edges(keys, method="lv", max_distance=1, num_partitions=3).count() > 0
+    assert seen == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "how,expected",
+    [
+        ("left", [(0, "ann", 10, "ann", 0.0), (1, "anne", 10, "ann", 1.0),
+                  (2, "bob", 11, "bo", 1.0), (3, "cy", None, None, None)]),
+        ("right", [(None, None, 12, "dee", None), (0, "ann", 10, "ann", 0.0),
+                   (1, "anne", 10, "ann", 1.0), (2, "bob", 11, "bo", 1.0)]),
+        ("full", [(None, None, 12, "dee", None), (0, "ann", 10, "ann", 0.0),
+                  (1, "anne", 10, "ann", 1.0), (2, "bob", 11, "bo", 1.0),
+                  (3, "cy", None, None, None)]),
+    ],
+)
+def test_assemble_executes_edges_once(tmp_path, how, expected):
+    """Outer modes read the edge set 2-3 times; Ray Data shares no
+    common subplan, so assemble must run the edge plan once, not once
+    per reader. Each execution of the edge plan leaves one marker file."""
+    import uuid
+
+    from fozziejoin_ray.joins.modes import LID, RID, assemble
+
+    def mark(t: pa.Table) -> pa.Table:
+        (tmp_path / uuid.uuid4().hex).touch()
+        return t
+
+    left = rd.from_arrow(pa.table({"lid": [0, 1, 2, 3], "name": ["ann", "anne", "bob", "cy"]}))
+    right = rd.from_arrow(pa.table({"rid": [10, 11, 12], "name": ["ann", "bo", "dee"]}))
+    edges = rd.from_arrow(
+        pa.table({LID: [0, 1, 2], RID: [10, 10, 11], "__fj_d0": [0.0, 1.0, 1.0]})
+    ).map_batches(mark, batch_format="pyarrow", batch_size=None)
+    out = assemble(
+        left, right, edges, how=how, lid="lid", rid="rid", distance_cols=["d"],
+        num_partitions=4,
+    )
+    cols = ["lid", "name.x", "rid", "name.y", "d"]
+    rows = [tuple(r[c] for c in cols) for r in out.take_all()]
+    rows = [tuple(None if isinstance(v, float) and math.isnan(v) else v for v in r) for r in rows]
+    assert sorted(rows, key=lambda r: tuple((v is not None, v) for v in r)) == expected
+    assert len(list(tmp_path.iterdir())) == 1
+
+
 def test_validate_ids_catches_duplicates():
     """The docstring-warned hazard: a duplicated id_col silently
     multiplies assembled rows. validate_ids=True must raise instead."""

@@ -17,13 +17,14 @@ Round-4 result (32-cpu box, min of 3):
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
 import numpy as np
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from fozziejoin_ray.cluster.union_find import _min_label_cc
 
 

@@ -22,6 +22,9 @@ import duckdb
 import numpy as np
 import pandas as pd
 
+# this checkout, not whichever copy of the package is on the default path
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
 
@@ -150,18 +153,22 @@ def main():
 
     import ray
 
+    sys.path.insert(0, ROOT)
     if not ray.is_initialized():
+        # workers import the package (and pickled query helpers) from here too
+        extra = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        pypath = os.pathsep.join([ROOT] + extra)
         ray.init(
             address="local",
             num_cpus=len(os.sched_getaffinity(0)),
             include_dashboard=False,
             logging_level="ERROR",
+            runtime_env={"env_vars": {"PYTHONPATH": pypath}},
         )
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
