@@ -313,8 +313,9 @@ def run_scaling():
     #   threads compete with the 2 workers and INFLATE the small leg —
     #   the measured 2v8 efficiency is a superlinear 1.22; at the top
     #   (32 cpus), both legs share ONE DRAM system — the Ray-free
-    #   control experiment (tools/bench_kernel_contention.py, committed
-    #   JSON) shows the bare pair kernels, with zero orchestration,
+    #   control experiment (banked in BENCH_kernel_contention_r04.json;
+    #   its retired tool is in git at 5504caa) shows the bare pair
+    #   kernels, with zero orchestration,
     #   lose 1.32x CPU-seconds to memory contention at 32-way, capping
     #   any 8v32 reading near 0.76 regardless of how well the engine
     #   parallelizes (a real 4x-node cluster brings 4x the DRAM).

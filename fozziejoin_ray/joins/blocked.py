@@ -11,8 +11,9 @@ candidate generation becomes a distributed blocking shuffle:
    per-value work (gram/soundex encoding) runs once per DISTINCT value
    and the fanout to rows is pure ``np.repeat`` arithmetic — no Python
    loop over rows.
-2. **salt** (optional): a cheap pre-pass counts rows per block key,
-   collects only the oversized blocks to the driver, and re-emits them
+2. **salt** (optional): a hot-key census (census.py: per-block counts
+   pruned by a pigeonhole threshold, then exact counts of the few
+   survivors, no shuffle) finds the oversized blocks, and re-emits them
    under salted sub-keys — a grid split for two-table joins, a triangle
    split for self-joins — so no single block's scoring exceeds the
    pair budget. Every pair still meets in exactly one block.
@@ -42,12 +43,15 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 from ..blocking.strategies import _cross_expand, id_salt_hash, strategy_for
+from ..census import hot_key_census
 from ..exchange import exchange, partition_ids
 from ..kernels.strdist import edit_bag_bound, score_pairs
 from ..semantics import canon_method
@@ -89,15 +93,19 @@ def _salted_keys(bk: str, a: np.ndarray, b: np.ndarray, tri_sl: int | None = Non
     ).astype(object)
 
 
-def _emit_batches(strategy, side: str, id_col: str, key_cols: list[str], salts: dict | None):
+def _emit_batches(
+    strategy, side: str, id_col: str, key_cols: list[str], salts: dict | None,
+    keys_only: bool = False,
+):
     """Returns a map_batches fn emitting (bk, side, id, k0..kn) rows —
-    factorize once, emit per unique value, fan out with np.repeat."""
+    factorize once, emit per unique value, fan out with np.repeat.
+    ``keys_only`` emits just (bk, side), for the salt census: the id and
+    key columns are never gathered."""
     side_num = {"left": 0, "right": 1, "self": 0}[side]
 
     def fn(t: pa.Table) -> pa.Table:
         import pandas as pd
 
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
         keys = [t.column(c).to_numpy(zero_copy_only=False) for c in key_cols]
         codes, uniq = pd.factorize(keys[0])
         uniq = np.asarray(uniq, dtype=object)
@@ -127,6 +135,7 @@ def _emit_batches(strategy, side: str, id_col: str, key_cols: list[str], salts: 
             if hot_mask.any():
                 hr = rep_row[hot_mask]
                 hk = em_keys[hot_mask].astype("U")
+                ids = t.column(id_col).to_numpy(zero_copy_only=False)
                 hh = id_salt_hash(ids[hr])
                 for bk, (sl, sr) in salts.items():
                     m = hk == bk
@@ -154,13 +163,15 @@ def _emit_batches(strategy, side: str, id_col: str, key_cols: list[str], salts: 
             rep_row = np.concatenate(rows_parts)
             em_keys = np.concatenate(keys_parts)
 
-        take = pa.array(rep_row, pa.int64())
-        idc = t.column(id_col).combine_chunks() if isinstance(t.column(id_col), pa.ChunkedArray) else t.column(id_col)
         cols = {
             BK: pa.array(em_keys, type=pa.string()),
             SIDE: pa.array(np.full(len(rep_row), side_num, dtype=np.int8)),
-            ID: idc.take(take),
         }
+        if keys_only:
+            return pa.table(cols)
+        take = pa.array(rep_row, pa.int64())
+        idc = t.column(id_col).combine_chunks() if isinstance(t.column(id_col), pa.ChunkedArray) else t.column(id_col)
+        cols[ID] = idc.take(take)
         for cname in key_cols:
             kc = t.column(cname)
             kc = kc.combine_chunks() if isinstance(kc, pa.ChunkedArray) else kc
@@ -175,21 +186,25 @@ def _base_bk(bk: str) -> str:
 
 
 def _plan_salts(
-    emitted: rd.Dataset, pair_budget: int, selfjoin: bool
+    sources: list[tuple[MaterializedDataset, Callable[[pa.Table], pa.Table]]],
+    pair_budget: int,
+    selfjoin: bool,
 ) -> dict[str, tuple[int, int]]:
-    """Count rows per (block, side); return salt grids for blocks whose
-    candidate-pair count exceeds the budget. Only hot keys reach the
-    driver (the counts dataset is filtered before collection)."""
-    counts = emitted.groupby([BK, SIDE]).count()
+    """Salt grids for blocks whose candidate-pair count exceeds the
+    budget. ``sources`` pairs each materialized input with its keys-only
+    emission function (one (block, side) row per emission); a hot-key
+    census of those rows sends only the heavy ones to the driver, with
+    no count shuffle."""
     # a block can only be hot if one side alone exceeds sqrt(budget)
     floor = max(64, int(math.sqrt(pair_budget)))
-    hot = counts.map_batches(
-        lambda t: t.filter(pa.compute.greater(t["count()"], floor)),
-        batch_format="pyarrow",
-    ).take_all()
+    hot = hot_key_census(
+        sources,
+        pa.schema([(BK, pa.string()), (SIDE, pa.int8())]),
+        floor,
+    )
     by_bk: dict[str, dict[int, int]] = defaultdict(dict)
-    for row in hot:
-        by_bk[row[BK]][row[SIDE]] = row["count()"]
+    for bk, side, n in zip(*(hot[c].to_pylist() for c in (BK, SIDE, "count_all"))):
+        by_bk[bk][side] = n
     plan: dict[str, tuple[int, int]] = {}
     for bk, sides in by_bk.items():
         cl = sides.get(0, 0)
@@ -443,45 +458,37 @@ def build_edges_blocked(
     left_p = left.select_columns(lsel)
     right_p = None if selfjoin else right.select_columns([rid] + sorted(set(rkeys) - {rid}))
     if pair_budget is not None:
-        # salt planning runs the emit pipeline a second time; materialize
-        # the projected (id, keys) inputs once so the upstream graph does
-        # not re-execute for the planning pass
+        # the salt census runs the emission over these inputs block by
+        # block; materialize the projected (id, keys) inputs once so the
+        # upstream graph does not re-execute for the planning passes
         left_p = left_p.materialize()
         if right_p is not None:
             right_p = right_p.materialize()
 
-    def emitted_with(salts):
+    def emitters(salts, keys_only=False):
         if selfjoin:
-            e = left_p.map_batches(
-                _emit_batches(strategy, "self", lid, lkeys, salts), batch_format="pyarrow"
-            )
-            return e
-        el = left_p.map_batches(
-            _emit_batches(strategy, "left", lid, lkeys, salts), batch_format="pyarrow"
-        )
-        er = right_p.map_batches(
-            _emit_batches(strategy, "right", rid, rkeys, salts), batch_format="pyarrow"
-        )
-        if lkeys != rkeys:
-            # unify emitted key column names (k_<leftname>)
-            er = er.map_batches(
-                lambda t: t.rename_columns(
-                    [
-                        ("k_" + lkeys[rkeys.index(c[2:])]) if c.startswith("k_") else c
-                        for c in t.column_names
-                    ]
-                ),
-                batch_format="pyarrow",
-            )
-        return el.union(er)
+            return [(left_p, _emit_batches(strategy, "self", lid, lkeys, salts, keys_only))]
+        return [
+            (left_p, _emit_batches(strategy, "left", lid, lkeys, salts, keys_only)),
+            (right_p, _emit_batches(strategy, "right", rid, rkeys, salts, keys_only)),
+        ]
 
     salts = None
     if pair_budget is not None:
-        salts = _plan_salts(emitted_with(None), pair_budget, selfjoin)
-        if not salts:
-            salts = None
+        salts = _plan_salts(emitters(None, keys_only=True), pair_budget, selfjoin) or None
 
-    emitted = emitted_with(salts)
+    emitted = [ds.map_batches(fn, batch_format="pyarrow") for ds, fn in emitters(salts)]
+    if not selfjoin and lkeys != rkeys:
+        # unify emitted key column names (k_<leftname>)
+        emitted[1] = emitted[1].map_batches(
+            lambda t: t.rename_columns(
+                [
+                    ("k_" + lkeys[rkeys.index(c[2:])]) if c.startswith("k_") else c
+                    for c in t.column_names
+                ]
+            ),
+            batch_format="pyarrow",
+        )
     if ckpt_parts is not None:
         num_parts, missing, _ = ckpt_parts
         want = np.asarray(sorted(missing), dtype=np.int64)
@@ -490,7 +497,7 @@ def build_edges_blocked(
             keep = np.isin(partition_ids([t.column(BK)], num_parts), want)
             return t.filter(pa.array(keep))
 
-        emitted = emitted.map_batches(part_filter, batch_format="pyarrow")
+        emitted = [e.map_batches(part_filter, batch_format="pyarrow") for e in emitted]
     return exchange(
         emitted, BK, num_partitions, _make_partition_scorer(cfg), batch_format="pyarrow"
     )

@@ -11,9 +11,16 @@ the engine carries its own grace-style partitioned hash join:
    package's dtype-stable partition hash) co-locates matching keys;
 3. each partition is joined locally with pyarrow's C++ ``Table.join``.
 
-This is exactly the "explicit partitioned hash join" pattern for
-both-sides-large joins; a broadcast fast path (``broadcast_semi_filter``)
-covers the small-side cases without any shuffle.
+This is the "explicit partitioned hash join" pattern for both-sides-large
+joins. A side that is already a ``MaterializedDataset`` of at most
+:data:`BROADCAST_BYTES` is broadcast instead (Spark's broadcast-hash-join
+rule): either side of an inner join (the smaller), the right side of a
+``left_*`` join, the left side of a ``right_*`` join, never a side of a
+full outer join. Each task over the other side's blocks fetches the
+small side's blocks itself (the driver never holds them), preps them
+like its own block and runs the same per-partition join, so null, dtype,
+nested-column and outer-mode semantics are one code path. A lazy side
+is never materialized just to measure it.
 
 Null keys never match (consistent with the engine-wide NA rule — Acero's
 hash join shares SQL null semantics, verified empirically); null-key
@@ -25,11 +32,35 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
+from ray.data.dataset import MaterializedDataset
 
 from ..exchange import exchange
 
 _SIDE = "__hj_side"
+
+# a materialized side at most this large is broadcast, not shuffled.
+# Broadcast work grows with (big-side blocks x small-side bytes); the
+# exchange's does not. Measured on 4 CPUs (inner join, 400k-row big side,
+# BENCH_broadcast_crossover_r11.json), broadcast and exchange cost the
+# same at ~21 MiB with 64 big-side blocks, and broadcast still wins at
+# 10.5 MiB with 16 or 256 blocks; the bound is half the lowest crossover.
+BROADCAST_BYTES = 10 << 20
+
+# which sides (0 = left, 1 = right) each mode may broadcast: the side
+# whose unmatched rows never reach the output
+_BROADCASTABLE = {
+    "inner": (0, 1),
+    "left_outer": (1,),
+    "left_semi": (1,),
+    "left_anti": (1,),
+    "right_outer": (0,),
+    "right_semi": (0,),
+    "right_anti": (0,),
+    "full_outer": (),
+}
 
 _MODES = {
     "inner": "inner",
@@ -53,6 +84,15 @@ def _schema_or(ds: rd.Dataset, override: pa.Schema | None, side: str) -> pa.Sche
             "pass an explicit schema"
         )
     return pa.schema(list(zip(sch.names, sch.types))) if not isinstance(sch, pa.Schema) else sch
+
+
+def broadcast_bytes(ds: rd.Dataset) -> int | None:
+    """``ds``'s size if it is a materialized Dataset small enough to
+    broadcast, else None. Never executes a lazy plan to find out."""
+    if not isinstance(ds, MaterializedDataset):
+        return None
+    n = ds.size_bytes()
+    return n if n is not None and n <= BROADCAST_BYTES else None
 
 
 def hash_join(
@@ -140,10 +180,7 @@ def hash_join(
 
         return fn
 
-    lu = left.map_batches(prep(0, {lk: lk for lk in lkeys}), batch_format="pyarrow")
-    ru = right.map_batches(
-        prep(1, {r2l[rk]: rk for rk in rkeys}), batch_format="pyarrow"
-    )
+    preps = (prep(0, {lk: lk for lk in lkeys}), prep(1, {r2l[rk]: rk for rk in rkeys}))
 
     lcols = [n for n, _ in lfields]
     rcols = [n for n, _ in rfields if n not in rkeys]
@@ -226,4 +263,23 @@ def hash_join(
             return out.select(lkeys + rcols)
         return out.select(lcols)
 
-    return exchange([lu, ru], lkeys, num_partitions, join_part, batch_format="pyarrow")
+    sides = (left, right)
+    sizes = [(broadcast_bytes(sides[i]), i) for i in _BROADCASTABLE[how]]
+    sizes = [s for s in sizes if s[0] is not None]
+    if not sizes:
+        prepped = [ds.map_batches(fn, batch_format="pyarrow") for ds, fn in zip(sides, preps)]
+        return exchange(prepped, lkeys, num_partitions, join_part, batch_format="pyarrow")
+
+    small = min(sizes)[1]
+    big_prep, small_prep = preps[1 - small], preps[small]
+    refs = [
+        ref for bundle in sides[small].iter_internal_ref_bundles() for ref in bundle.block_refs
+    ]
+
+    def broadcast_part(t: pa.Table) -> pa.Table:
+        blocks = [small_prep(BlockAccessor.for_block(b).to_arrow()) for b in ray.get(refs)]
+        return join_part(pa.concat_tables([big_prep(t), *blocks]))
+
+    # one batch per block of the big side: the small side is fetched and
+    # prepped once per block, not once per default-sized batch
+    return sides[1 - small].map_batches(broadcast_part, batch_format="pyarrow", batch_size=None)

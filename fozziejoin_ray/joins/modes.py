@@ -3,7 +3,11 @@
 Distributed analog of /root/reference/src/rust/src/merge/ — the reference
 slices in-memory frames by matched row ids (inner.rs, left.rs, right.rs,
 full.rs, anti.rs:5-11, semi.rs:5-12); here every mode is built from
-streaming equality joins (joins/hashjoin.py) against the edge table:
+equality joins (joins/hashjoin.py) against the edge table. Each of them
+broadcasts a side that is materialized and small (the edges, a small
+input) and shuffles only when both sides are large or lazy; a small
+materialized input stays materialized through its ``.x``/``.y`` rename
+so it stays broadcastable:
 
 - inner: edges ⋈ left ⋈ right, ``.x``/``.y`` suffixes on name collisions
   (inner.rs:7-46), distance column(s) appended;
@@ -22,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from .hashjoin import hash_join
+from .hashjoin import broadcast_bytes, hash_join
 
 LID = "__fj_lid"
 RID = "__fj_rid"
@@ -74,7 +78,9 @@ def _suffix_plan(left: rd.Dataset, right: rd.Dataset):
 def _rename(ds: rd.Dataset, mapping: dict[str, str]) -> rd.Dataset:
     if all(k == v for k, v in mapping.items()):
         return ds
-    return ds.rename_columns(mapping)
+    out = ds.rename_columns(mapping)
+    # a rename makes a lazy plan; keep a broadcastable side broadcastable
+    return out.materialize() if broadcast_bytes(ds) is not None else out
 
 
 def _project(ds: rd.Dataset, cols: list[str], rename: dict[str, str] | None = None) -> rd.Dataset:
@@ -121,8 +127,6 @@ def assemble(
     n_dist: int | None = None,
 ) -> rd.Dataset:
     lmap, rmap = _suffix_plan(left, right)
-    left_r = _rename(left, lmap)
-    right_r = _rename(right, rmap)
     lid_r, rid_r = lmap[lid], rmap[rid]
 
     lschema = _schema_of(left, list(left.schema().names))
@@ -144,6 +148,24 @@ def assemble(
         [(LID, lschema.field(lid).type), (RID, rschema.field(rid).type)]
         + [(d, pa.float64()) for d in edge_dist]
     )
+
+    if how in ("semi", "anti"):
+        # semi/anti output the left frame as-is (no right columns, so no
+        # suffixing), cf. merge/semi.rs:5-12 and merge/anti.rs:5-11
+        j = hash_join(
+            left,
+            edges,
+            lid,
+            LID,
+            how="left_semi" if how == "semi" else "left_anti",
+            num_partitions=num_partitions,
+            left_schema=lschema,
+            right_schema=edge_schema,
+        )
+        return _project(j, [c for c in lschema.names if c not in drop_ids])
+
+    left_r = _rename(left, lmap)
+    right_r = _rename(right, rmap)
 
     def renamed_schema(schema: pa.Schema, mapping: dict[str, str]) -> pa.Schema:
         return pa.schema([(mapping[f.name], f.type) for f in schema])
@@ -187,28 +209,12 @@ def assemble(
     if how == "inner":
         return finish_inner(edges)
 
-    lid_schema = pa.schema([edge_schema.field(LID)])
-    rid_schema = pa.schema([edge_schema.field(RID)])
-
-    if how in ("semi", "anti"):
-        # semi/anti output the left frame as-is (no right columns, so no
-        # suffixing), cf. merge/semi.rs:5-12 and merge/anti.rs:5-11
-        j = hash_join(
-            left,
-            _project(edges, [LID]),
-            lid,
-            LID,
-            how="left_semi" if how == "semi" else "left_anti",
-            num_partitions=num_partitions,
-            left_schema=lschema,
-            right_schema=lid_schema,
-        )
-        return _project(j, [c for c in lschema.names if c not in drop_ids])
-
     if how not in ("left", "right", "full"):
         raise ValueError(f"unknown join mode {how!r}")
     # left/right/full read the edges 2-3 times (inner join, anti-join
-    # per padded side): run the edge plan once, not once per reader
+    # per padded side): run the edge plan once, not once per reader. The
+    # anti-joins take the materialized edges whole (hash_join narrows
+    # them to the key), so a small edge set broadcasts
     edges = edges.materialize()
     inner = finish_inner(edges)
     out_cols = keep_l + keep_r + list(distance_cols)
@@ -217,26 +223,26 @@ def assemble(
         if side == "left":
             un = hash_join(
                 left_r,
-                _project(edges, [LID]),
+                edges,
                 lid_r,
                 LID,
                 how="left_anti",
                 num_partitions=num_partitions,
                 left_schema=lschema_r,
-                right_schema=lid_schema,
+                right_schema=edge_schema,
             )
             un = _project(un, keep_l)
             pad_schema = pa.schema([rschema_r.field(n) for n in keep_r])
         else:
             un = hash_join(
                 right_r,
-                _project(edges, [RID]),
+                edges,
                 rid_r,
                 RID,
                 how="left_anti",
                 num_partitions=num_partitions,
                 left_schema=rschema_r,
-                right_schema=rid_schema,
+                right_schema=edge_schema,
             )
             un = _project(un, keep_r)
             pad_schema = pa.schema([lschema_r.field(n) for n in keep_l])

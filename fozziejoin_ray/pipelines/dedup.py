@@ -17,9 +17,9 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
-_EMPTY_U64 = np.empty(0, np.uint64)
-
+from ..census import hot_key_census
 from ..cluster.union_find import connected_components
 from ..exchange import exchange
 from ..joins.hashjoin import hash_join
@@ -937,78 +937,29 @@ def _own_pairs_mask(
 
 
 def _bucket_census(
-    emitted: rd.Dataset,
+    emitted: MaterializedDataset,
     max_bucket: int,
     two_table: bool = False,
 ) -> np.ndarray:
     """Global LSH bucket census: the sorted u64 ids of globally-capped
     buckets (count > max_bucket; per (bucket, side) in two-table mode,
     collapsed back to bucket ids): the stop-word cap, dropped entirely.
+    Counted by :func:`~fozziejoin_ray.census.hot_key_census` over the
+    materialized emission, so the counts never shuffle."""
 
-    Two cheap passes over the materialized emission — the counts never
-    shuffle. Pass 1 (pigeonhole prune): a bucket with global count >
-    T = max_bucket over B blocks must have >= ceil((T+1)/B) rows in
-    SOME block, so per-block partials below that threshold can't belong
-    to a candidate and never reach the driver. Pass 2 exact-counts only the surviving
-    candidates, folded vectorized (unique + bincount), no Python rows."""
-
-    def _sided(t: pa.Table) -> np.ndarray:
+    def sided(t: pa.Table) -> pa.Table:
         col = (
             t["__bucket"].combine_chunks() if isinstance(t["__bucket"], pa.ChunkedArray) else t["__bucket"]
         ).to_numpy(zero_copy_only=False)
         if two_table:
             sd = t["__lsh_side"].to_numpy(zero_copy_only=False).astype(np.uint64)
             col = (col << np.uint64(1)) | sd
-        return col
+        return pa.table({"__bucket": pa.array(col, pa.uint64())})
 
-    n_blocks = max(1, emitted.num_blocks())
-    part_thresh = -(-(max_bucket + 1) // n_blocks)  # ceil
-
-    def candidate_counts(t: pa.Table) -> pa.Table:
-        u, c = np.unique(_sided(t), return_counts=True)
-        big = c >= part_thresh
-        return pa.table({"__bucket": pa.array(u[big], pa.uint64())})
-
-    cand = np.unique(
-        np.concatenate(
-            [
-                bt["__bucket"].to_numpy(zero_copy_only=False)
-                # batch_size=None (one batch per block) is REQUIRED for
-                # the pigeonhole bound: part_thresh is valid only if
-                # each block's counts are seen whole, never split
-                for bt in emitted.map_batches(
-                    candidate_counts, batch_format="pyarrow", batch_size=None
-                ).iter_batches(batch_size=None, batch_format="pyarrow")
-            ]
-            or [_EMPTY_U64]
-        )
+    hot = hot_key_census(
+        [(emitted, sided)], pa.schema([("__bucket", pa.uint64())]), max_bucket
     )
-    uu = _EMPTY_U64
-    tot = np.empty(0, np.int64)
-    if len(cand):
-        cand_ref = ray.put(cand)
-
-        def exact_counts(t: pa.Table) -> pa.Table:
-            want = ray.get(cand_ref)
-            col = _sided(t)
-            col = col[np.isin(col, want)]
-            u, c = np.unique(col, return_counts=True)
-            return pa.table({"__bucket": pa.array(u, pa.uint64()), "n": pa.array(c.astype(np.int64))})
-
-        us: list[np.ndarray] = []
-        cs: list[np.ndarray] = []
-        for bt in emitted.map_batches(exact_counts, batch_format="pyarrow").iter_batches(
-            batch_size=None, batch_format="pyarrow"
-        ):
-            us.append(bt["__bucket"].to_numpy(zero_copy_only=False))
-            cs.append(bt["n"].to_numpy(zero_copy_only=False))
-        if us:
-            u_all = np.concatenate(us)
-            c_all = np.concatenate(cs)
-            uu, inv = np.unique(u_all, return_inverse=True)
-            tot = np.bincount(inv, weights=c_all).astype(np.int64)
-
-    capped_ids = uu[tot > max_bucket]
+    capped_ids = np.sort(hot["__bucket"].to_numpy(zero_copy_only=False))
     if two_table and len(capped_ids):
         # a capped side caps the whole bucket for ownership eligibility
         capped_ids = np.unique(capped_ids >> np.uint64(1))

@@ -274,7 +274,7 @@ def ppl_buckets(
     """
     import pyarrow.compute as pc
 
-    from .stats import column_quantiles
+    from .stats import NoValuesError, column_quantiles
 
     if not (0.0 < qs[0] < qs[1] < 1.0):
         raise ValueError(f"qs must be two increasing quantiles in (0,1), got {qs}")
@@ -290,13 +290,10 @@ def ppl_buckets(
         thr = column_quantiles(
             scored.map_batches(proj, batch_format="pyarrow"), "__pr", list(qs)
         )
-    except ValueError:
+    except NoValuesError:
         # no scoreable document (every doc < 2 tokens): the SQL oracle
         # returns one row per doc with a NULL bucket — mirror that
         # instead of propagating column_quantiles' no-values error.
-        # Only the quantile call sits in the try: an unexpected
-        # ValueError from the unpack below must surface, not be
-        # misread as "no scoreable documents".
         t1 = t2 = None
     else:
         t1, t2 = thr.column("value").to_pylist()

@@ -61,20 +61,24 @@ def value_counts(ds: rd.Dataset, col: str) -> rd.Dataset:
     ).sum("count")
 
 
+class NoValuesError(ValueError):
+    """The column has no non-null value to take a quantile of."""
+
+
 def column_quantiles(ds: rd.Dataset, col: str, qs: list[float]) -> pa.Table:
     """Exact discrete quantiles of ``col`` at each q in ``qs``.
 
     Returns an Arrow table (q: float64, value: col's type), one row per
-    requested quantile, in the given order. Raises on an all-null /
-    empty column."""
+    requested quantile, in the given order. Raises :class:`NoValuesError`
+    on an all-null / empty column, and a plain ``ValueError`` on a q
+    outside [0, 1]."""
     for q in qs:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-    merged = pa.concat_tables(
-        value_counts(ds, col).iter_batches(batch_size=None, batch_format="pyarrow")
-    )
-    if merged.num_rows == 0:
-        raise ValueError(f"column {col!r} has no non-null values")
+    parts = list(value_counts(ds, col).iter_batches(batch_size=None, batch_format="pyarrow"))
+    merged = pa.concat_tables(parts) if parts else None
+    if merged is None or merged.num_rows == 0:
+        raise NoValuesError(f"column {col!r} has no non-null values")
     merged = merged.sort_by("value")
     counts = merged.column("sum(count)").to_numpy(zero_copy_only=False)
     cum = np.cumsum(counts)

@@ -68,3 +68,141 @@ def test_blocked_selfjoin_matches_bruteforce_fuzz(vals, d):
         (int(a), int(b), float(x)) for a, b, x in zip(ia[keep], ib[keep], dist[keep])
     )
     assert got == want
+
+
+# ------------------------------------------------------------ salt census
+
+_BLOCK_COUNTS = st.lists(st.integers(0, 40), min_size=1, max_size=4)
+
+
+def _old_plan(counts: dict, pair_budget: int, selfjoin: bool, floor: int) -> dict:
+    """The salt plan as the groupby([BK, SIDE]).count() path made it:
+    (block, side) counts over ``floor``, then the same grid arithmetic."""
+    import math
+
+    by_bk: dict = {}
+    for (bk, side), n in counts.items():
+        if n > floor:
+            by_bk.setdefault(bk, {})[side] = n
+    plan = {}
+    for bk, sides in by_bk.items():
+        cl, cr = sides.get(0, 0), sides.get(1, 0)
+        pairs = cl * (cl - 1) // 2 if selfjoin else cl * cr
+        if pairs <= pair_budget:
+            continue
+        if selfjoin:
+            k = max(2, math.ceil(math.sqrt(pairs / pair_budget * 2)))
+            plan[bk] = (k, k)
+        else:
+            ratio = max(1.0, pairs / pair_budget)
+            sl = max(1, math.ceil(math.sqrt(ratio * max(1, cl) / max(1, cr))))
+            plan[bk] = (sl, max(1, math.ceil(ratio / sl)))
+    return plan
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spread=st.dictionaries(
+        st.tuples(st.sampled_from(["a", "b;", "é", "\x01T2:0_1;a"]), st.integers(0, 1)),
+        _BLOCK_COUNTS,
+        max_size=6,
+    ),
+    n_blocks=st.integers(1, 4),
+    selfjoin=st.booleans(),
+)
+def test_census_equals_count(spread, n_blocks, selfjoin):
+    """hot_key_census returns exactly the (block, side) keys a full count
+    puts over the floor, with their counts, and _plan_salts makes the
+    old count path's plan. A block key spread thinly over every block
+    (each partial at the pigeonhole threshold, or one under it) puts the
+    threshold on the decision boundary."""
+    import math
+
+    import pandas as pd
+
+    from fozziejoin_ray.census import hot_key_census
+    from fozziejoin_ray.joins.blocked import BK, SIDE, _plan_salts
+
+    floor = 64
+    thresh = math.ceil((floor + 1) / n_blocks)
+    spread = {(bk, 0 if selfjoin else s): c for (bk, s), c in spread.items()}
+    spread[("thin", 0)] = [thresh] * n_blocks
+    spread[("cold", 0)] = [thresh - 1] * n_blocks
+    blocks = []
+    for b in range(n_blocks):
+        bks, sides = [], []
+        for (bk, side), counts in spread.items():
+            n = counts[b] if b < len(counts) else 0
+            bks += [bk] * n
+            sides += [side] * n
+        blocks.append(
+            pa.table({BK: pa.array(bks, pa.string()), SIDE: pa.array(sides, pa.int8())})
+        )
+    ds = rd.from_arrow(blocks)
+    assert ds.num_blocks() == n_blocks
+
+    full = pd.concat([b.to_pandas() for b in blocks]).groupby([BK, SIDE]).size()
+    want = {k: int(n) for k, n in full.items() if n > floor}
+    hot = hot_key_census([(ds, lambda t: t)], blocks[0].schema, floor)
+    got = dict(zip(zip(hot[BK].to_pylist(), hot[SIDE].to_pylist()), hot["count_all"].to_pylist()))
+    assert got == want
+    assert ("thin", 0) in got and ("cold", 0) not in got
+
+    budget = 100  # floor = max(64, sqrt(budget)) = 64
+    assert _plan_salts([(ds, lambda t: t)], budget, selfjoin) == _old_plan(
+        {k: int(n) for k, n in full.items()}, budget, selfjoin, floor
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(vals=_corpus, side=st.sampled_from(["left", "right", "self"]), d=st.integers(0, 2))
+def test_keys_only_emission_is_the_full_emissions_keys(vals, side, d):
+    """The salt census's keys-only emission yields exactly the (block,
+    side) rows of the full emission, in order."""
+    from fozziejoin_ray.blocking.strategies import strategy_for
+    from fozziejoin_ray.joins.blocked import BK, SIDE, _emit_batches
+
+    t = pa.table({"lid": list(range(len(vals))), "wl": vals})
+    strategy = strategy_for("lv", d, 2)
+    full = _emit_batches(strategy, side, "lid", ["wl"], None)(t)
+    keys = _emit_batches(strategy, side, "lid", ["wl"], None, keys_only=True)(t)
+    assert keys.equals(full.select([BK, SIDE]))
+
+
+def test_blocked_full_join_is_one_exchange(monkeypatch):
+    """A blocked full join of two small materialized tables makes one
+    exchange (the score exchange) and no groupby().count(): the salt plan
+    is a census and all four assembly joins broadcast."""
+    from ray.data.grouped_data import GroupedData
+
+    from fozziejoin_ray.joins import blocked, hashjoin
+
+    names = ["anna", "anne", "bob", "rob", "carl", "karl", "dave", ""]
+    l = rd.from_arrow(pa.table({"lid": list(range(8)), "name": names}))
+    r = rd.from_arrow(pa.table({"rid": list(range(8)), "name": names[::-1]}))
+
+    def join(strategy):
+        out = fuzzy_string_join(
+            l, r, by="name", method="lv", max_distance=1, how="full",
+            left_id="lid", right_id="rid", strategy=strategy, num_partitions=4,
+        )
+        return sorted(map(repr, (tuple(d.values()) for d in out.take_all())))
+
+    want = join("broadcast")
+    calls = {"exchange": 0, "groupby": 0, "count": 0}
+
+    def count(owner, name, key):
+        orig = getattr(owner, name)
+
+        def fn(*a, **kw):
+            calls[key] += 1
+            return orig(*a, **kw)
+
+        monkeypatch.setattr(owner, name, fn)
+
+    count(blocked, "exchange", "exchange")
+    count(hashjoin, "exchange", "exchange")
+    count(rd.Dataset, "groupby", "groupby")
+    count(GroupedData, "count", "count")
+    assert join("blocked") == want
+    assert calls == {"exchange": 1, "groupby": 1, "count": 0}

@@ -326,3 +326,103 @@ def test_right_key_sharing_left_payload_name():
     ).take_all()
     rows = {d["id"]: (d["b"], d["w"]) for d in out}
     assert rows == {"x": (10, None), "y": (20, 7)}
+
+
+# ------------------------------------------------ broadcast == shuffle fuzz
+
+_K1 = hst.one_of(hst.none(), hst.integers(0, 3))
+_K2 = hst.one_of(hst.none(), hst.sampled_from(["p", "q"]))
+_ROWS = hst.lists(hst.tuples(_K1, _K2), min_size=0, max_size=8)
+
+
+def _blocks(t: pa.Table, empty_no_schema: bool) -> rd.Dataset:
+    """A materialized Dataset of ``t`` in two blocks; an empty ``t`` may
+    come as one column-less block whose schema Ray cannot observe."""
+    if not t.num_rows and empty_no_schema:
+        return rd.from_arrow(pa.table({}))
+    k = t.num_rows // 2
+    return rd.from_arrow([t.slice(0, k), t.slice(k)])
+
+
+def _rows(out: list[dict]) -> list[tuple]:
+    def norm(v):
+        if isinstance(v, (list, np.ndarray)):
+            return tuple(v)
+        return None if v is None or (isinstance(v, float) and np.isnan(v)) else v
+
+    return sorted((tuple(norm(v) for v in d.values()) for d in out), key=repr)
+
+
+@pytest.mark.parametrize("how", _MODES)
+@settings(max_examples=6, deadline=None)
+@given(
+    lrows=_ROWS,
+    rrows=_ROWS,
+    rk_float=hst.booleans(),
+    composite=hst.booleans(),
+    empty_no_schema=hst.booleans(),
+)
+def test_broadcast_equals_shuffle_fuzz(how, lrows, rrows, rk_float, composite, empty_no_schema):
+    """Every mode gives the same rows whether a side is broadcast or both
+    are shuffled: null keys, an int64 left key against its float64 right
+    twin, composite keys, nested payloads on both sides, and empty sides
+    known only through the explicit schemas."""
+    from fozziejoin_ray.joins import hashjoin as hj
+
+    rk_type = pa.float64() if rk_float else pa.int64()
+    lt = pa.table(
+        {
+            "a": pa.array([r[0] for r in lrows], pa.int64()),
+            "b": pa.array([r[1] for r in lrows], pa.string()),
+            "lv": pa.array([f"l{i}" for i in range(len(lrows))], pa.string()),
+            "le": pa.array([[float(i)] * (i % 3) for i in range(len(lrows))], pa.list_(pa.float64())),
+        }
+    )
+    rt = pa.table(
+        {
+            "c": pa.array([r[0] for r in rrows], rk_type),
+            "d": pa.array([r[1] for r in rrows], pa.string()),
+            "rv": pa.array([[i, -i] for i in range(len(rrows))], pa.list_(pa.int64())),
+        }
+    )
+    lkeys, rkeys = (["a", "b"], ["c", "d"]) if composite else ("a", "c")
+
+    def run(limit):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hj, "BROADCAST_BYTES", limit)
+            return _rows(
+                hash_join(
+                    _blocks(lt, empty_no_schema), _blocks(rt, empty_no_schema), lkeys, rkeys,
+                    how=how, num_partitions=3, left_schema=lt.schema, right_schema=rt.schema,
+                ).take_all()
+            )
+
+    assert run(0) == run(float("inf")), (how, lrows, rrows)
+
+
+def test_broadcast_rule_by_mode(monkeypatch):
+    """A small materialized side is broadcast only where the mode allows
+    it (no exchange: no groupby), and a lazy side is never measured."""
+    from fozziejoin_ray.joins import hashjoin as hj
+
+    calls = []
+    orig = rd.Dataset.groupby
+
+    def groupby(self, *a, **kw):
+        calls.append(1)
+        return orig(self, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "groupby", groupby)
+    small = rd.from_arrow(LEFT)
+    lazy = rd.from_arrow(RIGHT).map_batches(lambda t: t, batch_format="pyarrow")
+    shuffled = {}
+    for how in _MODES:
+        for name, (l, r) in {"both": (small, rd.from_arrow(RIGHT)), "lazy_right": (small, lazy)}.items():
+            calls.clear()
+            hash_join(l, r, "lk", "rk", how=how).take_all()
+            shuffled[how, name] = bool(calls)
+    for how in _MODES:
+        assert shuffled[how, "both"] == (how == "full_outer"), how
+        # only the materialized left may broadcast: inner and right_* modes
+        assert shuffled[how, "lazy_right"] == (how not in ("inner", "right_outer", "right_semi", "right_anti")), how
+    assert hj.broadcast_bytes(lazy) is None

@@ -112,8 +112,9 @@ def _nightly(tmp_path):
 def test_nightly_is_one_pass(tmp_path, capsys, monkeypatch):
     """The nightly run extracts keys and runs the value-dedup exchange
     once each, and writes clusters, keys and index from the keyed label
-    join: 4 groupby exchanges outside connected components (rep
-    exchange, LSH bucket exchange, label join, index write)."""
+    join: 3 groupby exchanges outside connected components (rep
+    exchange, LSH bucket exchange, index write). The label join
+    broadcasts the driver-side components' small materialized labels."""
     import ray.data as rd
 
     from fozziejoin_ray.pipelines import linkage
@@ -151,7 +152,7 @@ def test_nightly_is_one_pass(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(rd.Dataset, "groupby", groupby)
     assert _nightly(tmp_path) == 0
     capsys.readouterr()
-    assert calls == {"extract_keys": 1, "_key_rep_rows": 1, "groupby": 4}
+    assert calls == {"extract_keys": 1, "_key_rep_rows": 1, "groupby": 3}
 
 
 def _index_rows(d):

@@ -118,3 +118,17 @@ def test_ppl_buckets_no_scoreable_docs():
     out = ppl_buckets(ds).take_all()
     assert len(out) == 2
     assert all(d["ppl_bucket"] is None and d["perplexity"] is None for d in out)
+
+
+def test_ppl_buckets_other_quantile_errors_surface(monkeypatch):
+    """Only column_quantiles' NoValuesError means "no scoreable
+    document"; any other ValueError from the quantile call (here a bad
+    q) surfaces instead of becoming all-NULL buckets."""
+    from fozziejoin_ray.pipelines import stats
+    from fozziejoin_ray.pipelines.lm import ppl_buckets
+
+    orig = stats.column_quantiles
+    monkeypatch.setattr(stats, "column_quantiles", lambda ds, col, qs: orig(ds, col, [1.5]))
+    ds = rd.from_arrow(pa.table({"doc_id": [1, 2], "text": ["a b c", "a b d"]}))
+    with pytest.raises(ValueError, match=r"quantile must be in \[0, 1\]"):
+        ppl_buckets(ds).take_all()

@@ -393,3 +393,17 @@ def test_group_hll_distinct_bounds_and_invariance():
         group_hll_distinct(ds, [], "u")
     with pytest.raises(ValueError):
         group_hll_distinct(ds, ["g"], "u", p=10)
+
+
+def test_quantiles_no_values_error_is_distinct():
+    """An all-null column raises NoValuesError (a ValueError); a bad q
+    raises a plain ValueError that is not one."""
+    from fozziejoin_ray.pipelines.stats import NoValuesError
+
+    empty = rd.from_arrow(pa.table({"x": pa.array([None], pa.int64())}))
+    with pytest.raises(NoValuesError):
+        column_quantiles(empty, "x", [0.5])
+    ds = rd.from_arrow(pa.table({"x": pa.array([1, 2], pa.int64())}))
+    with pytest.raises(ValueError) as ei:
+        column_quantiles(ds, "x", [-0.1])
+    assert not isinstance(ei.value, NoValuesError)
