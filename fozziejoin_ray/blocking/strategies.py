@@ -83,6 +83,9 @@ _cached_soundex = lru_cache(maxsize=262144)(soundex_na_dual)
 
 SMALL_BLOCK = "__small__"
 
+# the unit-cost edit distances: integer-valued, length-window bounded
+EDIT_METHODS = frozenset({"levenshtein", "osa", "damerau_levensthein", "lcs", "hamming"})
+
 _EMPTY_PAIR = (np.empty(0, np.int64), np.empty(0, np.int64))
 
 
@@ -550,7 +553,7 @@ def strategy_for(
     allpairs_salts: tuple[int, int] = (1, 1),
 ):
     method = canon_method(method)
-    if method in ("levenshtein", "osa", "damerau_levensthein", "lcs", "hamming"):
+    if method in EDIT_METHODS:
         # edit distances are integers, so dist <= maxd iff dist <= floor(maxd)
         d = int(max_distance)
         if d in _DELETION_LCAP:

@@ -38,8 +38,11 @@ def hot_key_census(
     floor: int,
 ) -> pa.Table:
     """The key tuples that occur more than ``floor`` times over all
-    ``sources``, with their exact counts: ``key_schema``'s columns plus
-    ``count_all``.
+    ``sources``, and every other tuple that shares its first key column
+    with one of them, all with their exact counts: ``key_schema``'s
+    columns plus ``count_all``. With one key column that is just the hot
+    keys; the blocked join's salt plan keys on (block, side) and so gets
+    every side's count of a block that has any side over the floor.
 
     Each source is a materialized Dataset and a function from one of its
     blocks to that block's key rows (``key_schema``, one row per
@@ -72,13 +75,14 @@ def hot_key_census(
     cand = run(candidates, key_schema)
     if not cand.num_rows:
         return counted.empty_table()
-    cand = cand.group_by(key_schema.names).aggregate([])
-    cand_ref = ray.put(cand)
+    on = key_schema.names[:1]
+    cand_ref = ray.put(cand.group_by(on).aggregate([]))
 
     def exact_counts(k: pa.Table) -> pa.Table:
-        return _count(k.join(ray.get(cand_ref), keys=k.column_names, join_type="left semi"))
+        return _count(k.join(ray.get(cand_ref), keys=on, join_type="left semi"))
 
     partial = run(exact_counts, counted)
     keys = key_schema.names
     tot = partial.group_by(keys).aggregate([(_N, "sum")]).rename_columns(keys + [_N])
-    return tot.filter(pc.greater(tot[_N], floor))
+    hot = tot.filter(pc.greater(tot[_N], floor)).group_by(on).aggregate([])
+    return tot.join(hot, keys=on, join_type="left semi")

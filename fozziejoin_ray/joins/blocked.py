@@ -1,31 +1,31 @@
 """Blocked (shuffle) fuzzy-join edge builder — the scale path.
 
 For inputs too large to broadcast (or self-joins for entity resolution),
-candidate generation becomes a distributed blocking shuffle:
+candidate generation becomes a distributed blocking shuffle over the
+same keys the broadcast plan probes (blocking/strategies.py):
 
 1. **emit**: a stateless ``map_batches`` emits (block_key, side, id,
-   key values) rows per input row, using the method's recall-complete
-   strategy (blocking/strategies.py). Only the id + key columns travel
-   through the shuffle — wide payload columns (e.g. ``spans``) are
-   joined back by id afterwards. The batch is factorized first, so
-   per-value work (gram/soundex encoding) runs once per DISTINCT value
-   and the fanout to rows is pure ``np.repeat`` arithmetic — no Python
-   loop over rows.
+   key values) rows per input row from the strategy's ``emit_unique``.
+   Only the id + key columns travel through the shuffle — wide payload
+   columns (e.g. ``spans``) are joined back by id afterwards. The batch
+   is factorized first, so per-value work (gram/soundex encoding) runs
+   once per DISTINCT value and the fanout to rows is pure ``np.repeat``
+   arithmetic.
 2. **salt** (optional): a hot-key census (census.py: per-block counts
    pruned by a pigeonhole threshold, then exact counts of the few
-   survivors, no shuffle) finds the oversized blocks, and re-emits them
+   survivors, no shuffle) finds the blocks with a side over the floor,
+   with every side's exact count, and the oversized ones are re-emitted
    under salted sub-keys — a grid split for two-table joins, a triangle
-   split for self-joins — so no single block's scoring exceeds the
-   pair budget. Every pair still meets in exactly one block.
+   split for self-joins — so no single block's scoring exceeds the pair
+   budget. Every pair still meets in exactly one block.
 3. **score**: one ``exchange()`` on the block key co-locates candidates
    in the caller's ``num_partitions`` partitions; each partition is
-   sorted by block key and scored one block at a time. Per block the
-   scorer factorizes values, asks the strategy for the valid
-   unique-value pairs (vectorized: length masks, bucketed gram
-   disqualification, salt-triangle masks — see
-   ``strategies.candidates``), scores them with the vectorized kernels,
-   fans out to id pairs with one ``np.repeat`` cross-product expansion,
-   and applies multi-key AND refinement. No per-pair Python anywhere.
+   sorted by block key and scored one block at a time. A pair that
+   shares several blocks is scored only in one of them, by the
+   strategy's smallest-shared-block rule (``strategy.candidates``); the
+   valid value pairs go through the scorer both plans share
+   (:func:`~fozziejoin_ray.joins.string_join.score_candidates`), and a
+   self-join keeps each unordered id pair once, as id_a < id_b.
 
 This generalizes the reference's in-memory candidate maps
 (/root/reference/src/rust/src/string/edit/mod.rs:32-51 and
@@ -50,22 +50,15 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.dataset import MaterializedDataset
 
-from ..blocking.strategies import _cross_expand, id_salt_hash, strategy_for
+from ..blocking.strategies import id_salt_hash, strategy_for
 from ..census import hot_key_census
 from ..exchange import exchange, partition_ids
-from ..kernels.strdist import edit_bag_bound, score_pairs
 from ..semantics import canon_method
-from .string_join import LID, RID, dist_names, group_positions, refine_score
+from .string_join import LID, RID, dist_names, group_positions, score_candidates
 
 BK = "__fj_bk"
 SIDE = "__fj_side"
 ID = "__fj_id"
-
-# methods with a sound bag-distance (char-multiset) lower bound
-_BAG_METHODS = {"levenshtein", "osa", "damerau_levensthein", "hamming", "lcs"}
-# methods where equal values imply distance exactly 0 (cosine's
-# both-empty -> 1.0 reference quirk keeps it out)
-_EQ_ZERO_METHODS = _BAG_METHODS | {"jaro_winkler", "qgram", "jaccard", "soundex"}
 
 
 def _cmp_ids(ids: np.ndarray) -> np.ndarray:
@@ -109,10 +102,7 @@ def _emit_batches(
         keys = [t.column(c).to_numpy(zero_copy_only=False) for c in key_cols]
         codes, uniq = pd.factorize(keys[0])
         uniq = np.asarray(uniq, dtype=object)
-        if len(uniq):
-            uidx, bks = strategy.emit_unique(uniq, side)
-        else:
-            uidx, bks = np.empty(0, np.int64), np.empty(0, dtype=object)
+        uidx, bks = strategy.emit_unique(uniq, side)
         # group emissions by unique index for the per-row gather
         order = np.argsort(uidx, kind="stable")
         uidx_s, bks_s = uidx[order], bks[order]
@@ -193,15 +183,11 @@ def _plan_salts(
     """Salt grids for blocks whose candidate-pair count exceeds the
     budget. ``sources`` pairs each materialized input with its keys-only
     emission function (one (block, side) row per emission); a hot-key
-    census of those rows sends only the heavy ones to the driver, with
-    no count shuffle."""
+    census of those rows sends only the heavy blocks to the driver, with
+    every side's exact count and no count shuffle."""
     # a block can only be hot if one side alone exceeds sqrt(budget)
     floor = max(64, int(math.sqrt(pair_budget)))
-    hot = hot_key_census(
-        sources,
-        pa.schema([(BK, pa.string()), (SIDE, pa.int8())]),
-        floor,
-    )
+    hot = hot_key_census(sources, pa.schema([(BK, pa.string()), (SIDE, pa.int8())]), floor)
     by_bk: dict[str, dict[int, int]] = defaultdict(dict)
     for bk, side, n in zip(*(hot[c].to_pylist() for c in (BK, SIDE, "count_all"))):
         by_bk[bk][side] = n
@@ -223,17 +209,46 @@ def _plan_salts(
     return plan
 
 
+def _self_pairs(ids: np.ndarray, full_bk: str):
+    """A self-join block's row filter for :func:`score_candidates`: keep
+    each unordered id pair once, oriented id_a < id_b. In a salted
+    triangle sub-block, two ids with the SAME salt co-occur in all sl
+    sub-blocks of the base block, so only the id pairs whose salt pair
+    names THIS sub-block are kept (same-salt pairs on the diagonal),
+    mirroring AllPairs.candidates at the id level."""
+    salt = None
+    if full_bk.startswith("\x01T"):
+        slt, rest = full_bk[2:].split(";", 1)[0].split(":", 1)
+        bi, bj = (int(x) for x in rest.split("_"))
+        salt = (id_salt_hash(ids) % int(slt)).astype(np.int64)
+
+    def keep_once(apos, bpos, va, vb):
+        ids_c = _cmp_ids(ids)
+        a_ids, b_ids = ids_c[apos], ids_c[bpos]
+        # same value list crossed with itself: keep each unordered id
+        # pair once; distinct values: every id pair is unique —
+        # normalize orientation so edges are canonical (id_a < id_b)
+        samev = va == vb
+        keep = np.where(samev, a_ids < b_ids, True)
+        swap = (~samev) & (a_ids > b_ids)
+        apos, bpos = np.where(swap, bpos, apos), np.where(swap, apos, bpos)
+        if salt is not None:
+            sa, sb = salt[apos], salt[bpos]
+            keep &= (np.minimum(sa, sb) == bi) & (np.maximum(sa, sb) == bj)
+        return apos, bpos, keep
+
+    return keep_once
+
+
 def _make_partition_scorer(cfg: dict):
     strategy = strategy_for(
         cfg["method"], cfg["max_distance"], cfg["q"], allpairs_salts=cfg["allpairs_salts"]
     )
     ckpt = cfg.get("ckpt_parts")  # (num_parts, part_col) or None
     selfjoin = cfg["selfjoin"]
-    method = cfg["method"]
-    maxd = cfg["max_distance"]
-    q = cfg["q"]
-    max_prefix = cfg["max_prefix"]
-    prefix_weight = cfg["prefix_weight"]
+    params = {
+        k: cfg[k] for k in ("method", "max_distance", "q", "max_prefix", "prefix_weight")
+    }
     lkeys = cfg["left_keys"]
     nkeys = len(lkeys)
 
@@ -246,143 +261,39 @@ def _make_partition_scorer(cfg: dict):
             cols[ckpt[1]] = pa.array([], pa.int64())
         return pa.table(cols)
 
-    def score_group(t: pa.Table) -> pa.Table:
+    def score_group(t: pa.Table) -> pa.Table | None:
+        """One block's edges, or None when it has none."""
         import pandas as pd
 
         full_bk = t.column(BK)[0].as_py()
-        bk = _base_bk(full_bk)
         side = t.column(SIDE).to_numpy(zero_copy_only=False)
         ids = t.column(ID).to_numpy(zero_copy_only=False)
-        # Salted self-join triangle sub-block: two ids with the SAME salt
-        # co-occur in all sl sub-blocks of this base block — keep only the
-        # id pairs whose salt pair names THIS sub-block (same-salt pairs on
-        # the diagonal), mirroring AllPairs.candidates at the id level.
-        salt_spec = None
-        if selfjoin and full_bk.startswith("\x01T"):
-            spec = full_bk[2:].split(";", 1)[0]
-            slt, rest = spec.split(":", 1)
-            bi, bj = (int(x) for x in rest.split("_"))
-            id_salt = (id_salt_hash(ids) % int(slt)).astype(np.int64)
-            salt_spec = (id_salt, bi, bj)
         # emitted key columns are unified under the left names for both
         # sides (see build_edges_blocked); row positions select the side
-        lkv = [t.column("k_" + c).to_numpy(zero_copy_only=False) for c in lkeys]
-        rkv = lkv
-
+        kv = [t.column("k_" + c).to_numpy(zero_copy_only=False) for c in lkeys]
         if selfjoin:
-            lpos = np.arange(len(ids), dtype=np.int64)
-            rpos = lpos
+            lpos = rpos = np.arange(len(ids), dtype=np.int64)
         else:
             lpos = np.nonzero(side == 0)[0]
             rpos = np.nonzero(side == 1)[0]
         if not len(lpos) or not len(rpos):
-            return empty(t)
+            return None
 
-        lcodes, lu = pd.factorize(lkv[0][lpos])
-        lu = np.asarray(lu, dtype=object)
-        lorder, lstarts, lcounts = group_positions(lcodes, len(lu))
-        lrows_sorted = lpos[lorder]
-        if selfjoin:
-            ru, rrows_sorted, rstarts, rcounts = lu, lrows_sorted, lstarts, lcounts
-        else:
-            rcodes, ru = pd.factorize(rkv[0][rpos])
-            ru = np.asarray(ru, dtype=object)
-            rorder, rstarts, rcounts = group_positions(rcodes, len(ru))
-            rrows_sorted = rpos[rorder]
-        if not len(lu) or not len(ru):
-            return empty(t)
+        def groups(pos):
+            codes, uniq = pd.factorize(kv[0][pos])
+            order, starts, counts = group_positions(codes, len(uniq))
+            return np.asarray(uniq, dtype=object), (pos[order], starts, counts)
 
-        ia, ib = strategy.candidates(lu, None if selfjoin else ru, bk, selfjoin)
-        if not len(ia):
-            return empty(t)
-
-        # recall-lossless bag-distance prefilter: the bucketed char-count
-        # lower bound costs ~1/3 of the exact kernel per pair and kills
-        # the overwhelming majority of length-window candidates, so the
-        # kernel only sees near-anagrams (cf. strdist.edit_bag_bound)
-        if method in _BAG_METHODS and len(ia) >= 4096:
-            lbnd = edit_bag_bound(
-                lu, None if selfjoin else ru, ia, ib, lcs=(method == "lcs")
-            )
-            pre = lbnd <= maxd
-            ia, ib = ia[pre], ib[pre]
-            if not len(ia):
-                return empty(t)
-
-        # exact-equality short-circuit (reference: edit/levenshtein.rs:78-85):
-        # equal values have distance 0 for these methods, so the kernel
-        # only sees unequal pairs — crucial for deletion-variant blocks,
-        # where most blocks are singletons whose only candidate is the
-        # identity pair. (cosine excluded: both-empty is 1.0 by the
-        # reference's quirk.)
-        if method in _EQ_ZERO_METHODS:
-            if selfjoin:
-                eq = ia == ib
-            else:
-                allv, _ = pd.factorize(np.concatenate([lu, ru]))
-                eq = allv[ia] == allv[len(lu) + ib]
-            d0 = np.zeros(len(ia), np.float64)
-            ne = np.nonzero(~eq)[0]
-            if len(ne):
-                d0[ne] = score_pairs(
-                    method, list(lu[ia[ne]]), list(ru[ib[ne]]),
-                    q=q, max_prefix=max_prefix, prefix_weight=prefix_weight,
-                )
-        else:
-            d0 = score_pairs(
-                method, list(lu[ia]), list(ru[ib]),
-                q=q, max_prefix=max_prefix, prefix_weight=prefix_weight,
-            )
-        keep = d0 <= maxd
-        ia, ib, d0 = ia[keep], ib[keep], d0[keep]
-        if not len(ia):
-            return empty(t)
-
-        # fan out unique-value pairs to id pairs: one vectorized
-        # variable-size cross-product expansion
-        rep, al, bl = _cross_expand(lcounts[ia], rcounts[ib])
-        if not len(rep):
-            return empty(t)
-        apos = lrows_sorted[lstarts[ia][rep] + al]
-        bpos = rrows_sorted[rstarts[ib][rep] + bl]
-        dists0 = d0[rep]
-
-        if selfjoin:
-            ids_c = _cmp_ids(ids)
-            a_ids, b_ids = ids_c[apos], ids_c[bpos]
-            samev = ia[rep] == ib[rep]
-            # same value list crossed with itself: keep each unordered id
-            # pair once; distinct values: every id pair is unique —
-            # normalize orientation so edges are canonical (id_a < id_b)
-            keepm = np.where(samev, a_ids < b_ids, True)
-            swap = (~samev) & (a_ids > b_ids)
-            apos, bpos = np.where(swap, bpos, apos), np.where(swap, apos, bpos)
-            if salt_spec is not None:
-                id_salt, bi, bj = salt_spec
-                sa_, sb_ = id_salt[apos], id_salt[bpos]
-                keepm &= (np.minimum(sa_, sb_) == bi) & (np.maximum(sa_, sb_) == bj)
-            apos, bpos, dists0 = apos[keepm], bpos[keepm], dists0[keepm]
-            if not len(apos):
-                return empty(t)
-
-        dists = [dists0]
-        for ki in range(1, nkeys):
-            av = lkv[ki][apos]
-            bv = rkv[ki][bpos]
-            ok = ~(pd.isna(av) | pd.isna(bv))
-            dk = np.full(len(av), np.inf)
-            ii = np.nonzero(ok)[0]
-            if len(ii):
-                dk[ii] = refine_score(
-                    method, list(av[ii]), list(bv[ii]),
-                    q=q, max_prefix=max_prefix, prefix_weight=prefix_weight,
-                )
-            keep2 = dk <= maxd
-            apos, bpos = apos[keep2], bpos[keep2]
-            dists = [d[keep2] for d in dists] + [dk[keep2]]
-            if not len(apos):
-                return empty(t)
-
+        lu, lgroups = groups(lpos)
+        ru, rgroups = (None, lgroups) if selfjoin else groups(rpos)
+        ia, ib = strategy.candidates(lu, ru, _base_bk(full_bk), selfjoin)
+        apos, bpos, dists = score_candidates(
+            lu, ru, ia, ib, lgroups, rgroups, kv[1:], kv[1:],
+            row_filter=_self_pairs(ids, full_bk) if selfjoin else None,
+            **params,
+        )
+        if not len(apos):
+            return None
         cols = {LID: pa.array(ids[apos]), RID: pa.array(ids[bpos])}
         for n, d in zip(dist_names(nkeys), dists):
             cols[n] = pa.array(d, pa.float64())
@@ -401,7 +312,7 @@ def _make_partition_scorer(cfg: dict):
         starts = np.flatnonzero(np.r_[True, bks[1:] != bks[:-1]])
         ends = np.r_[starts[1:], len(bks)]
         outs = [score_group(t.slice(a, b - a)) for a, b in zip(starts, ends)]
-        outs = [o for o in outs if o.num_rows]
+        outs = [o for o in outs if o is not None]
         return pa.concat_tables(outs) if outs else empty(t)
 
     return score_partition

@@ -26,6 +26,18 @@ def _add_ids(block: pa.Table, start: int, col: str) -> pa.Table:
     return block.append_column(col, pa.array(np.arange(start, start + block.num_rows)))
 
 
+def collect_columns(ds: rd.Dataset, cols: list[str]) -> pa.Table:
+    """``ds``'s ``cols`` as one Arrow table on the driver (null-typed
+    columns when ``ds`` has no rows), for the sides a plan broadcasts."""
+    tables = [
+        t if isinstance(t, pa.Table) else pa.Table.from_batches([t])
+        for t in ds.select_columns(cols).iter_batches(batch_size=None, batch_format="pyarrow")
+    ]
+    if not tables:
+        return pa.table({c: pa.array([], type=pa.null()) for c in cols})
+    return pa.concat_tables(tables)
+
+
 def exceeds_rows(ds: rd.Dataset, threshold: int) -> bool:
     """True if ``ds`` has more than ``threshold`` rows. Runs as an
     early-stopping ``limit(threshold + 1).count()`` probe so a huge input

@@ -1,18 +1,32 @@
 """Fuzzy string joins: fozziejoin semantics on Ray Data.
 
-Two physical plans, chosen by ``strategy``:
+Two physical plans, chosen by ``strategy``, share one candidate
+definition and one scorer:
 
-- ``broadcast`` (default when the right side is small): the dedup'd right
-  key index is built once, ``ray.put`` once, and read by an actor pool
-  that streams left batches through vectorized scoring — the distributed
-  analog of the reference's one-sided in-memory index design
-  (/root/reference/src/rust/src/string/edit/mod.rs:32-48, utils.rs:7-20).
-  The left side streams with backpressure; nothing materializes it.
-- ``blocked`` (both sides large, or self-join): recall-complete block
-  keys (blocking/strategies.py) are emitted per side, co-located by one
-  ``exchange()`` on the block key into ``num_partitions`` partitions,
-  and candidate pairs are scored block by block inside each partition
-  — see blocked.py.
+- **candidates**: both plans take their block keys from a
+  blocking/strategies.py strategy's ``emit_unique``; two values are
+  candidates iff they share a key, and each strategy documents why
+  every pair within ``max_distance`` does;
+- **scoring**: both plans hand their candidate value pairs to
+  :func:`score_candidates` (bag prefilter, equal-value shortcut, kernel,
+  threshold, row fan-out, multi-key AND).
+
+The plans differ in where the keys meet:
+
+- ``broadcast`` (default when the right side is small): the right
+  side's distinct values, their row fan-out and one vocabulary of their
+  keys (:class:`RightStringIndex`) are built once on the driver,
+  ``ray.put`` once, and read by an actor pool that streams left batches
+  — the distributed analog of the reference's one-sided in-memory maps
+  (its src/rust/src/string/edit/mod.rs:32-48, ngram/jaccard.rs:118-158
+  and soundex.rs:153-206). Each batch emits its own keys, looks them up
+  in the vocabulary and expands the shared groups; a pair that shares
+  several keys (deletion variants, grams, soundex codes) is deduped by
+  one ``np.unique``. The left side streams with backpressure; nothing
+  materializes it.
+- ``blocked`` (both sides large, or self-join): both sides' keys meet in
+  one ``exchange()`` on the block key, and each pair is scored only in
+  its strategy's smallest shared block — see blocked.py.
 
 Matching semantics (shared with the reference):
 
@@ -33,13 +47,18 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from ..kernels.strdist import get_qgrams, jaccard_set_batch, score_pairs
+from ..blocking.strategies import EDIT_METHODS, _cross_expand, strategy_for
+from ..kernels.strdist import edit_bag_bound, jaccard_set_batch, score_pairs
 from ..semantics import canon_method, check_mode, distance_col_names
 from .modes import assemble, normalize_by
-from .rowids import ensure_row_id, exceeds_rows
+from .rowids import collect_columns, ensure_row_id, exceeds_rows
 
 LID = "__fj_lid"
 RID = "__fj_rid"
+
+# broadcast scorer actors and their left batch size
+_ACTORS = (1, 8)
+_BATCH = 8192
 
 
 def refine_score(method: str, a: list, b: list, *, q: int, max_prefix: int, prefix_weight: float):
@@ -65,183 +84,147 @@ def group_positions(codes: np.ndarray, n_uniq: int):
     return order, starts, counts
 
 
+def _equal_is_zero(method: str, max_prefix: int, prefix_weight: float) -> bool:
+    """Whether equal values are at distance exactly 0. Not for cosine
+    (both-empty is 1.0, the reference's quirk), counted jaccard (values
+    shorter than q have no grams, union 0 -> 1.0), or jaro-winkler with
+    the prefix adjustment on (x + l*p*(1 - x) is l*p at x = 0)."""
+    if method == "jaro_winkler":
+        return not (max_prefix > 0 and prefix_weight != 0.0)
+    return method not in ("cosine", "jaccard")
+
+
+def score_candidates(
+    lu: np.ndarray,
+    ru: np.ndarray | None,
+    ia: np.ndarray,
+    ib: np.ndarray,
+    lgroups: tuple,
+    rgroups: tuple,
+    lextra: list,
+    rextra: list,
+    *,
+    method: str,
+    max_distance: float,
+    q: int,
+    max_prefix: int,
+    prefix_weight: float,
+    row_filter=None,
+):
+    """Candidate value pairs -> matching row pairs: the scoring tail of
+    both plans.
+
+    ``lu``/``ru`` are each side's distinct key values (``ru=None`` is a
+    self-join: ``ib`` indexes ``lu`` too) and ``(ia, ib)`` the candidate
+    pairs of them, each at most once. ``lgroups``/``rgroups`` are
+    (rows, starts, counts): value k's rows are
+    ``rows[starts[k] : starts[k] + counts[k]]``. ``lextra``/``rextra``
+    hold keys 2..n per row. ``row_filter(lrow, rrow, li, ri) -> (lrow,
+    rrow, keep)`` may reorient and drop row pairs (``li``/``ri`` are
+    their value indices) before the multi-key refinement. Returns
+    ``(lrow, rrow, dists)`` with one distance array per key."""
+    import pandas as pd
+
+    kw = dict(q=q, max_prefix=max_prefix, prefix_weight=prefix_weight)
+    rv = lu if ru is None else ru
+    # recall-lossless bag-distance prefilter: the bucketed char-count
+    # lower bound costs ~1/3 of the exact kernel per pair and kills the
+    # overwhelming majority of length-window candidates, so the kernel
+    # only sees near-anagrams (cf. strdist.edit_bag_bound)
+    if method in EDIT_METHODS and len(ia) >= 4096:
+        pre = edit_bag_bound(lu, ru, ia, ib, lcs=(method == "lcs")) <= max_distance
+        ia, ib = ia[pre], ib[pre]
+    # equal-value shortcut (reference: edit/levenshtein.rs:78-85): the
+    # kernel only sees unequal pairs — crucial for deletion-variant
+    # blocks, where most blocks are singletons whose only candidate is
+    # the identity pair. Values are distinct per side, so left value k
+    # equals at most right value same[k].
+    eq = None
+    if len(ia) and _equal_is_zero(method, max_prefix, prefix_weight):
+        same = np.arange(len(lu)) if ru is None else pd.Index(ru).get_indexer(lu)
+        eq = same[ia] == ib
+    if eq is not None and eq.any():
+        d0 = np.zeros(len(ia), np.float64)
+        ne = np.flatnonzero(~eq)
+        d0[ne] = score_pairs(method, list(lu[ia[ne]]), list(rv[ib[ne]]), **kw)
+    else:
+        d0 = score_pairs(method, list(lu[ia]), list(rv[ib]), **kw)
+    keep = d0 <= max_distance
+    ia, ib, d0 = ia[keep], ib[keep], d0[keep]
+
+    # fan out value pairs to row pairs: one variable-size cross-product
+    # expansion
+    lrows, lstarts, lcounts = lgroups
+    rrows, rstarts, rcounts = rgroups
+    rep, al, bl = _cross_expand(lcounts[ia], rcounts[ib])
+    lrow = lrows[lstarts[ia][rep] + al]
+    rrow = rrows[rstarts[ib][rep] + bl]
+    dists = [d0[rep]]
+    if row_filter is not None:
+        lrow, rrow, keep = row_filter(lrow, rrow, ia[rep], ib[rep])
+        lrow, rrow, dists = lrow[keep], rrow[keep], [dists[0][keep]]
+
+    # multi-key AND refinement (string/mod.rs:95-127)
+    for lcol, rcol in zip(lextra, rextra):
+        av, bv = lcol[lrow], rcol[rrow]
+        dk = np.full(len(av), np.inf)
+        ok = np.flatnonzero(~(pd.isna(av) | pd.isna(bv)))
+        if len(ok):
+            dk[ok] = refine_score(method, list(av[ok]), list(bv[ok]), **kw)
+        keep = dk <= max_distance
+        lrow, rrow = lrow[keep], rrow[keep]
+        dists = [d[keep] for d in dists] + [dk[keep]]
+    return lrow, rrow, dists
+
+
 class RightStringIndex:
-    """Dedup'd right-side key index + method-specific candidate structure.
+    """The broadcast plan's right side, built on the driver and shared
+    read-only by every scorer actor: the distinct key values with their
+    row fan-out, and one vocabulary over the strategy's right-side keys
+    with each key's group of values. Under ``DeletionBlocks`` (the edit
+    family at d <= 2) that is ~C(len, d) keys per value: 46 MB pickled
+    for 20,000 values at d = 2, where one key per value (a length
+    window) is 1 MB but probes ~1,000x the candidates."""
 
-    Built on the driver from the (small) right table, broadcast once via
-    ``ray.put``, shared read-only by every scorer actor. Fully
-    vectorized: uniques come from one factorize, row fanout lists are
-    flat (order, starts, counts) arrays, and candidate probing is array
-    ops per method (length buckets / inverted-gram bucket cross /
-    soundex code buckets / full cross) — no per-value Python in the
-    scorer's hot path."""
-
-    def __init__(
-        self,
-        key_values: np.ndarray,
-        rids: np.ndarray,
-        extra: dict[str, np.ndarray],
-        method: str,
-        max_distance: float,
-        q: int,
-        rid_type: "pa.DataType | None" = None,
-    ):
+    def __init__(self, rt: pa.Table, rid: str, by: list[tuple[str, str]], strategy):
         import pandas as pd
 
-        self.method = canon_method(method)
-        self.max_distance = max_distance
-        self.q = q
-        self.rids = rids
-        self.rid_type = rid_type  # arrow type: empty batches must emit typed ids
-        self.extra = extra
+        self.strategy = strategy
+        self.rids = rt.column(rid).combine_chunks()
+        self.extra = [rt.column(r).to_numpy(zero_copy_only=False) for _, r in by[1:]]
+        codes, uniq = pd.factorize(rt.column(by[0][1]).to_numpy(zero_copy_only=False))
+        self.uvals = np.asarray(uniq, dtype=object)
+        self.rows = group_positions(codes, len(self.uvals))
+        uidx, keys = strategy.emit_unique(self.uvals, "right")
+        kcodes, vocab = pd.factorize(keys)
+        self.vocab = pd.Index(vocab)
+        order, self.key_starts, self.key_counts = group_positions(kcodes, len(vocab))
+        self.key_values = uidx[order]
+        # a pair can share more than one key only if a right value
+        # emits more than one
+        self.dedup = len(uidx) > len(np.unique(uidx))
 
-        codes, uniq = pd.factorize(np.asarray(key_values, dtype=object))
-        self.uvals: np.ndarray = np.asarray(uniq, dtype=object)
-        self.row_order, self.row_starts, self.row_counts = group_positions(
-            codes.astype(np.int64), len(self.uvals)
-        )
-
-        m = self.method
-        n_u = len(self.uvals)
-        if m in ("levenshtein", "osa", "damerau_levensthein", "lcs", "hamming"):
-            self.window = 0 if m == "hamming" else int(max_distance)
-            lens = pd.Series(self.uvals, dtype=object).str.len().to_numpy(np.int64) if n_u else np.empty(0, np.int64)
-            lcodes, self.len_vals = pd.factorize(lens)
-            self.len_order, self.len_starts, self.len_counts = group_positions(
-                lcodes.astype(np.int64), len(self.len_vals)
-            )
-            self.len_index = pd.Index(self.len_vals)
-            # bag-bound prefilter state: built once, shipped with the index
-            from ..kernels.strdist import _char_bucket_counts
-
-            self.bag_C, self.bag_lens = _char_bucket_counts(self.uvals)
-        elif m in ("qgram", "cosine", "jaccard"):
-            self.allpairs = m in ("cosine", "jaccard") and max_distance >= 1.0
-            gv: list[int] = []
-            gg: list[str] = []
-            small: list[int] = []
-            for i, v in enumerate(self.uvals):
-                prof = get_qgrams(v, q)
-                for g in prof:
-                    gv.append(i)
-                    gg.append(g)
-                if m == "qgram" and sum(prof.values()) <= max_distance:
-                    small.append(i)
-            gcodes, gram_vocab = pd.factorize(np.asarray(gg, dtype=object))
-            self.gram_vocab = pd.Index(gram_vocab)
-            self.gram_uidx = np.asarray(gv, np.int64)
-            self.gram_order, self.gram_starts, self.gram_counts = group_positions(
-                gcodes.astype(np.int64), len(gram_vocab)
-            )
-            self.small = np.asarray(small, np.int64)
-        elif m == "soundex":
-            from ..blocking.strategies import SoundexBlocks
-
-            p, a = SoundexBlocks._codes(self.uvals) if n_u else (
-                np.empty(0, "U16"), np.empty(0, "U16")
-            )
-            has_alt = (a != "") & (a != p)
-            flat_codes = np.concatenate([p, a[has_alt]])
-            flat_uidx = np.concatenate(
-                [np.arange(n_u, dtype=np.int64), np.nonzero(has_alt)[0]]
-            )
-            ccodes, code_vocab = pd.factorize(flat_codes)
-            self.code_vocab = pd.Index(code_vocab)
-            self.code_uidx = flat_uidx
-            self.code_order, self.code_starts, self.code_counts = group_positions(
-                ccodes.astype(np.int64), len(code_vocab)
-            )
-        # jaro_winkler: full scan of self.uvals (reference scans all pairs,
-        # jaro_winkler.rs:26-33)
-
-    def candidate_pairs(self, lu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(li, ri): unique-value candidate pairs — li into ``lu`` (the
-        batch's distinct left values), ri into ``self.uvals`` — as array
-        ops; each pair at most once."""
-        import pandas as pd
-
-        from ..blocking.strategies import _cross_expand, _full_cross
-
-        m = self.method
-        n_r = len(self.uvals)
-        n_l = len(lu)
-        if n_l == 0 or n_r == 0:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        if m in ("levenshtein", "osa", "damerau_levensthein", "lcs", "hamming"):
-            lens = pd.Series(lu, dtype=object).str.len().to_numpy(np.int64)
-            lc, l_lens = pd.factorize(lens)
-            lorder, lstarts, lcounts = group_positions(lc.astype(np.int64), len(l_lens))
-            li_parts: list[np.ndarray] = []
-            ri_parts: list[np.ndarray] = []
-            for off in range(-self.window, self.window + 1):
-                pos = self.len_index.get_indexer(l_lens + off)
-                hit = np.nonzero(pos >= 0)[0]
-                if not len(hit):
-                    continue
-                rg = pos[hit]
-                rep, al, bl = _cross_expand(lcounts[hit], self.len_counts[rg])
-                if not len(rep):
-                    continue
-                li_parts.append(lorder[lstarts[hit][rep] + al])
-                ri_parts.append(self.len_order[self.len_starts[rg][rep] + bl])
-            if not li_parts:
-                return np.empty(0, np.int64), np.empty(0, np.int64)
-            return np.concatenate(li_parts), np.concatenate(ri_parts)
-        if m in ("qgram", "cosine", "jaccard"):
-            if self.allpairs:
-                return _full_cross(n_l, n_r)
-            lv: list[int] = []
-            lg: list[str] = []
-            for i, v in enumerate(lu):
-                for g in get_qgrams(v, self.q):
-                    lv.append(i)
-                    lg.append(g)
-            pairs_parts = []
-            if lg:
-                gcode = self.gram_vocab.get_indexer(np.asarray(lg, dtype=object))
-                ok = gcode >= 0
-                lvi = np.asarray(lv, np.int64)[ok]
-                gc = gcode[ok]
-                order = np.argsort(gc, kind="stable")
-                gcs, lvs = gc[order], lvi[order]
-                ucodes, ustarts, ucounts = (
-                    np.unique(gcs, return_index=True, return_counts=True)
-                )
-                rep, al, bl = _cross_expand(ucounts, self.gram_counts[ucodes])
-                if len(rep):
-                    li = lvs[ustarts[rep] + al]
-                    ri = self.gram_uidx[
-                        self.gram_order[self.gram_starts[ucodes][rep] + bl]
-                    ]
-                    pairs_parts.append(li * n_r + ri)
-            if m == "qgram" and len(self.small):
-                li, sj = _full_cross(n_l, len(self.small))
-                pairs_parts.append(li * n_r + self.small[sj])
-            if not pairs_parts:
-                return np.empty(0, np.int64), np.empty(0, np.int64)
-            keys = np.unique(np.concatenate(pairs_parts))
-            return keys // n_r, keys % n_r
-        if m == "soundex":
-            from ..blocking.strategies import SoundexBlocks
-
-            p, a = SoundexBlocks._codes(lu)
-            has_alt = (a != "") & (a != p)
-            flat = np.concatenate([p, a[has_alt]])
-            fui = np.concatenate([np.arange(n_l, dtype=np.int64), np.nonzero(has_alt)[0]])
-            ccode = self.code_vocab.get_indexer(flat)
-            ok = ccode >= 0
-            cc, ui = ccode[ok], fui[ok]
-            order = np.argsort(cc, kind="stable")
-            ccs, uis = cc[order], ui[order]
-            ucodes, ustarts, ucounts = np.unique(ccs, return_index=True, return_counts=True)
-            rep, al, bl = _cross_expand(ucounts, self.code_counts[ucodes])
-            if not len(rep):
-                return np.empty(0, np.int64), np.empty(0, np.int64)
-            li = uis[ustarts[rep] + al]
-            ri = self.code_uidx[self.code_order[self.code_starts[ucodes][rep] + bl]]
-            keys = np.unique(li * n_r + ri)
-            return keys // n_r, keys % n_r
-        return _full_cross(n_l, n_r)  # jaro_winkler
+    def probe(self, lu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(li, ri): every pair of a left batch's distinct values ``lu``
+        and the right values that shares a key, once."""
+        luidx, keys = self.strategy.emit_unique(lu, "left")
+        pos = self.vocab.get_indexer(keys)
+        # key order: consecutive pairs share a right group, which keeps
+        # its rows cache-hot for the prefilter's gathers
+        order = np.argsort(pos, kind="stable")
+        order = order[pos[order] >= 0]
+        luidx, pos = luidx[order], pos[order]
+        sizes = self.key_counts[pos]
+        li = np.repeat(luidx, sizes)
+        # each left emission meets its key's whole group: ranges of
+        # key_values, laid end to end
+        shift = self.key_starts[pos] - (np.cumsum(sizes) - sizes)
+        ri = self.key_values[np.arange(len(li), dtype=np.int64) + np.repeat(shift, sizes)]
+        if self.dedup:
+            n = len(self.uvals)
+            pairs = np.unique(li * n + ri)
+            li, ri = pairs // n, pairs % n
+        return li, ri
 
 
 class BroadcastStringScorer:
@@ -257,119 +240,31 @@ class BroadcastStringScorer:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pandas as pd
 
-        from ..blocking.strategies import _cross_expand
-
-        cfg = self.cfg
         idx = self.idx
-        by = cfg["by"]
-        method = idx.method
-        maxd = idx.max_distance
-        lkey0 = by[0][0]
-
-        lvals = batch.column(lkey0).to_numpy(zero_copy_only=False)
-        lids = batch.column(cfg["lid"]).to_numpy(zero_copy_only=False)
-
-        empty = self._empty_result(batch, cfg)
+        by = self.cfg["by"]
         # batch-level value dedup (reference dedups the whole frame;
         # same result, scoring cost amortized per batch here)
-        lcodes, lu = pd.factorize(lvals)
+        codes, lu = pd.factorize(batch.column(by[0][0]).to_numpy(zero_copy_only=False))
         lu = np.asarray(lu, dtype=object)
-        lorder, lstarts, lcounts = group_positions(lcodes.astype(np.int64), len(lu))
-
-        li, ri = idx.candidate_pairs(lu)
-        if not len(li):
-            return empty
-
-        # recall-lossless bag-distance prefilter for the edit family:
-        # kills most length-window candidates at ~1/3 the kernel's cost
-        # (right-side counts precomputed on the broadcast index)
-        if len(li) >= 4096 and getattr(idx, "bag_C", None) is not None and method in (
-            "levenshtein", "osa", "damerau_levensthein", "lcs", "hamming"
-        ):
-            from ..kernels.strdist import _char_bucket_counts, edit_bag_bound_counts
-
-            Cl, ll = _char_bucket_counts(lu)
-            lbnd = edit_bag_bound_counts(
-                Cl, ll, idx.bag_C, idx.bag_lens, li, ri, lcs=(method == "lcs")
-            )
-            pre = lbnd <= maxd
-            li, ri = li[pre], ri[pre]
-            if not len(li):
-                return empty
-
-        d0 = score_pairs(
-            method,
-            list(lu[li]),
-            list(idx.uvals[ri]),
-            q=idx.q,
-            max_prefix=cfg["max_prefix"],
-            prefix_weight=cfg["prefix_weight"],
+        li, ri = idx.probe(lu)
+        lrow, rrow, dists = score_candidates(
+            lu,
+            idx.uvals,
+            li,
+            ri,
+            group_positions(codes, len(lu)),
+            idx.rows,
+            [batch.column(l).to_numpy(zero_copy_only=False) for l, _ in by[1:]],
+            idx.extra,
+            **self.cfg["score"],
         )
-        keep = d0 <= maxd
-        if not keep.any():
-            return empty
-        li, ri, d0 = li[keep], ri[keep], d0[keep]
-
-        # fan out surviving unique-value pairs to row pairs: one
-        # variable-size cross-product expansion
-        rep, al, bl = _cross_expand(lcounts[li], idx.row_counts[ri])
-        if not len(rep):
-            return empty
-        lrow = lorder[lstarts[li][rep] + al]
-        rrow = idx.row_order[idx.row_starts[ri][rep] + bl]
-        dists = [d0[rep]]
-
-        # multi-key AND refinement (string/mod.rs:95-127)
-        for lkey, rkey in by[1:]:
-            lv = batch.column(lkey).to_numpy(zero_copy_only=False)[lrow]
-            rv = idx.extra[rkey][rrow]
-            ok = ~(pd.isna(lv) | pd.isna(rv))
-            dk = np.full(len(lv), np.inf)
-            if ok.any():
-                ii = np.nonzero(ok)[0]
-                dk[ii] = refine_score(
-                    method,
-                    list(lv[ii]),
-                    list(rv[ii]),
-                    q=idx.q,
-                    max_prefix=cfg["max_prefix"],
-                    prefix_weight=cfg["prefix_weight"],
-                )
-            keep2 = dk <= maxd
-            lrow = lrow[keep2]
-            rrow = rrow[keep2]
-            dists = [d[keep2] for d in dists] + [dk[keep2]]
-            if not len(lrow):
-                return empty
-
-        cols: dict[str, pa.Array] = {
-            LID: pa.array(lids[lrow]),
-            RID: pa.array(idx.rids[rrow], type=idx.rid_type),
+        cols = {
+            LID: batch.column(self.cfg["lid"]).take(pa.array(lrow, pa.int64())),
+            RID: idx.rids.take(pa.array(rrow, pa.int64())),
         }
         for name, d in zip(dist_names(len(by)), dists):
             cols[name] = pa.array(d, type=pa.float64())
         return pa.table(cols)
-
-    def _empty_result(self, batch: pa.Table, cfg: dict) -> pa.Table:
-        lid_type = batch.schema.field(cfg["lid"]).type
-        rid_type = self.idx.rid_type or pa.int64()
-        cols = {
-            LID: pa.array([], type=lid_type),
-            RID: pa.array([], type=rid_type),
-        }
-        for name in dist_names(len(cfg["by"])):
-            cols[name] = pa.array([], type=pa.float64())
-        return pa.table(cols)
-
-
-def _collect_right(right: rd.Dataset, cols: list[str]) -> pa.Table:
-    tables = [
-        t if isinstance(t, pa.Table) else pa.Table.from_batches([t])
-        for t in right.select_columns(cols).iter_batches(batch_size=None, batch_format="pyarrow")
-    ]
-    if not tables:
-        return pa.table({c: pa.array([], type=pa.null()) for c in cols})
-    return pa.concat_tables(tables)
 
 
 def build_edges_lsh(
@@ -436,39 +331,28 @@ def build_edges_broadcast(
     prefix_weight: float,
     lid: str,
     rid: str,
-    *,
-    concurrency=(1, 8),
-    batch_size: int = 8192,
 ) -> rd.Dataset:
-    right_cols = [rid] + sorted({r for _, r in by})
-    rt = _collect_right(right, right_cols)
-    key0 = by[0][1]
-    extra = {
-        r: rt.column(r).to_numpy(zero_copy_only=False) for _, r in by[1:]
-    }
-    index = RightStringIndex(
-        rt.column(key0).to_numpy(zero_copy_only=False),
-        rt.column(rid).to_numpy(zero_copy_only=False),
-        extra,
-        method,
-        max_distance,
-        q,
-        rid_type=rt.schema.field(rid).type,
-    )
-    index_ref = ray.put(index)
+    method = canon_method(method)
+    rt = collect_columns(right, [rid] + sorted({r for _, r in by}))
+    index = RightStringIndex(rt, rid, by, strategy_for(method, max_distance, q))
     cfg = {
         "by": by,
         "lid": lid,
-        "max_prefix": max_prefix,
-        "prefix_weight": prefix_weight,
+        "score": {
+            "method": method,
+            "max_distance": max_distance,
+            "q": q,
+            "max_prefix": max_prefix,
+            "prefix_weight": prefix_weight,
+        },
     }
     left_cols = [lid] + sorted({l for l, _ in by})
     return left.select_columns(left_cols).map_batches(
         BroadcastStringScorer,
-        fn_constructor_args=(index_ref, cfg),
+        fn_constructor_args=(ray.put(index), cfg),
         batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=_BATCH,
+        concurrency=_ACTORS,
         num_cpus=1,
     )
 

@@ -587,6 +587,19 @@ def _char_bucket_counts(uniq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return C, lens
 
 
+def _touched_counts(uniq: np.ndarray, *idx: np.ndarray):
+    """(counts, lens) as :func:`_char_bucket_counts`, computed only for
+    the values ``idx`` touch; the other rows stay zero."""
+    hit = np.zeros(len(uniq), bool)
+    for i in idx:
+        hit[i] = True
+    Ct, lt = _char_bucket_counts(uniq[hit])
+    C = np.zeros((len(uniq), _BAG_BUCKETS), Ct.dtype)
+    lens = np.zeros(len(uniq), np.int64)
+    C[hit], lens[hit] = Ct, lt
+    return C, lens
+
+
 def edit_bag_bound(
     uniq_a: np.ndarray,
     uniq_b: np.ndarray | None,
@@ -606,25 +619,15 @@ def edit_bag_bound(
     ``dist >= L1`` holds; pass ``lcs=True``.
 
     ``uniq_b=None`` means a self-join (``ib`` indexes ``uniq_a``).
-    Callers drop pairs whose bound exceeds ``max_distance`` BEFORE the
-    exact kernel — no true match is ever dropped."""
-    Ca, la = _char_bucket_counts(uniq_a)
-    Cb, lb = (Ca, la) if uniq_b is None else _char_bucket_counts(uniq_b)
-    return edit_bag_bound_counts(Ca, la, Cb, lb, ia, ib, lcs=lcs)
-
-
-def edit_bag_bound_counts(
-    Ca: np.ndarray,
-    la: np.ndarray,
-    Cb: np.ndarray,
-    lb: np.ndarray,
-    ia: np.ndarray,
-    ib: np.ndarray,
-    *,
-    lcs: bool = False,
-) -> np.ndarray:
-    """:func:`edit_bag_bound` on precomputed count matrices — callers
-    holding one side fixed (a broadcast index) build its matrix once."""
+    Counts are built only for the values some pair touches, so a large
+    side probed by few pairs costs little. Callers drop pairs whose
+    bound exceeds ``max_distance`` BEFORE the exact kernel — no true
+    match is ever dropped."""
+    if uniq_b is None:
+        Ca, la = Cb, lb = _touched_counts(uniq_a, ia, ib)
+    else:
+        Ca, la = _touched_counts(uniq_a, ia)
+        Cb, lb = _touched_counts(uniq_b, ib)
     n = len(ia)
     out = np.empty(n, np.int64)
     chunk = 1 << 20

@@ -489,11 +489,11 @@ def _jaccard_edges(
     Both payloads see the same candidates and the same exact
     set-jaccard, so results are identical. ``ds`` is materialized: the
     count, the layout probe and the emission all read it."""
-    from fozziejoin_ray.joins.string_join import _collect_right
+    from fozziejoin_ray.joins.rowids import collect_columns
 
     score_fn = jaccard_score_fn(key.shingle_k, threshold)
     if ds.count() <= _BROADCAST_DOC_LIMIT:
-        mat = _collect_right(ds, [id_col, text_col])
+        mat = collect_columns(ds, [id_col, text_col])
         tl = pa.compute.binary_length(pa.compute.fill_null(mat[text_col], ""))
         if float(pa.compute.mean(tl).as_py() or 0.0) > _CARRY_CUTOFF:
             index = DocShingleIndex(mat[id_col].to_pylist(), mat[text_col].to_pylist(), key.shingle_k)
@@ -1233,11 +1233,12 @@ def lsh_fused_edges(
     unique edges on the 120k bench corpus: MATCHING pairs agree in ~10
     of 32 bands, so the dedup exchange moved 10x the final edge volume
     and verification scored each match 10x. Ownership removes both at
-    the cost of ``4*bands`` bytes per emission row and one tiny
-    bucket-count exchange (u64+count) to broadcast the globally-capped
-    bucket set, keeping the capped-bucket semantics — pair survives iff
-    ANY non-capped band co-buckets it — bit-identical to the dedup
-    design.
+    the cost of ``4*bands`` bytes per emission row and one bucket
+    census (:func:`_bucket_census`: per-block counts over the
+    materialized emission, no shuffle) whose globally-capped bucket set
+    is broadcast to the scorers, keeping the capped-bucket semantics —
+    pair survives iff ANY non-capped band co-buckets it — bit-identical
+    to the dedup design.
 
     Rows with null values are skipped (NA never matches); buckets larger than
     ``max_bucket`` are dropped (the standard LSH stop-word cap — a

@@ -3,7 +3,8 @@ neighborhood strategy + bag prefilter + equality short-circuit must be
 invisible — blocked edges always equal broadcast edges (two-table) or a
 brute-force reference (self-join), on adversarial corpora (tiny
 alphabets dense with near-matches, unicode, empties, duplicates, the
-salt delimiter character itself)."""
+salt delimiter character itself). The two plans share their scorer, so
+each is also checked on its own against an all-pairs brute force."""
 
 import numpy as np
 import pyarrow as pa
@@ -75,17 +76,18 @@ def test_blocked_selfjoin_matches_bruteforce_fuzz(vals, d):
 _BLOCK_COUNTS = st.lists(st.integers(0, 40), min_size=1, max_size=4)
 
 
-def _old_plan(counts: dict, pair_budget: int, selfjoin: bool, floor: int) -> dict:
-    """The salt plan as the groupby([BK, SIDE]).count() path made it:
-    (block, side) counts over ``floor``, then the same grid arithmetic."""
+def _count_plan(counts: dict, pair_budget: int, selfjoin: bool, floor: int) -> dict:
+    """The salt plan from a full count: every block with a side over
+    ``floor``, planned from the true counts of all its sides."""
     import math
 
     by_bk: dict = {}
     for (bk, side), n in counts.items():
-        if n > floor:
-            by_bk.setdefault(bk, {})[side] = n
+        by_bk.setdefault(bk, {})[side] = n
     plan = {}
     for bk, sides in by_bk.items():
+        if max(sides.values()) <= floor:
+            continue
         cl, cr = sides.get(0, 0), sides.get(1, 0)
         pairs = cl * (cl - 1) // 2 if selfjoin else cl * cr
         if pairs <= pair_budget:
@@ -111,11 +113,12 @@ def _old_plan(counts: dict, pair_budget: int, selfjoin: bool, floor: int) -> dic
     selfjoin=st.booleans(),
 )
 def test_census_equals_count(spread, n_blocks, selfjoin):
-    """hot_key_census returns exactly the (block, side) keys a full count
-    puts over the floor, with their counts, and _plan_salts makes the
-    old count path's plan. A block key spread thinly over every block
-    (each partial at the pigeonhole threshold, or one under it) puts the
-    threshold on the decision boundary."""
+    """hot_key_census returns exactly the (block, side) keys of every
+    block a full count puts over the floor on some side, with their
+    counts, and _plan_salts makes the plan of a full count. A block key
+    spread thinly over every block (each partial at the pigeonhole
+    threshold, or one under it) puts the threshold on the decision
+    boundary."""
     import math
 
     import pandas as pd
@@ -142,16 +145,42 @@ def test_census_equals_count(spread, n_blocks, selfjoin):
     assert ds.num_blocks() == n_blocks
 
     full = pd.concat([b.to_pandas() for b in blocks]).groupby([BK, SIDE]).size()
-    want = {k: int(n) for k, n in full.items() if n > floor}
+    hot_bks = {bk for (bk, _), n in full.items() if n > floor}
+    want = {k: int(n) for k, n in full.items() if k[0] in hot_bks}
     hot = hot_key_census([(ds, lambda t: t)], blocks[0].schema, floor)
     got = dict(zip(zip(hot[BK].to_pylist(), hot[SIDE].to_pylist()), hot["count_all"].to_pylist()))
     assert got == want
     assert ("thin", 0) in got and ("cold", 0) not in got
 
     budget = 100  # floor = max(64, sqrt(budget)) = 64
-    assert _plan_salts([(ds, lambda t: t)], budget, selfjoin) == _old_plan(
+    assert _plan_salts([(ds, lambda t: t)], budget, selfjoin) == _count_plan(
         {k: int(n) for k, n in full.items()}, budget, selfjoin, floor
     )
+
+
+def test_one_sided_hot_block_is_salted():
+    """A block whose right side is under the census floor is still
+    planned from both sides' counts: 200 left x 3 right rows is 600
+    pairs, over a budget of 100 (floor 64), and gets a salt grid; the
+    salted join equals the unsalted one."""
+    from fozziejoin_ray.blocking.strategies import strategy_for
+    from fozziejoin_ray.joins.blocked import _emit_batches, _plan_salts
+
+    l = rd.from_arrow(pa.table({"lid": list(range(200)), "w": ["abc"] * 200})).materialize()
+    r = rd.from_arrow(pa.table({"rid": [0, 1, 2], "w": ["abc"] * 3})).materialize()
+    strategy = strategy_for("lv", 0, 2)  # one block per value: Dabc
+    sources = [
+        (l, _emit_batches(strategy, "left", "lid", ["w"], None, keys_only=True)),
+        (r, _emit_batches(strategy, "right", "rid", ["w"], None, keys_only=True)),
+    ]
+    assert _plan_salts(sources, 100, False) == {"Dabc": (20, 1)}
+
+    def edges(**kw):
+        e = build_edges_blocked(l, r, [("w", "w")], "lv", 0.0, 2, 0, 0.0, "lid", "rid", **kw)
+        return sorted((x["__fj_lid"], x["__fj_rid"], x["__fj_d0"]) for x in e.take_all())
+
+    salted = edges(pair_budget=100, num_partitions=4)
+    assert len(salted) == 600 and salted == edges(pair_budget=None)
 
 
 @settings(max_examples=10, deadline=None)
@@ -206,3 +235,101 @@ def test_blocked_full_join_is_one_exchange(monkeypatch):
     count(GroupedData, "count", "count")
     assert join("blocked") == want
     assert calls == {"exchange": 1, "groupby": 1, "count": 0}
+
+
+# ------------------------------------------- both plans vs brute force
+
+# (method, max_distance) cases; the edit family at every integer d the
+# strategies treat differently (deletion blocks at d <= 2, length window
+# above), the gram family below 1 and at 1.0 (all pairs)
+_BRUTE_CASES = [
+    (m, d) for m in ("lv", "osa", "dl", "lcs") for d in (0, 1, 2, 3)
+] + [
+    ("hamming", 1), ("qgram", 2), ("cosine", 0.5), ("cosine", 1.0),
+    ("jaccard", 0.5), ("jaccard", 1.0), ("jw", 0.25), ("soundex", 0.0),
+]
+# spaces and capitals drive soundex's prefix/camel-case tokenizer
+_ALPHA_BRUTE = "aAbBdDe é中;"
+# values of 20-28 chars straddle DeletionBlocks' d = 2 length cap (24),
+# so long-long and long-short pairs meet in its length-window family
+_long = st.builds(lambda n, t: "a" * n + t, st.integers(20, 26), st.sampled_from(["", "b", "bD"]))
+_cell = st.one_of(st.none(), st.text(alphabet=_ALPHA_BRUTE, min_size=0, max_size=6), _long)
+_rows = st.lists(st.tuples(_cell, _cell), min_size=1, max_size=10)
+
+
+def _bruteforce(L, R, method, d, nkeys, **kw):
+    """All row pairs whose keys are non-null and within ``d``: the first
+    key through ``score_pairs``, keys 2..n through ``refine_score``."""
+    from fozziejoin_ray.joins.string_join import refine_score
+
+    pairs = [(i, j) for i in range(len(L)) for j in range(len(R))]
+    dists = []
+    for k, score in enumerate([score_pairs, refine_score][:nkeys]):
+        ok = [(i, j) for i, j in pairs if L[i][k] is not None and R[j][k] is not None]
+        dk = score(method, [L[i][k] for i, j in ok], [R[j][k] for i, j in ok], **kw)
+        dists.append(dict(zip(ok, dk)))
+    return sorted(
+        (i, j) + tuple(round(float(dists[k][i, j]), 9) for k in range(nkeys))
+        for i, j in pairs
+        if all((i, j) in dk and dk[i, j] <= d for dk in dists)
+    )
+
+
+@pytest.mark.parametrize("method,d", _BRUTE_CASES)
+@settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_string_plans_equal_bruteforce(method, d, data):
+    """Both plans' two-table edges equal an all-pairs brute force over
+    the full cross product: nulls, empty strings, unicode, long values,
+    duplicate rows (the right side repeats some left rows) and a
+    two-key ``by``."""
+    from fozziejoin_ray.joins.string_join import build_edges_broadcast
+
+    L = data.draw(_rows, "left")
+    R = data.draw(_rows, "right") + data.draw(st.lists(st.sampled_from(L), max_size=3), "dups")
+    nkeys = data.draw(st.integers(1, 2), "nkeys")
+    kw = {"q": data.draw(st.integers(1, 3), "q"), "max_prefix": 0, "prefix_weight": 0.0}
+    if method == "jw" and data.draw(st.booleans(), "prefix"):
+        kw.update(max_prefix=4, prefix_weight=0.1)
+    l = rd.from_arrow(pa.table({
+        "lid": list(range(len(L))),
+        "a0": pa.array([x[0] for x in L], pa.string()),
+        "a1": pa.array([x[1] for x in L], pa.string()),
+    }))
+    r = rd.from_arrow(pa.table({
+        "rid": list(range(len(R))),
+        "b0": pa.array([x[0] for x in R], pa.string()),
+        "b1": pa.array([x[1] for x in R], pa.string()),
+    }))
+    by = [("a0", "b0"), ("a1", "b1")][:nkeys]
+    want = _bruteforce(L, R, method, d, nkeys, **kw)
+    args = (by, method, d, kw["q"], kw["max_prefix"], kw["prefix_weight"], "lid", "rid")
+    for build in (build_edges_broadcast, build_edges_blocked):
+        extra = {"num_partitions": 2} if build is build_edges_blocked else {}
+        got = sorted(
+            (e["__fj_lid"], e["__fj_rid"]) + tuple(round(e[f"__fj_d{k}"], 9) for k in range(nkeys))
+            for e in build(l, r, *args, **extra).take_all()
+        )
+        assert got == want, build.__name__
+
+
+@pytest.mark.parametrize(
+    "method,d,kw",
+    [("jaccard", 1.0, {}), ("jw", 0.5, {"max_prefix": 4, "prefix_weight": 0.1})],
+)
+def test_equal_values_keep_their_distance(method, d, kw):
+    """Equal values are not always at distance 0: counted jaccard puts
+    two values shorter than q at 1.0, and jaro-winkler's prefix
+    adjustment puts two equal values at l*p. Neither plan may shortcut
+    them to 0."""
+    from fozziejoin_ray.joins.string_join import build_edges_broadcast
+
+    vals = ["a", "abc"]
+    t = pa.table({"id": [0, 1], "k": vals})
+    ds = rd.from_arrow(t)
+    kw = {"q": 2, "max_prefix": 0, "prefix_weight": 0.0, **kw}
+    want = _bruteforce([(v,) for v in vals], [(v,) for v in vals], method, d, 1, **kw)
+    args = ([("k", "k")], method, d, kw["q"], kw["max_prefix"], kw["prefix_weight"], "id", "id")
+    for build in (build_edges_broadcast, build_edges_blocked):
+        got = sorted((e["__fj_lid"], e["__fj_rid"], round(e["__fj_d0"], 9)) for e in build(ds, ds, *args).take_all())
+        assert got == want, build.__name__

@@ -252,3 +252,41 @@ def test_no_hand_rolled_partition_hash():
     assert not stray, "raw hash_array outside the content-hash allowlist: " + ", ".join(stray)
     seen = {site for site, _ in calls}
     assert not set(_CONTENT_HASHES) - seen, "stale allowlist entries"
+
+
+# ------------------------------------------------- block-key source guard
+
+# Calls that compute a string method's block keys by hand. Under joins/,
+# every key comes from a blocking strategy's emit_unique instead, so both
+# string plans share one candidate definition.
+_KEY_SOURCES = {"get_qgrams", "soundex_na_dual"}
+
+
+def _hand_rolled_key_calls():
+    """(module, line, call) per call under fozziejoin_ray/joins/ to a
+    q-gram or soundex key function, or to ``SoundexBlocks._codes``."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent / "fozziejoin_ray" / "joins"
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            soundex_codes = (
+                isinstance(f, ast.Attribute)
+                and f.attr == "_codes"
+                and isinstance(f.value, ast.Name)
+                and f.value.id == "SoundexBlocks"
+            )
+            if name in _KEY_SOURCES or soundex_codes:
+                yield path.name, node.lineno, ast.unparse(f)
+
+
+def test_join_block_keys_come_from_strategies():
+    """No join module computes q-grams or soundex codes for its
+    candidates: block keys come only from ``strategy.emit_unique``."""
+    stray = [f"{m}:{ln} calls {fn}()" for m, ln, fn in sorted(_hand_rolled_key_calls())]
+    assert not stray, "hand-rolled block keys under joins/: " + ", ".join(stray)
