@@ -26,10 +26,10 @@ Strategies:
   object store — the natural shape when the right is a reference
   series (prices, model versions, config changes).
 - "blocked" (both sides huge; requires ``tolerance``): the time line is
-  tiled at width ``tolerance`` and shuffled with one groupby — rights
-  to their home tile, lefts to the 2 (backward/forward) or 3 (nearest)
-  tiles that can contain their winner; each partition picks its local
-  best per left row, and a tiny second groupby over the <= 3 local
+  tiled at width ``tolerance`` and exchanged once — rights to their
+  home tile, lefts to the 2 (backward/forward) or 3 (nearest) tiles
+  that can contain their winner; each partition picks its local best
+  per left row, and a second, small exchange over the <= 3 local
   winners per left row picks the global one.
 """
 
@@ -42,12 +42,14 @@ import ray.data as rd
 
 from ..exchange import exchange
 from ..semantics import F64_EPS, check_mode
-from .modes import assemble, normalize_by
-from .numeric_join import _numeric_np
-from .rowids import ensure_row_id, exceeds_rows
-from .string_join import LID, RID
+from .modes import normalize_by
+from .numeric_join import _numeric_np, run_plan
+from .rowids import collect_columns
+from .string_join import _ACTORS, LID, RID
 
 _DIRECTIONS = ("backward", "forward", "nearest")
+# broadcast plan left batch size
+_BATCH = 65536
 
 
 def _exact_codes(arrays: list, index=None):
@@ -325,17 +327,15 @@ def fuzzy_asof_join(
     left_id: str | None = None,
     right_id: str | None = None,
     num_partitions: int = 16,
-    concurrency=(1, 8),
-    batch_size: int = 65536,
     strategy: str = "auto",
-    broadcast_threshold: int = 2_000_000,
     drop_cols: tuple = (),
 ) -> rd.Dataset:
     """Nearest-match join on a numeric ordering column (see module doc).
 
     ``by``: exactly one (left_col, right_col) ordering pair; ``on_exact``:
     optional equality keys, same forms as ``by``. The blocked strategy
-    requires a finite ``tolerance``."""
+    requires a finite ``tolerance``; "auto" picks it when there is one
+    and the right side has more than ``rowids.BROADCAST_ROWS`` rows."""
     check_mode(how)
     if direction not in _DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}; expected one of {_DIRECTIONS}")
@@ -343,45 +343,26 @@ def fuzzy_asof_join(
     if len(by) != 1:
         raise ValueError("asof join takes exactly one ordering key pair")
     exact = normalize_by(on_exact, left, right) if on_exact is not None else []
-    if strategy not in ("auto", "broadcast", "blocked"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "auto":
-        strategy = "blocked" if (
-            tolerance is not None
-            and tolerance > 0
-            and exceeds_rows(right, broadcast_threshold)
-        ) else "broadcast"
-    if strategy == "blocked" and (tolerance is None or not tolerance > 0):
+    tiles = tolerance is not None and tolerance > 0
+    if strategy == "blocked" and not tiles:
         raise ValueError(
             "blocked asof requires a finite tolerance > 0 (unbounded lookback "
             "cannot tile, and width-0 tiles are undefined; exact-timestamp "
             "matching at tolerance=0 works via the broadcast strategy)"
         )
-
-    left, lid = ensure_row_id(left, left_id, "__fj_lid_src")
-    right, rid = ensure_row_id(right, right_id, "__fj_rid_src")
+    if strategy == "auto" and not tiles:
+        strategy = "broadcast"
     lkey, rkey = by[0]
     l_exact = [l for l, _ in exact]
     r_exact = [r for _, r in exact]
 
-    if strategy == "blocked":
-        edges = _blocked_asof_edges(
-            left, right, lkey, rkey, l_exact, r_exact, lid, rid,
-            direction, float(tolerance), num_partitions,
-        )
-    else:
-        cols = [rid, rkey] + sorted(set(r_exact))
-        tables = list(
-            right.select_columns(cols).iter_batches(batch_size=None, batch_format="pyarrow")
-        )
-        if tables:
-            rt = pa.concat_tables(tables)
-        else:
-            # zero-row right with a schema: left/anti modes must still emit
-            # padded / all-left output, so build an empty index, not an error
-            s = right.schema()
-            sch = pa.schema([pa.field(n, t) for n, t in zip(s.names, s.types)])
-            rt = sch.empty_table().select(cols)
+    def build_edges(strategy, left, right, lid, rid):
+        if strategy == "blocked":
+            return _blocked_asof_edges(
+                left, right, lkey, rkey, l_exact, r_exact, lid, rid,
+                direction, float(tolerance), num_partitions,
+            )
+        rt = collect_columns(right, [rid, rkey] + sorted(set(r_exact)))
         index = RightAsofIndex(
             _numeric_np(rt[rkey]),
             rt[rid].to_numpy(zero_copy_only=False),
@@ -395,25 +376,26 @@ def fuzzy_asof_join(
             "direction": direction,
             "tolerance": None if tolerance is None else float(tolerance),
         }
-        left_cols = [lid, lkey] + sorted(set(l_exact))
-        edges = left.select_columns(left_cols).map_batches(
+        return left.select_columns([lid, lkey] + sorted(set(l_exact))).map_batches(
             BroadcastAsofScorer,
             fn_constructor_args=(ray.put(index), cfg),
             batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
+            batch_size=_BATCH,
+            concurrency=_ACTORS,
             num_cpus=1,
         )
-    return assemble(
+
+    return run_plan(
         left,
         right,
-        edges,
+        strategy,
+        left_id,
+        right_id,
+        build_edges,
         how=how,
-        lid=lid,
-        rid=rid,
-        distance_cols=[distance_col] if distance_col else [],
         num_partitions=num_partitions,
-        drop_ids=["__fj_lid_src", "__fj_rid_src", *drop_cols],
+        drop_cols=drop_cols,
+        distance_cols=[distance_col] if distance_col else [],
         n_dist=1,
     )
 

@@ -1,4 +1,5 @@
-"""Numeric fuzzy joins: difference (abs-diff window) and vector distance.
+"""Numeric fuzzy joins: difference (abs-diff window) and vector distance,
+and the sorted-window probe and plan frame every numeric join shares.
 
 Semantics mirror the reference:
 
@@ -10,20 +11,33 @@ Semantics mirror the reference:
 - distance join: k-column row vectors, euclidean (sqrt of sum of
   squares) or manhattan (sum of abs), keep ``dist <= max_distance``
   (/root/reference/src/rust/src/distance/mod.rs:108-122); rows with NA
-  in any key drop silently (NaN fails <=); float columns only (:50-58).
+  in any key drop silently (NaN fails <=).
 
-Physical plan (broadcast path): the right key column is sorted once,
-broadcast via ``ray.put``, and an actor pool streams left batches,
-finding candidates with two vectorized ``searchsorted`` probes — the
-distributed analog of the reference's grid-bucket probe
-(difference/mod.rs:19-54). The blocked path (both sides huge) grid-
-buckets values at width ``max_distance`` and shuffles with one groupby:
-right rows to their own bucket, left rows to buckets {b-1, b, b+1}, so
-every within-threshold pair meets in exactly one block (the right
-value's home bucket).
+Candidates come from one kernel, :func:`window_slabs`: the right side is
+sorted on its first key, and a left row meets the right rows whose first
+key lies in its query window — two vectorized ``searchsorted`` probes,
+the distributed analog of the reference's grid-bucket probe
+(difference/mod.rs:19-54). A pair within ``max_distance`` in L1 or L2 is
+within it on the first key too, so the distance join probes the same
+window where the reference computes the full cross product
+(distance/mod.rs:94-128). Each family scores through one function
+(:func:`difference_pairs`, :func:`distance_pairs`,
+``interval_join.interval_pairs``), called by both physical plans:
+
+- broadcast (:func:`broadcast_edges`): the right side is collected,
+  sorted once and ``ray.put``; an actor pool streams left batches
+  against it as one segment;
+- blocked (:func:`block_edges`, both sides huge): both sides emit their
+  rows to blocks of a grid and meet in one ``exchange()``; a partition
+  scores its left rows against the rights of their block. For these two
+  joins the grid has width ``max_distance``: a right goes to its home
+  block, a left to every block its query window touches, so every pair
+  of the window meets exactly once, in the right value's home block.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -33,18 +47,12 @@ import ray.data as rd
 from ..exchange import exchange
 from ..semantics import F64_EPS, check_mode, distance_col_names
 from .modes import assemble, normalize_by
-from .rowids import ensure_row_id, exceeds_rows
-from .string_join import LID, RID, dist_names
+from .rowids import BROADCAST_ROWS, collect_columns, ensure_row_id, exceeds_rows
+from .string_join import _ACTORS, LID, RID, SLAB_PAIRS, dist_names
 
-
-def _concat_ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate [lo[i], lo[i]+counts[i]) ranges without a python loop."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return starts + offsets
+# broadcast plan left batch sizes
+_DIFF_BATCH = 65536
+_DIST_BATCH = 16384
 
 
 def _numeric_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -53,206 +61,318 @@ def _numeric_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return np.asarray(arr.cast(pa.float64()).to_numpy(zero_copy_only=False), dtype=np.float64)
 
 
-class RightDifferenceIndex:
-    def __init__(
-        self, key_values: np.ndarray, rids: np.ndarray, extra: dict[str, np.ndarray], rid_type=None
-    ):
-        valid = ~np.isnan(key_values)
-        self.rids = rids
-        self.rid_type = rid_type  # arrow type: empty batches must emit typed ids
-        self.extra = extra
-        self.valid_pos = np.nonzero(valid)[0]
-        vals = key_values[valid]
-        order = np.argsort(vals, kind="stable")
-        self.sorted_vals = vals[order]
-        self.sorted_pos = self.valid_pos[order]  # positions into original rows
+def _take(col: pa.ChunkedArray | pa.Array, idx: np.ndarray) -> pa.Array:
+    return col.take(pa.array(idx, pa.int64()))
 
 
-class BroadcastDifferenceScorer:
-    def __init__(self, index_ref, cfg: dict):
-        self.idx: RightDifferenceIndex = ray.get(index_ref)
+def _widen(qlo: np.ndarray, qhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Query bounds ``x ∓ d`` pushed outward by two ulps of ``|x| + d``,
+    the larger finite bound's magnitude. A computed ``|x - y| <= d``
+    holds for some ``y`` just outside the rounded bounds (0.2 against 2.7
+    at d = 2.5 sits six ulps of 0.2 below ``2.7 - 2.5``); rounding of ``x
+    - y`` and of ``x ∓ d`` each err by at most half an ulp of ``|x| + d``.
+    An infinite bound needs no widening and sets no pad. The exact
+    predicate still decides."""
+    m = np.abs(np.stack([qlo, qhi]))
+    pad = 2 * np.spacing(np.where(np.isfinite(m), m, 0.0).max(axis=0))
+    return qlo - pad, qhi + pad
+
+
+def _span(x: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Key 0's window ``[x - d, x + d]``. At ``d = inf`` an infinite
+    ``x`` gives an ``inf - inf`` bound, read as unbounded (``|x - y|`` is
+    inf <= d for every finite ``y``); a null ``x`` keeps NaN bounds."""
+    lo, hi = x - d, x + d
+    num = ~np.isnan(x)
+    return np.where(np.isnan(lo) & num, -np.inf, lo), np.where(np.isnan(hi) & num, np.inf, hi)
+
+
+def window_slabs(rv: np.ndarray, qlo: np.ndarray, qhi: np.ndarray, blocks=None):
+    """The sorted-window probe: left row i meets every right position p
+    with ``qlo[i] <= rv[p] <= qhi[i]`` (bounds widened by :func:`_widen`;
+    ``rv`` sorted, no NaN; a NaN bound meets nothing). With ``blocks =
+    (lblock, rblock)`` a left row meets only the rights of its own block
+    (``rblock`` must be non-decreasing along ``rv``).
+
+    Yields ``(lrow, rpos)`` candidate slabs of at most ``SLAB_PAIRS``
+    pairs, splitting a left row's window across slabs when it is longer,
+    so a batch's candidates are never all held at once."""
+    wlo, whi = _widen(qlo, qhi)
+    lo = np.searchsorted(rv, wlo, side="left")
+    hi = np.searchsorted(rv, whi, side="right")
+    if blocks is not None:
+        lb, rb = blocks
+        lo = np.maximum(lo, np.searchsorted(rb, lb, side="left"))
+        hi = np.minimum(hi, np.searchsorted(rb, lb, side="right"))
+    n = np.where(np.isnan(qlo) | np.isnan(qhi), 0, np.maximum(hi - lo, 0))
+    end = np.cumsum(n)
+    start = end - n
+    total = int(end[-1]) if len(end) else 0
+    for s in range(0, total, SLAB_PAIRS):
+        e = min(s + SLAB_PAIRS, total)
+        r0 = int(np.searchsorted(end, s, side="right"))
+        r1 = int(np.searchsorted(start, e, side="left"))
+        # the part [a, a + c) of each row's pair range inside [s, e)
+        a = np.maximum(start[r0:r1], s)
+        c = np.minimum(end[r0:r1], e) - a
+        first = lo[r0:r1] + (a - start[r0:r1])
+        lrow = np.repeat(np.arange(r0, r1), c)
+        yield lrow, np.arange(e - s) + np.repeat(first - (np.cumsum(c) - c), c)
+
+
+def stack_slabs(parts: list[tuple], ndist: int) -> list[np.ndarray]:
+    """Slab results ``(lrow, rpos, d0, ...)`` concatenated column-wise."""
+    if not parts:
+        return [np.empty(0, np.int64)] * 2 + [np.empty(0, np.float64)] * ndist
+    return [np.concatenate(c) for c in zip(*parts)]
+
+
+def difference_pairs(lv: list, rv: list, blocks=None, *, thr: float) -> list[np.ndarray]:
+    """Difference-join pairs of left keys ``lv`` and right keys ``rv``
+    (per-key float arrays, ``rv`` sorted on key 0 without NaN): ``[lrow,
+    rpos, d0, ..., dk]``, every key within ``|x - y| <= thr`` (NaN never
+    matches), one distance column per key."""
+    parts = []
+    for lrow, rpos in window_slabs(rv[0], *_span(lv[0], thr), blocks):
+        dists: list[np.ndarray] = []
+        for x, y in zip(lv, rv):
+            d = np.abs(x[lrow] - y[rpos])
+            keep = d <= thr
+            lrow, rpos = lrow[keep], rpos[keep]
+            dists = [c[keep] for c in dists] + [d[keep]]
+        parts.append((lrow, rpos, *dists))
+    return stack_slabs(parts, len(lv))
+
+
+def distance_pairs(
+    lv: list, rv: list, blocks=None, *, max_distance: float, method: str
+) -> list[np.ndarray]:
+    """Distance-join pairs (arrays as in :func:`difference_pairs`):
+    ``[lrow, rpos, d]`` with the L1 or L2 distance over all keys ``<=
+    max_distance``; |x0 - y0| <= d holds for both, so key 0's window
+    holds every match."""
+    parts = []
+    for lrow, rpos in window_slabs(rv[0], *_span(lv[0], max_distance), blocks):
+        D = np.zeros(len(lrow))
+        for x, y in zip(lv, rv):
+            diff = x[lrow] - y[rpos]
+            D += np.abs(diff) if method == "manhattan" else diff * diff
+        if method != "manhattan":
+            D = np.sqrt(D)
+        keep = D <= max_distance  # NaN in any dim fails -> NA never matches
+        parts.append((lrow[keep], rpos[keep], D[keep]))
+    return stack_slabs(parts, 1)
+
+
+def edge_table(lids: pa.Array, rids: pa.Array, dists: list[np.ndarray]) -> pa.Table:
+    cols = {LID: lids, RID: rids}
+    for name, d in zip(dist_names(len(dists)), dists):
+        cols[name] = pa.array(d, pa.float64())
+    return pa.table(cols)
+
+
+# ----------------------------------------------------------- broadcast plan
+
+
+class BroadcastScorer:
+    """Actor-pool stage of the broadcast plan: scores each streamed batch
+    against the held side, by default the whole sorted right side as one
+    segment and a batch of left rows. With ``cfg["held"] == "left"`` the
+    roles swap: the actor holds left rows and each right batch is sorted
+    and probed by all of them."""
+
+    def __init__(self, held_ref, cfg: dict):
+        self.vals, self.ids = ray.get(held_ref)
         self.cfg = cfg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        idx = self.idx
-        by = cfg["by"]
-        thr = cfg["max_distance"] + F64_EPS
+        by, score = self.cfg["by"], self.cfg["score"]
+        if self.cfg["held"] == "left":
+            rv, rids = sorted_right(batch, self.cfg["id"], by)
+            lrow, rpos, *dists = score(self.vals, rv)
+            return edge_table(_take(self.ids, lrow), _take(rids, rpos), dists)
+        lrow, rpos, *dists = score([_numeric_np(batch.column(l)) for l, _ in by], self.vals)
+        return edge_table(_take(batch.column(self.cfg["id"]), lrow), _take(self.ids, rpos), dists)
 
-        x = _numeric_np(batch.column(by[0][0]))
-        lids = batch.column(cfg["lid"]).to_numpy(zero_copy_only=False)
-        ok = ~np.isnan(x)
 
-        lo = np.searchsorted(idx.sorted_vals, x - thr, side="left")
-        hi = np.searchsorted(idx.sorted_vals, x + thr, side="right")
-        lo[~ok] = 0
-        hi[~ok] = 0
-        counts = hi - lo
-        lrow = np.repeat(np.arange(len(x)), counts)
-        spos = _concat_ranges(lo, counts)
-        d0 = np.abs(x[lrow] - idx.sorted_vals[spos])
-        keep = d0 <= thr
-        lrow = lrow[keep]
-        rpos = idx.sorted_pos[spos[keep]]
-        dists = [d0[keep]]
+def sorted_right(rt: pa.Table, rid: str, by) -> tuple[list[np.ndarray], pa.Array]:
+    """The broadcast plan's right side: ``rt``'s keys as float arrays
+    sorted on the first, rows with a null key dropped (NA never matches),
+    and the row ids in the same order."""
+    vals = [_numeric_np(rt.column(r)) for _, r in by]
+    ok = np.flatnonzero(~np.isnan(np.vstack(vals)).any(axis=0))
+    order = ok[np.argsort(vals[0][ok], kind="stable")]
+    return [v[order] for v in vals], _take(rt.column(rid), order)
 
-        for lkey, rkey in by[1:]:
-            lv = _numeric_np(batch.column(lkey))[lrow]
-            rv = idx.extra[rkey][rpos]
-            dk = np.abs(lv - rv)
-            keep2 = dk <= thr  # NaN fails -> NA never matches
-            lrow = lrow[keep2]
-            rpos = rpos[keep2]
-            dists = [d[keep2] for d in dists] + [dk[keep2]]
 
-        cols = {
-            LID: pa.array(lids[lrow], type=batch.schema.field(cfg["lid"]).type),
-            RID: pa.array(idx.rids[rpos], type=idx.rid_type),
-        }
-        for name, d in zip(dist_names(len(by)), dists):
-            cols[name] = pa.array(d, type=pa.float64())
-        return pa.table(cols)
+def _stream(ds: rd.Dataset, id_col: str, cols, held, cfg: dict, batch_size: int) -> rd.Dataset:
+    return ds.select_columns([id_col] + sorted(set(cols))).map_batches(
+        BroadcastScorer,
+        fn_constructor_args=(ray.put(held), cfg),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=_ACTORS,
+        num_cpus=1,
+    )
 
+
+def broadcast_edges(
+    left: rd.Dataset, rt: pa.Table, lid: str, rid: str, by, score, batch_size: int
+) -> rd.Dataset:
+    """The broadcast plan over ``rt``, the collected right side: it is
+    sorted once (:func:`sorted_right`) and ``ray.put``, and ``score(lv,
+    rv)`` runs per left batch."""
+    cfg = {"id": lid, "by": by, "score": score, "held": "right"}
+    return _stream(left, lid, [l for l, _ in by], sorted_right(rt, rid, by), cfg, batch_size)
+
+
+def broadcast_left_edges(
+    right: rd.Dataset, lt: pa.Table, lid: str, rid: str, by, score, batch_size: int
+) -> rd.Dataset:
+    """The broadcast plan with the sides' roles swapped: ``lt``, collected
+    left rows, is ``ray.put`` once, and ``score(lv, rv)`` runs per right
+    batch, sorted on its first key."""
+    cfg = {"id": rid, "by": by, "score": score, "held": "left"}
+    held = ([_numeric_np(lt[l]) for l, _ in by], lt[lid])
+    return _stream(right, rid, [r for _, r in by], held, cfg, batch_size)
+
+
+# ------------------------------------------------------------- blocked plan
 
 _NB = "__nb_bucket"
 _NS = "__nb_side"
 _NI = "__nb_id"
+# grid blocks stay within +-2^52, exact in float64 and int64
+_BMAX = float(1 << 52)
 
 
-def _diff_emit(side: int, id_col: str, key_cols: list[str], width: float):
-    """map_batches fn: (bucket, side, id, v0..vk) rows. Rights go to their
-    home bucket floor(v/width); lefts to buckets {b-1, b, b+1} so every
-    within-threshold pair meets in the right value's home bucket exactly
-    once (reference grid design, difference/mod.rs:19-54). NaN/null keys
-    emit nothing (NA never matches)."""
+def grid_block(x: np.ndarray, width: float) -> np.ndarray:
+    """Block ``floor(x / width)`` of each (non-NaN) value: monotone in
+    ``x``, clipped to +-2^52 so +-inf and overflowing quotients land in
+    the end blocks; a grid of infinite width is one block."""
+    if not np.isfinite(width):
+        return np.zeros(len(x), np.int64)
+    return np.floor(np.clip(x / width, -_BMAX, _BMAX)).astype(np.int64)
+
+
+def block_emit(side: int, id_col: str, key_cols: list[str], width: float, cover):
+    """map_batches fn emitting (block, side, id, v0..vk) rows: a row goes
+    to every :func:`grid_block` from ``lo``'s to ``hi``'s of its
+    ``cover(vals) -> (lo, hi)``. Rows with a null key or a NaN cover emit
+    nothing (NA never matches)."""
 
     def fn(t: pa.Table) -> pa.Table:
-        v = _numeric_np(t[key_cols[0]])
-        ok = np.nonzero(~np.isnan(v))[0]
-        b0 = np.floor(v[ok] / width).astype(np.int64)
-        if side == 1:
-            rows = ok
-            bks = b0
-        else:
-            rows = np.repeat(ok, 3)
-            bks = (b0[:, None] + np.array([-1, 0, 1])[None, :]).ravel()
-        idc = t[id_col].combine_chunks() if isinstance(t[id_col], pa.ChunkedArray) else t[id_col]
-        take = pa.array(rows)
+        vals = [_numeric_np(t[c]) for c in key_cols]
+        lo, hi = cover(vals)
+        ok = np.flatnonzero(~np.isnan(np.vstack([lo, hi, *vals])).any(axis=0))
+        b0 = grid_block(lo[ok], width)
+        n = np.maximum(grid_block(hi[ok], width) - b0 + 1, 0)
+        rows = np.repeat(ok, n)
         cols = {
-            _NB: pa.array(bks),
+            _NB: pa.array(np.arange(len(rows)) + np.repeat(b0 - (np.cumsum(n) - n), n), pa.int64()),
             _NS: pa.array(np.full(len(rows), side, dtype=np.int8)),
-            _NI: idc.take(take),
+            _NI: _take(t[id_col], rows),
         }
-        for i, c in enumerate(key_cols):
-            cols[f"__nb_v{i}"] = pa.array(_numeric_np(t[c])[rows] if len(rows) else np.empty(0))
+        for i, v in enumerate(vals):
+            cols[f"__nb_v{i}"] = pa.array(v[rows], pa.float64())
         return pa.table(cols)
 
     return fn
 
 
-def _blocked_difference_edges(
-    left: rd.Dataset,
-    right: rd.Dataset,
-    by,
-    lid: str,
-    rid: str,
-    max_distance: float,
-    num_partitions: int,
-) -> rd.Dataset:
-    """Both-sides-large difference join: grid-bucket shuffle instead of a
-    driver-side broadcast. One all-to-all on hash(bucket); inside each
-    partition rights are value-sorted once and every left probe is two
-    vectorized searchsorted calls clipped to the probe bucket's segment
-    (segments found by searchsorted over the int64 bucket ids, so the
-    emission-side floor() and the probe-side clip can never disagree)."""
-    thr = float(max_distance) + F64_EPS
-    width = float(max_distance) if max_distance > 0 else 1.0
-    lkeys = [l for l, _ in by]
-    rkeys = [r for _, r in by]
-    nkeys = len(by)
-
-    el = left.select_columns([lid] + sorted(set(lkeys))).map_batches(
-        _diff_emit(0, lid, lkeys, width), batch_format="pyarrow"
-    )
-    er = right.select_columns([rid] + sorted(set(rkeys))).map_batches(
-        _diff_emit(1, rid, rkeys, width), batch_format="pyarrow"
-    )
+def _partition_scorer(score, nkeys: int):
+    """exchange() partition fn: the partition's lefts scored against its
+    rights (sorted on the first key) with the rows' blocks."""
 
     def score_part(t: pa.Table) -> pa.Table:
-        idt = t.schema.field(_NI).type
-        empty_cols = {LID: pa.array([], idt), RID: pa.array([], idt)}
-        for n in dist_names(nkeys):
-            empty_cols[n] = pa.array([], pa.float64())
-        empty = pa.table(empty_cols)
-        if t.num_rows == 0:
-            return empty
         side = t[_NS].to_numpy(zero_copy_only=False)
-        bkt = t[_NB].to_numpy(zero_copy_only=False)
-        ids = (
-            t[_NI].combine_chunks() if isinstance(t[_NI], pa.ChunkedArray) else t[_NI]
-        ).to_numpy(zero_copy_only=False)
+        blk = t[_NB].to_numpy(zero_copy_only=False)
         vals = [t[f"__nb_v{i}"].to_numpy(zero_copy_only=False) for i in range(nkeys)]
-        lpos = np.nonzero(side == 0)[0]
-        rpos = np.nonzero(side == 1)[0]
-        if not len(lpos) or not len(rpos):
-            return empty
-        rv = vals[0][rpos]
-        order = np.argsort(rv, kind="stable")  # floor(v/w) is monotone in v
-        rv_s = rv[order]
-        rb_s = bkt[rpos][order]
-        rpos_s = rpos[order]
-        x = vals[0][lpos]
-        lb = bkt[lpos]
-        seg_lo = np.searchsorted(rb_s, lb, side="left")
-        seg_hi = np.searchsorted(rb_s, lb, side="right")
-        vlo = np.searchsorted(rv_s, x - thr, side="left")
-        vhi = np.searchsorted(rv_s, x + thr, side="right")
-        lo = np.maximum(seg_lo, vlo)
-        hi = np.minimum(seg_hi, vhi)
-        counts = np.maximum(hi - lo, 0)
-        lrow = np.repeat(np.arange(len(lpos)), counts)
-        spos = _concat_ranges(lo, counts)
-        d0 = np.abs(x[lrow] - rv_s[spos])
-        keep = d0 <= thr
-        lrow = lrow[keep]
-        rsel = rpos_s[spos[keep]]
-        dists = [d0[keep]]
-        for ki in range(1, nkeys):
-            lv = vals[ki][lpos[lrow]]
-            rvk = vals[ki][rsel]
-            dk = np.abs(lv - rvk)
-            keep2 = dk <= thr  # NaN fails -> NA never matches
-            lrow = lrow[keep2]
-            rsel = rsel[keep2]
-            dists = [d[keep2] for d in dists] + [dk[keep2]]
-        cols = {
-            LID: pa.array(ids[lpos[lrow]], idt),
-            RID: pa.array(ids[rsel], idt),
-        }
-        for n, d in zip(dist_names(nkeys), dists):
-            cols[n] = pa.array(d, pa.float64())
-        return pa.table(cols)
+        lpos = np.flatnonzero(side == 0)
+        rpos = np.flatnonzero(side == 1)
+        rpos = rpos[np.argsort(vals[0][rpos], kind="stable")]
+        lrow, rsel, *dists = score(
+            [v[lpos] for v in vals], [v[rpos] for v in vals], (blk[lpos], blk[rpos])
+        )
+        return edge_table(_take(t[_NI], lpos[lrow]), _take(t[_NI], rpos[rsel]), dists)
 
+    return score_part
+
+
+def block_edges(
+    left: rd.Dataset, right: rd.Dataset, lid: str, rid: str, by, emits, score, num_partitions: int
+) -> rd.Dataset:
+    """The blocked plan: ``emits = (left fn, right fn)`` (see
+    :func:`block_emit`) send both sides to their blocks, which meet in one
+    ``exchange()``; each partition calls ``score(lv, rv, (lblock,
+    rblock))`` once with its rights sorted on the first key."""
+    el = left.select_columns([lid] + sorted({l for l, _ in by})).map_batches(
+        emits[0], batch_format="pyarrow"
+    )
+    er = right.select_columns([rid] + sorted({r for _, r in by})).map_batches(
+        emits[1], batch_format="pyarrow"
+    )
+    score_part = _partition_scorer(score, len(by))
     return exchange([el, er], _NB, num_partitions, score_part, batch_format="pyarrow")
 
 
-def _collect_right_numeric(right: rd.Dataset, rid: str, by) -> tuple:
-    # returns (key values, rid values, rid arrow type, extra key arrays)
-    cols = [rid] + sorted({r for _, r in by})
-    tables = [
-        t
-        for t in right.select_columns(cols).iter_batches(batch_size=None, batch_format="pyarrow")
-    ]
-    rt = pa.concat_tables(tables) if tables else None
-    if rt is None:
-        raise ValueError("right dataset is empty with no schema")
-    key0 = by[0][1]
-    extra = {r: _numeric_np(rt.column(r)) for _, r in by[1:]}
+def window_emits(lid: str, rid: str, by, half: float):
+    """Block emission for key 0's window ``x ± half`` on a grid of width
+    ``half`` (unit blocks when ``half`` is within float rounding of zero):
+    a right to its home block, a left to every block its (widened) window
+    touches, so each pair of the window meets once."""
+    width = half if half > F64_EPS else 1.0
     return (
-        _numeric_np(rt.column(key0)),
-        rt.column(rid).to_numpy(zero_copy_only=False),
-        rt.schema.field(rid).type,
-        extra,
+        block_emit(0, lid, [l for l, _ in by], width, lambda v: _widen(*_span(v[0], half))),
+        block_emit(1, rid, [r for _, r in by], width, lambda v: (v[0], v[0])),
+    )
+
+
+def _window_edges(strategy, left, right, lid, rid, by, score, half, batch_size, num_partitions):
+    """Edges of a join whose candidates are key 0's window ``x ± half``:
+    the broadcast plan, or the blocked plan on :func:`window_emits`' grid."""
+    if strategy == "broadcast":
+        rt = collect_columns(right, [rid] + sorted({r for _, r in by}))
+        return broadcast_edges(left, rt, lid, rid, by, score, batch_size)
+    emits = window_emits(lid, rid, by, half)
+    return block_edges(left, right, lid, rid, by, emits, score, num_partitions)
+
+
+def run_plan(
+    left: rd.Dataset,
+    right: rd.Dataset,
+    strategy: str,
+    left_id: str | None,
+    right_id: str | None,
+    build_edges,
+    *,
+    how: str,
+    num_partitions: int,
+    drop_cols: tuple,
+    distance_cols: list[str],
+    n_dist: int,
+) -> rd.Dataset:
+    """The numeric joins' frame: resolve ``strategy`` ("auto" blocks when
+    the right side has more than ``BROADCAST_ROWS`` rows), attach row
+    ids, build the match edges with ``build_edges(strategy, left, right,
+    lid, rid)`` and assemble ``how`` from them."""
+    if strategy not in ("auto", "broadcast", "blocked"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "auto":
+        strategy = "blocked" if exceeds_rows(right, BROADCAST_ROWS) else "broadcast"
+    left, lid = ensure_row_id(left, left_id, "__fj_lid_src")
+    right, rid = ensure_row_id(right, right_id, "__fj_rid_src")
+    return assemble(
+        left,
+        right,
+        build_edges(strategy, left, right, lid, rid),
+        how=how,
+        lid=lid,
+        rid=rid,
+        distance_cols=distance_cols,
+        num_partitions=num_partitions,
+        drop_ids=["__fj_lid_src", "__fj_rid_src", *drop_cols],
+        n_dist=n_dist,
     )
 
 
@@ -267,212 +387,36 @@ def fuzzy_difference_join(
     left_id: str | None = None,
     right_id: str | None = None,
     num_partitions: int = 16,
-    concurrency=(1, 8),
-    batch_size: int = 65536,
     drop_cols: tuple = (),
     strategy: str = "auto",
-    broadcast_threshold: int = 2_000_000,
 ) -> rd.Dataset:
     """Ray-Data analog of ``fozzie_difference_join``
     (/root/reference/R/fozzie_difference_join.R:37-52).
 
     ``strategy``: "broadcast" ships the sorted right keys to every scorer
     actor; "blocked" grid-buckets BOTH sides at width ``max_distance``
-    and shuffles (the path for two huge inputs, reference grid design
-    difference/mod.rs:19-54); "auto" picks blocked when the right side
-    exceeds ``broadcast_threshold`` rows."""
+    and exchanges them (the path for two huge inputs, reference grid
+    design difference/mod.rs:19-54); "auto" picks blocked when the right
+    side has more than ``rowids.BROADCAST_ROWS`` rows."""
     check_mode(how)
-    if strategy not in ("auto", "broadcast", "blocked"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     by = normalize_by(by, left, right)
-    if strategy == "auto":
-        strategy = "blocked" if exceeds_rows(right, broadcast_threshold) else "broadcast"
-    left, lid = ensure_row_id(left, left_id, "__fj_lid_src")
-    right, rid = ensure_row_id(right, right_id, "__fj_rid_src")
-
-    if strategy == "blocked":
-        edges = _blocked_difference_edges(
-            left, right, by, lid, rid, float(max_distance), num_partitions
-        )
-        return assemble(
-            left,
-            right,
-            edges,
-            how=how,
-            lid=lid,
-            rid=rid,
-            distance_cols=distance_col_names(distance_col, by),
-            num_partitions=num_partitions,
-            drop_ids=["__fj_lid_src", "__fj_rid_src", *drop_cols],
-            n_dist=len(by),
-        )
-
-    key_vals, rids, rid_type, extra = _collect_right_numeric(right, rid, by)
-    index_ref = ray.put(RightDifferenceIndex(key_vals, rids, extra, rid_type))
-    cfg = {"by": by, "lid": lid, "max_distance": float(max_distance)}
-    left_cols = [lid] + sorted({l for l, _ in by})
-    edges = left.select_columns(left_cols).map_batches(
-        BroadcastDifferenceScorer,
-        fn_constructor_args=(index_ref, cfg),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-    return assemble(
+    thr = float(max_distance) + F64_EPS
+    score = partial(difference_pairs, thr=thr)
+    return run_plan(
         left,
         right,
-        edges,
+        strategy,
+        left_id,
+        right_id,
+        lambda s, l, r, lid, rid: _window_edges(
+            s, l, r, lid, rid, by, score, thr, _DIFF_BATCH, num_partitions
+        ),
         how=how,
-        lid=lid,
-        rid=rid,
-        distance_cols=distance_col_names(distance_col, by),
         num_partitions=num_partitions,
-        drop_ids=["__fj_lid_src", "__fj_rid_src", *drop_cols],
+        drop_cols=drop_cols,
+        distance_cols=distance_col_names(distance_col, by),
         n_dist=len(by),
     )
-
-
-class RightDistanceIndex:
-    def __init__(self, matrix: np.ndarray, rids: np.ndarray, rid_type=None):
-        self.matrix = matrix  # (m, k) float64, NaN for nulls
-        self.rids = rids
-        self.rid_type = rid_type  # arrow type: empty batches must emit typed ids
-
-
-class BroadcastDistanceScorer:
-    """Chunked vectorized cdist against the broadcast right matrix; the
-    reference computes the full cross product (distance/mod.rs:94-128) —
-    here it streams in left chunks bounded to ~64 MB of scratch."""
-
-    def __init__(self, index_ref, cfg: dict):
-        self.idx: RightDistanceIndex = ray.get(index_ref)
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        R = self.idx.matrix
-        m, k = R.shape
-        maxd = cfg["max_distance"]
-        method = cfg["method"]
-        X = np.column_stack([_numeric_np(batch.column(l)) for l, _ in cfg["by"]])
-        lids = batch.column(cfg["lid"]).to_numpy(zero_copy_only=False)
-
-        lrows: list[np.ndarray] = []
-        rrows: list[np.ndarray] = []
-        dvals: list[np.ndarray] = []
-        chunk = max(1, int(8_000_000 / max(1, m * k)))
-        for s in range(0, len(X), chunk):
-            Xc = X[s : s + chunk]
-            diff = Xc[:, None, :] - R[None, :, :]
-            if method == "manhattan":
-                D = np.abs(diff).sum(axis=2)
-            else:
-                D = np.sqrt((diff * diff).sum(axis=2))
-            li, ri = np.nonzero(D <= maxd)  # NaN fails <= : NA rows drop
-            lrows.append(li + s)
-            rrows.append(ri)
-            dvals.append(D[li, ri])
-        lrow = np.concatenate(lrows) if lrows else np.empty(0, np.int64)
-        rrow = np.concatenate(rrows) if rrows else np.empty(0, np.int64)
-        d = np.concatenate(dvals) if dvals else np.empty(0, np.float64)
-        return pa.table(
-            {
-                LID: pa.array(
-                    lids[lrow.astype(np.int64)], type=batch.schema.field(cfg["lid"]).type
-                ),
-                RID: pa.array(self.idx.rids[rrow.astype(np.int64)], type=self.idx.rid_type),
-                "__fj_d0": pa.array(d, type=pa.float64()),
-            }
-        )
-
-
-def _blocked_distance_edges(
-    left: rd.Dataset,
-    right: rd.Dataset,
-    by,
-    lid: str,
-    rid: str,
-    max_distance: float,
-    method: str,
-    num_partitions: int,
-) -> rd.Dataset:
-    """Both-sides-large distance join: grid-bucket shuffle on the FIRST
-    key dimension instead of a driver-side broadcast matrix. Any pair
-    with euclidean/manhattan distance <= d has per-coordinate |diff|
-    <= d, so bucketing dim 0 at width ``max_distance`` (rights home,
-    lefts ±1, reference grid design difference/mod.rs:19-54) loses no
-    pairs; inside each partition rights are sorted by dim 0, every left
-    probes a searchsorted window clipped to its bucket's segment, and
-    the full k-dim distance is computed vectorized on the window pairs.
-    """
-    maxd = float(max_distance)
-    width = maxd if maxd > 0 else 1.0
-    lkeys = [l for l, _ in by]
-    rkeys = [r for _, r in by]
-    nkeys = len(by)
-
-    el = left.select_columns([lid] + sorted(set(lkeys))).map_batches(
-        _diff_emit(0, lid, lkeys, width), batch_format="pyarrow"
-    )
-    er = right.select_columns([rid] + sorted(set(rkeys))).map_batches(
-        _diff_emit(1, rid, rkeys, width), batch_format="pyarrow"
-    )
-
-    def score_part(t: pa.Table) -> pa.Table:
-        idt = t.schema.field(_NI).type
-        empty = pa.table(
-            {LID: pa.array([], idt), RID: pa.array([], idt), "__fj_d0": pa.array([], pa.float64())}
-        )
-        if t.num_rows == 0:
-            return empty
-        side = t[_NS].to_numpy(zero_copy_only=False)
-        bkt = t[_NB].to_numpy(zero_copy_only=False)
-        ids = (
-            t[_NI].combine_chunks() if isinstance(t[_NI], pa.ChunkedArray) else t[_NI]
-        ).to_numpy(zero_copy_only=False)
-        vals = [t[f"__nb_v{i}"].to_numpy(zero_copy_only=False) for i in range(nkeys)]
-        lpos = np.nonzero(side == 0)[0]
-        rpos = np.nonzero(side == 1)[0]
-        if not len(lpos) or not len(rpos):
-            return empty
-        rv = vals[0][rpos]
-        order = np.argsort(rv, kind="stable")  # floor(v/w) is monotone in v
-        rv_s = rv[order]
-        rb_s = bkt[rpos][order]
-        rpos_s = rpos[order]
-        x = vals[0][lpos]
-        lb = bkt[lpos]
-        seg_lo = np.searchsorted(rb_s, lb, side="left")
-        seg_hi = np.searchsorted(rb_s, lb, side="right")
-        vlo = np.searchsorted(rv_s, x - maxd, side="left")
-        vhi = np.searchsorted(rv_s, x + maxd, side="right")
-        lo = np.maximum(seg_lo, vlo)
-        hi = np.minimum(seg_hi, vhi)
-        counts = np.maximum(hi - lo, 0)
-        lrow = np.repeat(np.arange(len(lpos)), counts)
-        spos = _concat_ranges(lo, counts)
-        rsel = rpos_s[spos]
-        if method == "manhattan":
-            D = np.abs(x[lrow] - rv_s[spos])
-            for ki in range(1, nkeys):
-                D += np.abs(vals[ki][lpos[lrow]] - vals[ki][rsel])
-        else:
-            D = (x[lrow] - rv_s[spos]) ** 2
-            for ki in range(1, nkeys):
-                diff = vals[ki][lpos[lrow]] - vals[ki][rsel]
-                D += diff * diff
-            D = np.sqrt(D)
-        keep = D <= maxd  # NaN in any dim fails -> NA never matches
-        return pa.table(
-            {
-                LID: pa.array(ids[lpos[lrow[keep]]], idt),
-                RID: pa.array(ids[rsel[keep]], idt),
-                "__fj_d0": pa.array(D[keep], pa.float64()),
-            }
-        )
-
-    return exchange([el, er], _NB, num_partitions, score_part, batch_format="pyarrow")
 
 
 def fuzzy_distance_join(
@@ -487,80 +431,37 @@ def fuzzy_distance_join(
     left_id: str | None = None,
     right_id: str | None = None,
     num_partitions: int = 16,
-    concurrency=(1, 8),
-    batch_size: int = 16384,
     drop_cols: tuple = (),
     strategy: str = "auto",
-    broadcast_threshold: int = 2_000_000,
 ) -> rd.Dataset:
     """Ray-Data analog of ``fozzie_distance_join``
     (/root/reference/R/fozzie_distance_join.R:37-54): multi-column
     euclidean/manhattan distance within ``max_distance``. One distance
     column regardless of key count (distance/mod.rs:108-122).
 
-    ``strategy``: "broadcast" ships the right (m, k) matrix to every
-    scorer actor; "blocked" grid-buckets BOTH sides on the first key at
-    width ``max_distance`` and shuffles (the path for two huge inputs);
-    "auto" picks blocked when the right side exceeds
-    ``broadcast_threshold`` rows."""
+    ``strategy``: "broadcast" ships the right keys, sorted on the first,
+    to every scorer actor; "blocked" grid-buckets BOTH sides on the first
+    key at width ``max_distance`` and exchanges them (the path for two
+    huge inputs); "auto" picks blocked when the right side has more than
+    ``rowids.BROADCAST_ROWS`` rows."""
     check_mode(how)
     if method not in ("euclidean", "manhattan"):
         raise ValueError(f"unknown distance method {method!r}")
-    if strategy not in ("auto", "broadcast", "blocked"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     by = normalize_by(by, left, right)
-    if strategy == "auto":
-        strategy = "blocked" if exceeds_rows(right, broadcast_threshold) else "broadcast"
-    left, lid = ensure_row_id(left, left_id, "__fj_lid_src")
-    right, rid = ensure_row_id(right, right_id, "__fj_rid_src")
-
-    if strategy == "blocked":
-        edges = _blocked_distance_edges(
-            left, right, by, lid, rid, float(max_distance), method, num_partitions
-        )
-        return assemble(
-            left,
-            right,
-            edges,
-            how=how,
-            lid=lid,
-            rid=rid,
-            distance_cols=[distance_col] if distance_col else [],
-            num_partitions=num_partitions,
-            drop_ids=["__fj_lid_src", "__fj_rid_src", *drop_cols],
-            n_dist=1,
-        )
-
-    rcols = [rid] + [r for _, r in by]
-    tables = list(
-        right.select_columns(rcols).iter_batches(batch_size=None, batch_format="pyarrow")
-    )
-    rt = pa.concat_tables(tables)
-    matrix = np.column_stack([_numeric_np(rt.column(r)) for _, r in by])
-    index_ref = ray.put(
-        RightDistanceIndex(
-            matrix, rt.column(rid).to_numpy(zero_copy_only=False), rt.schema.field(rid).type
-        )
-    )
-    cfg = {"by": by, "lid": lid, "max_distance": float(max_distance), "method": method}
-    left_cols = [lid] + sorted({l for l, _ in by})
-    edges = left.select_columns(left_cols).map_batches(
-        BroadcastDistanceScorer,
-        fn_constructor_args=(index_ref, cfg),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-    return assemble(
+    maxd = float(max_distance)
+    score = partial(distance_pairs, max_distance=maxd, method=method)
+    return run_plan(
         left,
         right,
-        edges,
+        strategy,
+        left_id,
+        right_id,
+        lambda s, l, r, lid, rid: _window_edges(
+            s, l, r, lid, rid, by, score, maxd, _DIST_BATCH, num_partitions
+        ),
         how=how,
-        lid=lid,
-        rid=rid,
-        distance_cols=[distance_col] if distance_col else [],
         num_partitions=num_partitions,
-        drop_ids=["__fj_lid_src", "__fj_rid_src", *drop_cols],
+        drop_cols=drop_cols,
+        distance_cols=[distance_col] if distance_col else [],
         n_dist=1,
     )

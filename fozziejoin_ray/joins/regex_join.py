@@ -36,7 +36,10 @@ import ray.data as rd
 from ..semantics import check_mode
 from .modes import assemble, normalize_by
 from .rowids import ensure_row_id, exceeds_rows
-from .string_join import LID, RID
+from .string_join import _ACTORS, LID, RID
+
+# scorer actors' left batch size
+_BATCH = 16384
 
 
 def _arrow_accepts(pattern: str, ignore_case: bool) -> bool:
@@ -195,8 +198,6 @@ def fuzzy_regex_join(
     left_id: str | None = None,
     right_id: str | None = None,
     num_partitions: int = 16,
-    concurrency=(1, 8),
-    batch_size: int = 16384,
     strategy: str = "auto",
     broadcast_threshold: int = 1_000_000,
 ) -> rd.Dataset:
@@ -264,8 +265,8 @@ def fuzzy_regex_join(
             BroadcastRegexScorer,
             fn_constructor_args=(ray.put(index), cfg),
             batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
+            batch_size=_BATCH,
+            concurrency=_ACTORS,
             num_cpus=1,
         )
         edges = part if edges is None else edges.union(part)

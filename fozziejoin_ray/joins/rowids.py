@@ -17,8 +17,13 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 
 ROWID = "__fj_rowid"
+
+# a join's "auto" strategy broadcasts a right side of at most this many
+# rows and runs its blocked plan above it (see exceeds_rows)
+BROADCAST_ROWS = 2_000_000
 
 
 @ray.remote
@@ -27,15 +32,20 @@ def _add_ids(block: pa.Table, start: int, col: str) -> pa.Table:
 
 
 def collect_columns(ds: rd.Dataset, cols: list[str]) -> pa.Table:
-    """``ds``'s ``cols`` as one Arrow table on the driver (null-typed
-    columns when ``ds`` has no rows), for the sides a plan broadcasts."""
+    """``ds``'s ``cols`` as one Arrow table on the driver, for the sides a
+    plan broadcasts. ``ds`` streams once. A side without rows comes back
+    as an empty table typed by its empty blocks' schemas, which may lack
+    columns (null-typed then), so they only type an empty side."""
     tables = [
-        t if isinstance(t, pa.Table) else pa.Table.from_batches([t])
-        for t in ds.select_columns(cols).iter_batches(batch_size=None, batch_format="pyarrow")
+        BlockAccessor.for_block(ray.get(ref)).to_arrow()
+        for bundle in ds.select_columns(cols).iter_internal_ref_bundles()
+        for ref in bundle.block_refs
     ]
-    if not tables:
-        return pa.table({c: pa.array([], type=pa.null()) for c in cols})
-    return pa.concat_tables(tables)
+    full = [t for t in tables if t.num_rows]
+    if full:
+        return pa.concat_tables(full)
+    types = {f.name: f.type for t in tables for f in t.schema}
+    return pa.table({c: pa.array([], type=types.get(c, pa.null())) for c in cols})
 
 
 def exceeds_rows(ds: rd.Dataset, threshold: int) -> bool:

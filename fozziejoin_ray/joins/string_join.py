@@ -20,10 +20,12 @@ The plans differ in where the keys meet:
   — the distributed analog of the reference's one-sided in-memory maps
   (its src/rust/src/string/edit/mod.rs:32-48, ngram/jaccard.rs:118-158
   and soundex.rs:153-206). Each batch emits its own keys, looks them up
-  in the vocabulary and expands the shared groups; a pair that shares
-  several keys (deletion variants, grams, soundex codes) is deduped by
-  one ``np.unique``. The left side streams with backpressure; nothing
-  materializes it.
+  in the vocabulary and expands the shared groups, a slab of left
+  values at a time (at most ``SLAB_PAIRS`` candidate pairs unless one
+  value's groups alone are larger); a pair that shares several keys
+  (deletion variants, grams, soundex codes) is deduped by one
+  ``np.unique`` within its slab. The left side streams with
+  backpressure; nothing materializes it.
 - ``blocked`` (both sides large, or self-join): both sides' keys meet in
   one ``exchange()`` on the block key, and each pair is scored only in
   its strategy's smallest shared block — see blocked.py.
@@ -51,7 +53,7 @@ from ..blocking.strategies import EDIT_METHODS, _cross_expand, strategy_for
 from ..kernels.strdist import edit_bag_bound, jaccard_set_batch, score_pairs
 from ..semantics import canon_method, check_mode, distance_col_names
 from .modes import assemble, normalize_by
-from .rowids import collect_columns, ensure_row_id, exceeds_rows
+from .rowids import BROADCAST_ROWS, collect_columns, ensure_row_id, exceeds_rows
 
 LID = "__fj_lid"
 RID = "__fj_rid"
@@ -59,6 +61,8 @@ RID = "__fj_rid"
 # broadcast scorer actors and their left batch size
 _ACTORS = (1, 8)
 _BATCH = 8192
+# candidate pairs a broadcast scorer (string or numeric) holds at once
+SLAB_PAIRS = 1 << 18
 
 
 def refine_score(method: str, a: list, b: list, *, q: int, max_prefix: int, prefix_weight: float):
@@ -204,16 +208,35 @@ class RightStringIndex:
         # emits more than one
         self.dedup = len(uidx) > len(np.unique(uidx))
 
-    def probe(self, lu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(li, ri): every pair of a left batch's distinct values ``lu``
-        and the right values that shares a key, once."""
+    def probe(self, lu: np.ndarray):
+        """Yield (li, ri) slabs: every pair of a left batch's distinct
+        values ``lu`` and the right values that shares a key, once. A slab
+        holds whole left values whose summed group sizes stay within
+        ``SLAB_PAIRS`` (a value whose groups alone exceed it gets a slab
+        of its own), so a pair met through several keys is deduped inside
+        its slab. At least one slab is yielded."""
         luidx, keys = self.strategy.emit_unique(lu, "left")
         pos = self.vocab.get_indexer(keys)
-        # key order: consecutive pairs share a right group, which keeps
-        # its rows cache-hot for the prefilter's gathers
-        order = np.argsort(pos, kind="stable")
-        order = order[pos[order] >= 0]
+        hit = pos >= 0
+        luidx, pos = luidx[hit], pos[hit]
+        load = np.cumsum(np.bincount(luidx, self.key_counts[pos], minlength=len(lu)))
+        bounds = [0]
+        while True:
+            b = bounds[-1]
+            cap = (load[b - 1] if b else 0) + SLAB_PAIRS
+            bounds.append(min(max(int(np.searchsorted(load, cap, side="right")), b + 1), len(lu)))
+            if bounds[-1] >= len(lu):
+                break
+        # slab, then key order: consecutive pairs share a right group,
+        # which keeps its rows cache-hot for the prefilter's gathers
+        slab = np.searchsorted(bounds, luidx, side="right") - 1
+        order = np.lexsort((pos, slab))
         luidx, pos = luidx[order], pos[order]
+        cuts = np.searchsorted(slab[order], np.arange(len(bounds)))
+        for e0, e1 in zip(cuts[:-1], cuts[1:]):
+            yield self._expand(luidx[e0:e1], pos[e0:e1])
+
+    def _expand(self, luidx: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sizes = self.key_counts[pos]
         li = np.repeat(luidx, sizes)
         # each left emission meets its key's whole group: ranges of
@@ -246,24 +269,21 @@ class BroadcastStringScorer:
         # same result, scoring cost amortized per batch here)
         codes, lu = pd.factorize(batch.column(by[0][0]).to_numpy(zero_copy_only=False))
         lu = np.asarray(lu, dtype=object)
-        li, ri = idx.probe(lu)
-        lrow, rrow, dists = score_candidates(
-            lu,
-            idx.uvals,
-            li,
-            ri,
-            group_positions(codes, len(lu)),
-            idx.rows,
-            [batch.column(l).to_numpy(zero_copy_only=False) for l, _ in by[1:]],
-            idx.extra,
-            **self.cfg["score"],
-        )
+        lgroups = group_positions(codes, len(lu))
+        lextra = [batch.column(l).to_numpy(zero_copy_only=False) for l, _ in by[1:]]
+        slabs = [
+            score_candidates(
+                lu, idx.uvals, li, ri, lgroups, idx.rows, lextra, idx.extra, **self.cfg["score"]
+            )
+            for li, ri in idx.probe(lu)
+        ]
+        lrow, rrow = (np.concatenate([s[i] for s in slabs]) for i in (0, 1))
         cols = {
             LID: batch.column(self.cfg["lid"]).take(pa.array(lrow, pa.int64())),
             RID: idx.rids.take(pa.array(rrow, pa.int64())),
         }
-        for name, d in zip(dist_names(len(by)), dists):
-            cols[name] = pa.array(d, type=pa.float64())
+        for k, name in enumerate(dist_names(len(by))):
+            cols[name] = pa.array(np.concatenate([s[2][k] for s in slabs]), type=pa.float64())
         return pa.table(cols)
 
 
@@ -372,7 +392,6 @@ def fuzzy_string_join(
     left_id: str | None = None,
     right_id: str | None = None,
     strategy: str = "auto",
-    broadcast_limit: int = 2_000_000,
     num_partitions: int = 16,
     validate_ids: bool = False,
 ) -> rd.Dataset:
@@ -387,7 +406,7 @@ def fuzzy_string_join(
     method = canon_method(method)
     by = normalize_by(by, left, right)
     if strategy == "auto":
-        strategy = "blocked" if exceeds_rows(right, broadcast_limit) else "broadcast"
+        strategy = "blocked" if exceeds_rows(right, BROADCAST_ROWS) else "broadcast"
     left, lid = ensure_row_id(left, left_id, "__fj_lid_src", validate_ids=validate_ids)
     right, rid = ensure_row_id(right, right_id, "__fj_rid_src", validate_ids=validate_ids)
 

@@ -218,13 +218,14 @@ _CONTENT_HASHES = {
 }
 
 
-def _hash_array_calls():
-    """((module, qualified function), line) per ``*.hash_array(...)``
-    call in the package source."""
+def _attr_calls(attrs: set, sub: str = ""):
+    """((module, qualified function), line) per ``*.<attr>(...)`` call,
+    ``attr`` in ``attrs``, in the package source (under its subdirectory
+    ``sub``)."""
     import ast
     from pathlib import Path
 
-    root = Path(__file__).resolve().parent.parent / "fozziejoin_ray"
+    root = Path(__file__).resolve().parent.parent / "fozziejoin_ray" / sub
     scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
     def visit(node, qual, mod):
@@ -233,7 +234,7 @@ def _hash_array_calls():
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "hash_array"
+            and node.func.attr in attrs
         ):
             yield (mod, qual or "<module>"), node.lineno
         for child in ast.iter_child_nodes(node):
@@ -247,7 +248,7 @@ def test_no_hand_rolled_partition_hash():
     """Every partition id comes from fozziejoin_ray.exchange; a new raw
     ``hash_array`` call must be a content hash added to the allowlist
     with its reason."""
-    calls = list(_hash_array_calls())
+    calls = list(_attr_calls({"hash_array"}))
     stray = [f"{m}:{ln} in {fn}()" for (m, fn), ln in calls if (m, fn) not in _CONTENT_HASHES]
     assert not stray, "raw hash_array outside the content-hash allowlist: " + ", ".join(stray)
     seen = {site for site, _ in calls}
@@ -290,3 +291,49 @@ def test_join_block_keys_come_from_strategies():
     candidates: block keys come only from ``strategy.emit_unique``."""
     stray = [f"{m}:{ln} calls {fn}()" for m, ln, fn in sorted(_hand_rolled_key_calls())]
     assert not stray, "hand-rolled block keys under joins/: " + ", ".join(stray)
+
+
+# ------------------------------------------------ broadcast collect guard
+
+# The only places under joins/ that iterate a Dataset's blocks: the one
+# collect of a broadcast side, the regex join's pattern shards (built one
+# shard at a time), the row-id pass and hash_join's broadcast (both pass
+# block refs to tasks). A hand-rolled collect is how an empty right side
+# crashed the numeric joins' broadcast plans.
+_COLLECTS = {"iter_batches", "to_arrow_refs", "iter_internal_ref_bundles"}
+_STREAMS = {
+    ("rowids.py", "collect_columns"),
+    ("rowids.py", "ensure_row_id"),
+    ("hashjoin.py", "hash_join"),
+    ("regex_join.py", "fuzzy_regex_join.shard_stream"),
+}
+
+
+def test_no_hand_rolled_collects():
+    """Every ``.iter_batches(``, ``.to_arrow_refs(`` or
+    ``.iter_internal_ref_bundles(`` under fozziejoin_ray/joins/ is one of
+    the allowed streams; a broadcast side goes through
+    ``rowids.collect_columns``."""
+    calls = list(_attr_calls(_COLLECTS, "joins"))
+    stray = [f"{m}:{ln} in {fn}()" for (m, fn), ln in calls if (m, fn) not in _STREAMS]
+    assert not stray, "collect outside collect_columns: " + ", ".join(stray)
+    assert {site for site, _ in calls} == _STREAMS, "stale allowlist entries"
+
+
+# Plan knobs that are module constants (actor pools, batch sizes, the
+# auto-strategy row limit, the interval long-tail cutoff). The regex
+# join keeps broadcast_threshold: it is also its shard size.
+_PLAN_KNOBS = {"concurrency", "batch_size", "broadcast_threshold", "broadcast_limit", "long_cutoff"}
+
+
+def test_public_joins_take_no_plan_knobs():
+    import inspect
+
+    import fozziejoin_ray
+
+    for name in fozziejoin_ray.__all__:
+        if not (name.startswith("fuzzy_") and name.endswith("_join")):
+            continue
+        params = set(inspect.signature(getattr(fozziejoin_ray, name)).parameters)
+        allowed = {"broadcast_threshold"} if name == "fuzzy_regex_join" else set()
+        assert not (params & _PLAN_KNOBS) - allowed, (name, params & _PLAN_KNOBS)

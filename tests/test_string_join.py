@@ -610,3 +610,36 @@ class TestDeletionBlocks:
         assert salted == unsalted
         # 130 duplicate ids -> C(130,2) identity edges at distance 0
         assert sum(1 for _, _, d in unsalted if d == 0.0) >= 130 * 129 // 2
+
+
+@pytest.mark.parametrize("method,d", [("lv", 2), ("jw", 0.3)])
+def test_broadcast_pair_slabs_equal_one_slab(monkeypatch, method, d):
+    """A tiny pair slab splits each batch into many slabs, a value's
+    pairs whole in one (so the dedup of pairs met through several
+    deletion keys still holds): the scorer's edges equal one slab's."""
+    import numpy as np
+
+    from fozziejoin_ray.blocking.strategies import strategy_for
+    from fozziejoin_ray.joins import string_join as sj
+    from fozziejoin_ray.semantics import canon_method
+
+    rng = np.random.default_rng(3)
+    words = ["".join(rng.choice(list("abcd"), rng.integers(2, 7))) for _ in range(70)]
+    words[5] = words[40] = None
+    lt = pa.table({"lid": list(range(40)), "k": words[:40]})
+    rt = pa.table({"rid": list(range(50)), "k": words[20:]})
+    method = canon_method(method)
+    score = {"method": method, "max_distance": d, "q": 2, "max_prefix": 0, "prefix_weight": 0.0}
+    index = sj.RightStringIndex(rt, "rid", [("k", "k")], strategy_for(method, d, 2))
+    scorer = sj.BroadcastStringScorer(index, {"by": [("k", "k")], "lid": "lid", "score": score})
+
+    def edges():
+        e = scorer(lt)
+        return sorted(zip(*(e[c].to_pylist() for c in ("__fj_lid", "__fj_rid", "__fj_d0"))))
+
+    whole = edges()
+    lu = np.asarray(list({w for w in words[:40] if w is not None}), dtype=object)
+    assert len(list(index.probe(lu))) == 1
+    monkeypatch.setattr(sj, "SLAB_PAIRS", 7)
+    assert len(list(index.probe(lu))) > 5
+    assert edges() == whole and len(whole) > 40
