@@ -445,21 +445,26 @@ def _embedding_dedup_query(sf_dir: str):
     )
 
 
+def _query_vectors(emb, below: int, dtype):
+    """The query matrix (in ``dtype``) and query ids of the embeddings
+    with ``vec_id < below``, in vec_id order."""
+    qt = pa.concat_tables(
+        list(
+            emb.map_batches(
+                lambda t: t.filter(pc.less(t["vec_id"], below)), batch_format="pyarrow"
+            ).iter_batches(batch_size=None, batch_format="pyarrow")
+        )
+    ).sort_by("vec_id")
+    Q = np.array(qt.column("embedding").to_pylist(), dtype=dtype)
+    return Q, qt.column("vec_id").to_pylist()
+
+
 def _ann_topk_query(sf_dir: str):
     from fozziejoin_ray.pipelines.ann import ann_topk
 
     emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    qt = pa.concat_tables(
-        list(
-            emb.map_batches(
-                lambda t: t.filter(pc.less(t["vec_id"], 5)), batch_format="pyarrow"
-            ).iter_batches(batch_size=None, batch_format="pyarrow")
-        )
-    ).sort_by("vec_id")
-    Q = np.array(qt.column("embedding").to_pylist(), dtype=np.float64)
-    out = ann_topk(
-        emb, Q, qt.column("vec_id").to_pylist(), k=10, id_col="vec_id", dtype=np.float64
-    )
+    Q, qids = _query_vectors(emb, 5, np.float64)
+    out = ann_topk(emb, Q, qids, k=10, id_col="vec_id", dtype=np.float64)
     return _round_col(out, "cosine", 4)
 
 
@@ -470,17 +475,9 @@ def _ann_ivf_exhaustive_query(sf_dir: str):
     from fozziejoin_ray.pipelines.ann import ivf_topk
 
     emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    qt = pa.concat_tables(
-        list(
-            emb.map_batches(
-                lambda t: t.filter(pc.less(t["vec_id"], 5)), batch_format="pyarrow"
-            ).iter_batches(batch_size=None, batch_format="pyarrow")
-        )
-    ).sort_by("vec_id")
-    Q = np.array(qt.column("embedding").to_pylist(), dtype=np.float64)
+    Q, qids = _query_vectors(emb, 5, np.float64)
     out = ivf_topk(
-        emb, Q, qt.column("vec_id").to_pylist(), k=10, id_col="vec_id",
-        n_centroids=16, nprobe=16, dtype=np.float64,
+        emb, Q, qids, k=10, id_col="vec_id", n_centroids=16, nprobe=16, dtype=np.float64
     )
     return _round_col(out, "cosine", 4)
 
@@ -500,15 +497,8 @@ def _ann_ivf_query(sf_dir: str):
     from fozziejoin_ray.pipelines.ann import ivf_topk
 
     emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    qt = pa.concat_tables(
-        list(
-            emb.map_batches(
-                lambda t: t.filter(pc.less(t["vec_id"], 3)), batch_format="pyarrow"
-            ).iter_batches(batch_size=None, batch_format="pyarrow")
-        )
-    ).sort_by("vec_id")
-    Q = np.array(qt.column("embedding").to_pylist(), dtype=np.float32)
-    out = ivf_topk(emb, Q, qt.column("vec_id").to_pylist(), k=5, id_col="vec_id")
+    Q, qids = _query_vectors(emb, 3, np.float32)
+    out = ivf_topk(emb, Q, qids, k=5, id_col="vec_id")
     return _round_col(out, "cosine", 3)
 
 

@@ -77,6 +77,19 @@ def _min_label_cc(ea: np.ndarray, eb: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
+def component_min(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(nodes, reps)`` of the edge list ``a[i] - b[i]``: every distinct
+    endpoint and the min node VALUE of its connected component."""
+    import pandas as pd
+
+    codes, nodes = pd.factorize(np.concatenate([a, b]), sort=False)
+    lbl = _min_label_cc(codes[: len(a)], codes[len(a):], len(nodes))
+    # labels are positions of component minima; nodes are not sorted, so
+    # position-min != value-min
+    reps = pd.Series(nodes).groupby(lbl, sort=False).transform("min").to_numpy()
+    return np.asarray(nodes), reps
+
+
 def _common_node_type(at: pa.DataType, bt: pa.DataType) -> pa.DataType:
     """Promotion rule for mismatched edge-endpoint types. Integer pairs
     promote to int64 unless either side is uint64 (values above 2^63
@@ -128,8 +141,6 @@ def _driver_union_find_batches(batches, src: str, dst: str, node_type=None) -> "
     """Exact connected components on the driver for small edge sets —
     factorize both endpoint columns to int codes, then run the
     vectorized min-label propagation (:func:`_min_label_cc`)."""
-    import pandas as pd
-
     tables = [
         nt
         for nt in (_normalize_edge_table(t, src, dst) for t in batches if t.num_rows)
@@ -140,24 +151,12 @@ def _driver_union_find_batches(batches, src: str, dst: str, node_type=None) -> "
             pa.table({NODE: pa.array([], node_type), CLUSTER: pa.array([], node_type)})
         )
     t = pa.concat_tables(tables)
-    a = t["a"].combine_chunks().to_numpy(zero_copy_only=False)
-    b = t["b"].combine_chunks().to_numpy(zero_copy_only=False)
-    codes, uniques = pd.factorize(np.concatenate([a, b]), sort=False)
-    n = len(uniques)
-    ea = codes[: len(a)]
-    eb = codes[len(a):]
-    lbl = _min_label_cc(ea, eb, n)
-    # labels are positions of component minima; map to the min VALUE in
-    # each component (uniques is not sorted, so position-min != value-min)
-    u = pd.Series(uniques)
-    rep = u.groupby(lbl, sort=False).transform("min")
+    nodes, reps = component_min(
+        t["a"].combine_chunks().to_numpy(zero_copy_only=False),
+        t["b"].combine_chunks().to_numpy(zero_copy_only=False),
+    )
     return rd.from_arrow(
-        pa.table(
-            {
-                NODE: pa.array(uniques, type=node_type),
-                CLUSTER: pa.array(rep.to_numpy(), type=node_type),
-            }
-        )
+        pa.table({NODE: pa.array(nodes, type=node_type), CLUSTER: pa.array(reps, type=node_type)})
     )
 
 
@@ -176,19 +175,11 @@ def _contract_round(edges: rd.Dataset, num_partitions: int) -> rd.Dataset:
             return pd.DataFrame(
                 {"a": pd.Series([], dtype=object), "b": pd.Series([], dtype=object)}
             )
-        # exact CC via vectorized min-label propagation (_min_label_cc) —
-        # no per-edge python; then pick the min VALUE per root as the
-        # star center so labels stay deterministic across partitionings
-        both = pd.concat([df["a"], df["b"]], ignore_index=True)
-        codes, uniques = pd.factorize(both, sort=False)
-        n = len(uniques)
-        ea = codes[: len(df)]
-        eb = codes[len(df):]
-        roots = _min_label_cc(ea, eb, n)
-        u = pd.DataFrame({"node": uniques, "root": roots})
-        rep = u.groupby("root", sort=False)["node"].transform("min")
-        keep = u["node"].to_numpy() != rep.to_numpy()
-        return pd.DataFrame({"a": u["node"].to_numpy()[keep], "b": rep.to_numpy()[keep]})
+        # the min VALUE per component is the star center, so labels stay
+        # deterministic across partitionings
+        nodes, reps = component_min(df["a"].to_numpy(), df["b"].to_numpy())
+        keep = nodes != reps
+        return pd.DataFrame({"a": nodes[keep], "b": reps[keep]})
 
     return exchange(edges, "a", num_partitions, contract_part, batch_format="pandas")
 

@@ -65,16 +65,25 @@ def _take(col: pa.ChunkedArray | pa.Array, idx: np.ndarray) -> pa.Array:
     return col.take(pa.array(idx, pa.int64()))
 
 
+# a difference below 2^-537.5 squares to 0, and a larger one whose square
+# is subnormal squares with an absolute error of up to 2^-1075
+_SQUARE_UNDERFLOW = 2.0**-537
+
+
 def _widen(qlo: np.ndarray, qhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Query bounds ``x ∓ d`` pushed outward by two ulps of ``|x| + d``,
-    the larger finite bound's magnitude. A computed ``|x - y| <= d``
-    holds for some ``y`` just outside the rounded bounds (0.2 against 2.7
-    at d = 2.5 sits six ulps of 0.2 below ``2.7 - 2.5``); rounding of ``x
-    - y`` and of ``x ∓ d`` each err by at most half an ulp of ``|x| + d``.
-    An infinite bound needs no widening and sets no pad. The exact
-    predicate still decides."""
+    the larger finite bound's magnitude, and by at least
+    ``_SQUARE_UNDERFLOW``. A computed ``|x - y| <= d`` holds for some
+    ``y`` just outside the rounded bounds (0.2 against 2.7 at d = 2.5
+    sits six ulps of 0.2 below ``2.7 - 2.5``); rounding of ``x - y`` and
+    of ``x ∓ d`` each err by at most half an ulp of ``|x| + d``. A
+    euclidean distance squares ``x - y``, so it can read <= d for ``|x
+    - y|`` up to ``d + 2^-537.5`` (0.0 against 2.2e-311 at d = 0 reads
+    0). An infinite bound needs no widening. The exact predicate still
+    decides."""
     m = np.abs(np.stack([qlo, qhi]))
-    pad = 2 * np.spacing(np.where(np.isfinite(m), m, 0.0).max(axis=0))
+    ulps = 2 * np.spacing(np.where(np.isfinite(m), m, 0.0).max(axis=0))
+    pad = np.maximum(ulps, _SQUARE_UNDERFLOW)
     return qlo - pad, qhi + pad
 
 

@@ -1,26 +1,52 @@
-"""Similarity search over an embedding column (``list<float>``).
+"""Similarity search and near-duplicate detection over an embedding
+column (``list<float>``).
 
-- ``ann_topk``: brute-force cosine top-k — the query matrix is
-  normalized once, ``ray.put`` once, and every batch does one
-  numpy matmul against it (zero-copy Arrow -> numpy); per-batch local
-  top-k candidates are merged with one small groupby. Exact.
-- ``ivf_topk``: the scale path — vectors are bucketed by nearest
-  centroid (deterministic seeded centroid sample), queries probe the
-  ``nprobe`` nearest centroid buckets only, so the matmul touches a
-  fraction of the data. Approximate; recall grows with nprobe.
-- ``embedding_dup``: near-duplicate pairs by cosine >= threshold,
-  brute-force against a broadcast matrix (both sides are the same
-  table).
+Operators:
+
+- ``ann_topk``: exact cosine top-k per query. The normalized query
+  matrix is ``ray.put`` once, every batch scores one matmul against it,
+  and the per-batch candidates are merged per query by
+  :func:`~fozziejoin_ray.pipelines.topk.top_k_per_group` under the
+  (cosine DESC, vec_id) order.
+- ``ivf_topk``: the scale path. Vectors are bucketed by nearest
+  centroid and each query scores only its ``nprobe`` nearest buckets.
+  Approximate; ``nprobe = n_centroids`` is exact.
+- ``embedding_dup_pairs``: exact pairs with cosine >= threshold against
+  a broadcast matrix of the same table.
+- ``embedding_dup_pairs_bucketed``: the same pairs from centroid
+  buckets, with no driver-side matrix; recall is approximate.
+- ``embedding_dedup``: near-duplicate classes (connected components of
+  the pairs above, labelled by min id).
+- ``topk_similar_pairs``: exact global top-k most similar pairs, tiled.
+- ``kmeans_embeddings``: distributed Lloyd's k-means.
+- ``semdedup``: k-means clusters, then near-duplicate components
+  within each cluster.
+
+Each similarity kernel is written once and shared by the operators:
+:func:`_topk_candidates` (per-query top-k of one block),
+:func:`_cosine_pairs` (pairs over a threshold), :func:`_nearest_centroids`
+(cosine assignment), :func:`_nearest_l2` (L2 assignment) and
+:func:`_run_tile_pairs` (one task per tile pair). The broadcast scorers
+are stateless tasks that read the ``ray.put`` matrix zero-copy per
+batch, so a call starts no actor pool.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..cluster.union_find import _min_label_cc, component_min
 from ..exchange import exchange
+from ..joins.rowids import BROADCAST_ROWS, collect_columns
+from .topk import top_k_per_group
+
+# similarity entries per row chunk of a thresholded pair scan
+_CHUNK_ENTRIES = 8_000_000
 
 
 def _embed_matrix(t: pa.Table, col: str, dtype=np.float32) -> np.ndarray:
@@ -38,33 +64,78 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
-class _TopKScorer:
-    def __init__(self, qref, cfg):
-        self.Q = ray.get(qref)  # (nq, d) normalized
-        self.qids = cfg["qids"]
-        self.cfg = cfg
+def _topk_candidates(X: np.ndarray, ids, Q: np.ndarray, qids: pa.Array, k: int) -> pa.Table:
+    """``(query_id, vec_id, cosine)`` candidates of one block: for each
+    query, every row of ``X`` whose cosine is at least the query's k-th
+    best, so rows tied at the k-th place all reach the merge, which
+    breaks ties by id. ``X`` and ``Q`` are L2-normalized; the Arrow
+    arrays ``ids`` and ``qids`` type the output, empty or not. A NaN
+    cosine (a NaN or infinite embedding) ranks below every finite one."""
+    sims = X @ Q.T  # (rows, queries)
+    ranked = np.where(np.isnan(sims), -np.inf, sims)
+    n = len(X)
+    kth = np.partition(ranked, n - k, axis=0)[n - k] if n > k else -np.inf
+    ri, qi = np.nonzero(ranked >= kth)
+    return pa.table(
+        {
+            "query_id": qids.take(pa.array(qi)),
+            "vec_id": ids.take(pa.array(ri)),
+            "cosine": pa.array(sims[ri, qi].astype(np.float64)),
+        }
+    )
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        X = _normalize(_embed_matrix(t, cfg["embed_col"], cfg.get("dtype", np.float32)))
-        sims = X @ self.Q.T  # (n, nq)
-        k = min(cfg["k"], len(X))
-        ids = t.column(cfg["id_col"]).to_numpy(zero_copy_only=False)
-        out_q, out_v, out_s = [], [], []
-        for qi in range(sims.shape[1]):
-            col = sims[:, qi]
-            top = np.argpartition(-col, k - 1)[:k] if k < len(col) else np.arange(len(col))
-            for i in top:
-                out_q.append(self.qids[qi])
-                out_v.append(ids[i])
-                out_s.append(float(col[i]))
-        return pa.table(
-            {
-                "query_id": pa.array(out_q),
-                "vec_id": pa.array(out_v),
-                "cosine": pa.array(out_s, pa.float64()),
-            }
-        )
+
+def _cosine_pairs(XA: np.ndarray, XB: np.ndarray | None, threshold: float):
+    """``(i, j, cosine)`` arrays of every row pair with cosine >=
+    ``threshold``: row i of ``XA`` against row j of ``XB``, or, with
+    ``XB`` None, the pairs i < j of ``XA`` alone. Rows are
+    L2-normalized; ``XA`` is scanned in row chunks of at most
+    ``_CHUNK_ENTRIES`` similarities."""
+    R = XA if XB is None else XB
+    chunk = max(1, _CHUNK_ENTRIES // max(1, len(R)))
+    ii, jj, ss = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for s in range(0, len(XA), chunk):
+        sims = XA[s : s + chunk] @ R.T
+        li, rj = np.nonzero(sims >= threshold)
+        if XB is None:
+            upper = li + s < rj
+            li, rj = li[upper], rj[upper]
+        ii.append(li + s)
+        jj.append(rj)
+        ss.append(sims[li, rj])
+    return np.concatenate(ii), np.concatenate(jj), np.concatenate(ss)
+
+
+def _nearest_centroids(X: np.ndarray, C: np.ndarray, probes: int = 1) -> np.ndarray:
+    """Each row's ``probes`` most cosine-similar centroids (rows and
+    centroids L2-normalized): an (rows, min(probes, len(C))) index
+    array. One probe is the first-index argmax."""
+    sims = X @ C.T
+    if probes == 1:
+        return sims.argmax(axis=1)[:, None]
+    if probes < sims.shape[1]:
+        return np.argpartition(-sims, probes - 1, axis=1)[:, :probes]
+    return np.argsort(-sims, axis=1)
+
+
+def _nearest_l2(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest centroid by L2 distance (first index on ties)
+    and its squared distance less ``|x|^2``; one matmul serves both."""
+    r = -2.0 * (X @ C.T) + (C * C).sum(axis=1)
+    a = np.argmin(r, axis=1)
+    return a, r[np.arange(len(a)), a]
+
+
+def _run_tile_pairs(task, refs: list, *args) -> pa.Table:
+    """Run the remote ``task(tile_i, tile_j, *args)`` once per tile pair
+    i <= j of ``refs`` (``None`` as the second tile of a diagonal pair)
+    and concatenate the tables they return."""
+    futs = [
+        task.remote(refs[i], None if j == i else refs[j], *args)
+        for i in range(len(refs))
+        for j in range(i, len(refs))
+    ]
+    return pa.concat_tables(ray.get(futs))
 
 
 def ann_topk(
@@ -75,38 +146,21 @@ def ann_topk(
     k: int = 10,
     embed_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency=(1, 8),
     dtype=np.float32,
 ) -> rd.Dataset:
-    """Exact brute-force cosine top-k per query. Per-batch local top-k
-    (map_batches) then a global per-query merge (groupby + in-group
-    sort) — the classic two-level top-k. ``dtype=np.float64`` makes the
-    math bit-match a double-precision oracle."""
-    Q = _normalize(np.asarray(queries, dtype=dtype))
-    qref = ray.put(Q)
-    cfg = {"k": k, "embed_col": embed_col, "id_col": id_col, "qids": list(query_ids), "dtype": dtype}
-    cand = ds.map_batches(
-        _TopKScorer,
-        fn_constructor_args=(qref, cfg),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    """Exact brute-force cosine top-k per query: per-batch candidates
+    (map_batches), then a per-query merge ranked by (cosine DESC,
+    vec_id), with ``rank`` the 1-based row number. ``dtype=np.float64``
+    makes the math bit-match a double-precision oracle."""
+    qref = ray.put((_normalize(np.asarray(queries, dtype=dtype)), pa.array(list(query_ids))))
 
-    return cand.groupby("query_id").map_groups(_merge_topk(k), batch_format="pyarrow")
+    def score(t: pa.Table) -> pa.Table:
+        Qb, qids = ray.get(qref)
+        X = _normalize(_embed_matrix(t, embed_col, dtype))
+        return _topk_candidates(X, t.column(id_col), Qb, qids, k)
 
-
-def _merge_topk(k: int):
-    """Global per-query top-k with deterministic ties (cosine desc, vec_id asc)."""
-
-    def merge(t: pa.Table) -> pa.Table:
-        cos = t.column("cosine").to_numpy(zero_copy_only=False)
-        vid = t.column("vec_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((vid, -cos))[:k]
-        out = t.take(order)
-        return out.append_column("rank", pa.array(np.arange(1, len(order) + 1, dtype=np.int64)))
-
-    return merge
+    cand = ds.map_batches(score, batch_format="pyarrow")
+    return top_k_per_group(cand, "query_id", "cosine", k, tie_cols="vec_id")
 
 
 def ivf_topk(
@@ -159,57 +213,33 @@ def ivf_topk(
     cref = ray.put(centroids)
 
     def assign(t: pa.Table) -> pa.Table:
-        C = ray.get(cref)
         X = _normalize(_embed_matrix(t, embed_col))
-        bucket = (X @ C.T).argmax(axis=1).astype(np.int64)
+        bucket = _nearest_centroids(X, ray.get(cref)).ravel().astype(np.int64)
         return t.append_column("__ivf_bucket", pa.array(bucket))
 
     bucketed = ds.map_batches(assign, batch_format="pyarrow")
 
     Q = _normalize(np.asarray(queries, dtype=dtype))
-    probes = np.argsort(-(Q @ centroids.T.astype(dtype)), axis=1)[:, :nprobe]  # (nq, nprobe)
     bucket_to_queries: dict[int, list[int]] = {}
-    for qi, row in enumerate(probes):
+    for qi, row in enumerate(_nearest_centroids(Q, centroids.astype(dtype), nprobe)):
         for b in row:
             bucket_to_queries.setdefault(int(b), []).append(qi)
-    qref = ray.put((Q, list(query_ids), bucket_to_queries))
+    qref = ray.put((Q, pa.array(list(query_ids)), bucket_to_queries))
 
     def score_bucket(t: pa.Table) -> pa.Table:
         Qm, qids, b2q = ray.get(qref)
-        b = int(t.column("__ivf_bucket")[0].as_py())
-        qis = b2q.get(b, [])
-        empty = pa.table(
-            {
-                "query_id": pa.array([], pa.int64() if isinstance(qids[0], int) else pa.string()),
-                "vec_id": pa.array([], t.column(id_col).type),
-                "cosine": pa.array([], pa.float64()),
-            }
-        )
-        if not qis:
-            return empty
+        qis = b2q.get(int(t.column("__ivf_bucket")[0].as_py()), [])
+        qid = qids.take(pa.array(qis, pa.int64()))
+        if not qis:  # no query probes this bucket: build no matrix
+            return _topk_candidates(Qm[:0], t.column(id_col).slice(0, 0), Qm[:0], qid, k)
         X = _normalize(_embed_matrix(t, embed_col, dtype))
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        sims = X @ Qm[qis].T
-        kk = min(k, len(X))
-        out_q, out_v, out_s = [], [], []
-        for col_i, qi in enumerate(qis):
-            col = sims[:, col_i]
-            top = np.argpartition(-col, kk - 1)[:kk] if kk < len(col) else np.arange(len(col))
-            for i in top:
-                out_q.append(qids[qi])
-                out_v.append(ids[i])
-                out_s.append(float(col[i]))
-        return pa.table(
-            {
-                "query_id": pa.array(out_q),
-                "vec_id": pa.array(out_v),
-                "cosine": pa.array(out_s, pa.float64()),
-            }
-        )
+        return _topk_candidates(X, t.column(id_col), Qm[qis], qid, k)
 
     cand = bucketed.groupby("__ivf_bucket").map_groups(score_bucket, batch_format="pyarrow")
-
-    return cand.groupby("query_id").map_groups(_merge_topk(k), batch_format="pyarrow")
+    # about len(Q) * probes * k candidates (ties aside), known here: a
+    # table the size of a broadcast side merges in one partition
+    parts = max(1, -(-len(Q) * min(nprobe, len(centroids)) * k // BROADCAST_ROWS))
+    return top_k_per_group(cand, "query_id", "cosine", k, tie_cols="vec_id", num_partitions=parts)
 
 
 def _sample_centroids(
@@ -249,58 +279,29 @@ def embedding_dup_pairs_bucketed(
     exact oracle for small inputs."""
     import pandas as pd
 
-    centroids = _sample_centroids(ds, embed_col, n_centroids, seed)
-    cref = ray.put(centroids)
-    probes = min(assign_probes, len(centroids))
+    cref = ray.put(_sample_centroids(ds, embed_col, n_centroids, seed))
 
     def assign(t: pa.Table) -> pa.Table:
-        C = ray.get(cref)
         X = _normalize(_embed_matrix(t, embed_col))
-        sims = X @ C.T
-        top = np.argpartition(-sims, probes - 1, axis=1)[:, :probes] if probes < sims.shape[1] else np.argsort(-sims, axis=1)
-        rows = np.repeat(np.arange(t.num_rows), probes)
-        emb = t[embed_col].combine_chunks() if isinstance(t[embed_col], pa.ChunkedArray) else t[embed_col]
-        idc = t[id_col].combine_chunks() if isinstance(t[id_col], pa.ChunkedArray) else t[id_col]
-        take = pa.array(rows)
+        top = _nearest_centroids(X, ray.get(cref), assign_probes)
+        take = pa.array(np.repeat(np.arange(t.num_rows), top.shape[1]))
         return pa.table(
             {
                 "__eb": pa.array(top.ravel().astype(np.int64)),
-                id_col: idc.take(take),
-                embed_col: emb.take(take),
+                id_col: t[id_col].take(take),
+                embed_col: t[embed_col].take(take),
             }
         )
 
     def score_bucket(t: pa.Table) -> pa.Table:
         idt = t.schema.field(id_col).type
-        empty = pa.table(
-            {"a": pa.array([], idt), "b": pa.array([], idt), "cosine": pa.array([], pa.float64())}
-        )
-        if t.num_rows < 2:
-            return empty
+        ids = t[id_col].to_numpy()
         X = _normalize(_embed_matrix(t, embed_col, dtype))
-        ids = (
-            t[id_col].combine_chunks() if isinstance(t[id_col], pa.ChunkedArray) else t[id_col]
-        ).to_numpy(zero_copy_only=False)
-        out_a, out_b, out_s = [], [], []
-        chunk = max(1, 8_000_000 // max(1, len(X)))
-        for s in range(0, len(X), chunk):
-            sims = X[s : s + chunk] @ X.T
-            li, ri = np.nonzero(sims >= threshold)
-            a = ids[li + s]
-            b = ids[ri]
-            m = a < b
-            if m.any():
-                out_a.append(a[m])
-                out_b.append(b[m])
-                out_s.append(sims[li, ri][m].astype(np.float64))
-        if not out_a:
-            return empty
+        i, j, cos = _cosine_pairs(X, X, threshold)
+        a, b = ids[i], ids[j]
+        m = a < b
         return pa.table(
-            {
-                "a": pa.array(np.concatenate(out_a), idt),
-                "b": pa.array(np.concatenate(out_b), idt),
-                "cosine": pa.array(np.concatenate(out_s)),
-            }
+            {"a": pa.array(a[m], idt), "b": pa.array(b[m], idt), "cosine": pa.array(cos[m])}
         )
 
     pairs = (
@@ -317,54 +318,29 @@ def embedding_dup_pairs_bucketed(
     return exchange(pairs, ["a", "b"], num_partitions, dedup_part, batch_format="pandas")
 
 
-class _DupScorer:
-    def __init__(self, mref, cfg):
-        self.M, self.ids = ray.get(mref)
-        self.cfg = cfg
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        X = _normalize(_embed_matrix(t, cfg["embed_col"], cfg.get("dtype", np.float32)))
-        xids = t.column(cfg["id_col"]).to_numpy(zero_copy_only=False)
-        sims = X @ self.M.T
-        li, ri = np.nonzero(sims >= cfg["threshold"])
-        a = xids[li]
-        b = self.ids[ri]
-        m = a < b  # canonical order, self-pairs dropped
-        return pa.table(
-            {
-                "a": pa.array(a[m]),
-                "b": pa.array(b[m]),
-                "cosine": pa.array(sims[li, ri][m].astype(np.float64)),
-            }
-        )
-
-
 def embedding_dup_pairs(
     ds: rd.Dataset,
     *,
     threshold: float = 0.95,
     embed_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency=(1, 8),
     dtype=np.float32,
 ) -> rd.Dataset:
     """All pairs with cosine >= threshold (a < b), brute-force against the
     broadcast matrix of the same table."""
-    full = pa.concat_tables(
-        list(ds.select_columns([id_col, embed_col]).iter_batches(batch_size=None, batch_format="pyarrow"))
-    )
+    full = collect_columns(ds, [id_col, embed_col])
     M = _normalize(_embed_matrix(full, embed_col, dtype))
-    ids = full.column(id_col).to_numpy(zero_copy_only=False)
-    mref = ray.put((M, ids))
-    cfg = {"threshold": threshold, "embed_col": embed_col, "id_col": id_col, "dtype": dtype}
-    return ds.map_batches(
-        _DupScorer,
-        fn_constructor_args=(mref, cfg),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    mref = ray.put((M, full.column(id_col).to_numpy()))
+
+    def score(t: pa.Table) -> pa.Table:
+        Mb, ids = ray.get(mref)
+        X = _normalize(_embed_matrix(t, embed_col, dtype))
+        i, j, cos = _cosine_pairs(X, Mb, threshold)
+        a, b = t.column(id_col).to_numpy()[i], ids[j]
+        m = a < b  # canonical order, self-pairs dropped
+        return pa.table({"a": pa.array(a[m]), "b": pa.array(b[m]), "cosine": pa.array(cos[m])})
+
+    return ds.map_batches(score, batch_format="pyarrow")
 
 
 def embedding_dedup(
@@ -491,59 +467,27 @@ def topk_similar_pairs(
     fan-out ships each tile once per node instead. Driver holds only
     the T(T+1)/2 * k candidate rows (k is small by contract).
     """
-    import math
-
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     proj = ds.select_columns([id_col, embed_col]).materialize()
     n = proj.count()
     tiles = proj.repartition(max(1, math.ceil(n / tile_rows))).materialize()
-    refs = tiles.to_arrow_refs()
     cfg = {"id_col": id_col, "embed_col": embed_col, "round_to": round_to}
-    futs = []
-    for i in range(len(refs)):
-        futs.append(_pair_tile_topk.remote(refs[i], None, k, cfg))
-        for j in range(i + 1, len(refs)):
-            futs.append(_pair_tile_topk.remote(refs[i], refs[j], k, cfg))
-    merged = pa.concat_tables(ray.get(futs)).combine_chunks()
+    merged = _run_tile_pairs(_pair_tile_topk, tiles.to_arrow_refs(), k, cfg).combine_chunks()
     out = merged.sort_by(
         [("cosine", "descending"), ("a", "ascending"), ("b", "ascending")]
     ).slice(0, k)
     return rd.from_arrow(out)
 
 
-def kmeans_embeddings(
-    ds: rd.Dataset,
-    *,
-    embed_col: str = "embedding",
-    id_col: str = "vec_id",
-    k: int = 8,
-    iters: int = 5,
-    seed: int = 42,
-    return_centroids: bool = False,
-) -> rd.Dataset:
-    """Distributed Lloyd's k-means over an embedding column: the
-    canonical iterative broadcast-partial algorithm (and the proper
-    trainer for IVF centroids, vs :func:`_sample_centroids`'s one-shot
-    sample). Deterministic: seeded init drawn from a hash-rank UNIFORM
-    sample of the dataset (pipelines/split.py uniform_sample_k —
-    partitioning- and write-order-independent, unlike a dataset-prefix
-    sample which degenerates on cluster-ordered corpora), float64 math,
-    first-index argmin ties.
-
-    Each iteration is ONE streaming pass: centroids broadcast via
-    ``ray.put``, every batch assigns vectors vectorized (one matmul)
-    and collapses to k partial (sum-vector, count) rows, the driver
-    reduces k x num_batches tiny rows and updates centroids (an empty
-    cluster keeps its previous centroid). After ``iters`` rounds a
-    final shuffle-free pass emits ``(id_col, cluster, dist)``. Driver
-    memory: k x dim floats — never vectors. No oracle: iterative
-    float math is not SQL-expressible; pytest verifies exact equality
-    against a brute-force NumPy Lloyd run with the same init.
-    """
+def _lloyd(
+    ds: rd.Dataset, embed_col: str, id_col: str, k: int, iters: int, seed: int
+) -> np.ndarray:
+    """The (k, dim) float64 centroids of ``iters`` Lloyd rounds over the
+    materialized ``ds``, from a seeded init (see
+    :func:`kmeans_embeddings`)."""
     if k < 1 or iters < 1:
         raise ValueError(f"k and iters must be >= 1 (got k={k}, iters={iters})")
-    ds = ds.materialize()
     # init from a deterministic UNIFORM sample (hash-rank over ids), not
     # the dataset prefix: curated corpora are routinely written in
     # cluster/id order, and prefix-drawn centroids from one region of
@@ -566,8 +510,7 @@ def kmeans_embeddings(
         def partial(t: pa.Table) -> pa.Table:
             C = ray.get(cref)
             X = _embed_matrix(t, embed_col, dtype=np.float64)
-            d2 = -2.0 * (X @ C.T) + (C * C).sum(axis=1)  # argmin-equivalent
-            a = np.argmin(d2, axis=1)
+            a, _ = _nearest_l2(X, C)
             sums = np.zeros((len(C), X.shape[1]), np.float64)
             np.add.at(sums, a, X)
             cnt = np.bincount(a, minlength=len(C)).astype(np.int64)
@@ -599,30 +542,53 @@ def kmeans_embeddings(
         np.add.at(tot, cid, cnt)
         nz = tot > 0
         cents = np.where(nz[:, None], sums / np.maximum(tot, 1)[:, None], cents)
+    return cents
 
-    cref = ray.put(cents)
+
+def kmeans_embeddings(
+    ds: rd.Dataset,
+    *,
+    embed_col: str = "embedding",
+    id_col: str = "vec_id",
+    k: int = 8,
+    iters: int = 5,
+    seed: int = 42,
+) -> rd.Dataset:
+    """Distributed Lloyd's k-means over an embedding column: the
+    canonical iterative broadcast-partial algorithm (and the proper
+    trainer for IVF centroids, vs :func:`_sample_centroids`'s one-shot
+    sample). Deterministic: seeded init drawn from a hash-rank UNIFORM
+    sample of the dataset (pipelines/split.py uniform_sample_k —
+    partitioning- and write-order-independent, unlike a dataset-prefix
+    sample which degenerates on cluster-ordered corpora), float64 math,
+    first-index argmin ties.
+
+    Each iteration is ONE streaming pass: centroids broadcast via
+    ``ray.put``, every batch assigns vectors vectorized (one matmul)
+    and collapses to k partial (sum-vector, count) rows, the driver
+    reduces k x num_batches tiny rows and updates centroids (an empty
+    cluster keeps its previous centroid). After ``iters`` rounds a
+    final shuffle-free pass emits ``(id_col, cluster, dist)``. Driver
+    memory: k x dim floats — never vectors. No oracle: iterative
+    float math is not SQL-expressible; pytest verifies exact equality
+    against a brute-force NumPy Lloyd run with the same init.
+    """
+    ds = ds.materialize()
+    cref = ray.put(_lloyd(ds, embed_col, id_col, k, iters, seed))
 
     def assign(t: pa.Table) -> pa.Table:
-        C = ray.get(cref)
-        idc = t[id_col].combine_chunks() if isinstance(t[id_col], pa.ChunkedArray) else t[id_col]
         X = _embed_matrix(t, embed_col, dtype=np.float64)
-        r = -2.0 * (X @ C.T) + (C * C).sum(axis=1)  # one matmul serves both
-        a = np.argmin(r, axis=1)
-        d2 = (X * X).sum(axis=1) + r[np.arange(len(a)), a]
-        dist = np.sqrt(np.maximum(d2, 0.0))
+        a, r = _nearest_l2(X, ray.get(cref))
+        dist = np.sqrt(np.maximum((X * X).sum(axis=1) + r, 0.0))
         return pa.table(
             {
-                id_col: idc,
+                id_col: t[id_col],
                 "cluster": pa.array(a.astype(np.int64)),
                 "dist": pa.array(np.round(dist, 6)),
             }
         )
 
-    out = ds.map_batches(assign, batch_format="pyarrow")
-    if return_centroids:
-        return out, cents  # (assignments, (k, dim) float64 array)
-    return out
-
+    return ds.map_batches(assign, batch_format="pyarrow")
 
 
 @ray.remote
@@ -633,58 +599,29 @@ def _semdedup_tile_edges(ta: pa.Table, tb, threshold: float, cfg: dict) -> pa.Ta
     of the local >= threshold subgraph carries full connectivity, so an
     all-duplicate giant cluster emits O(rows) edges per task instead of
     O(rows^2) pairs."""
-    from ..cluster.union_find import _min_label_cc
-
     id_col, embed_col, dtype = cfg["id_col"], cfg["embed_col"], cfg["dtype"]
     Xa = _normalize(_embed_matrix(ta, embed_col, dtype))
-    ia = ta[id_col].to_numpy(zero_copy_only=False)
-    if tb is None:
-        sims = Xa @ Xa.T
-        li, ri = np.nonzero(sims >= threshold)
-        m = li < ri
-        ea, eb = li[m], ri[m]
-        ids = ia
-    else:
-        Xb = _normalize(_embed_matrix(tb, embed_col, dtype))
-        ib = tb[id_col].to_numpy(zero_copy_only=False)
-        sims = Xa @ Xb.T
-        li, ri = np.nonzero(sims >= threshold)
-        ea, eb = li, ri + len(ia)
-        ids = np.concatenate([ia, ib])
-    idt = ta.schema.field(id_col).type
-    if not len(ea):
-        return pa.table({"a": pa.array([], idt), "b": pa.array([], idt)})
-    lab = _min_label_cc(ea.astype(np.int64), eb.astype(np.int64), len(ids))
+    Xb = None if tb is None else _normalize(_embed_matrix(tb, embed_col, dtype))
+    ea, eb, _ = _cosine_pairs(Xa, Xb, threshold)
+    ids = ta[id_col].to_numpy(zero_copy_only=False)
+    if tb is not None:
+        eb = eb + len(ids)
+        ids = np.concatenate([ids, tb[id_col].to_numpy(zero_copy_only=False)])
+    lab = _min_label_cc(ea, eb, len(ids))
     mask = lab != np.arange(len(ids))
-    return pa.table(
-        {
-            "a": pa.array(ids[lab[mask]], idt),
-            "b": pa.array(ids[mask], idt),
-        }
-    )
+    idt = ta.schema.field(id_col).type
+    return pa.table({"a": pa.array(ids[lab[mask]], idt), "b": pa.array(ids[mask], idt)})
 
 
-def _semdedup_map_tile(
-    t: pa.Table, map_ids: np.ndarray, map_grps: np.ndarray, cfg: dict
-) -> pa.Table:
-    """Label a giant cluster's rows from the (sorted id ->
-    component-min-id) map: ids absent from the map are singletons.
-    Plain function — runs inside the cluster's own group task."""
-    id_col = cfg["id_col"]
-    ids = t[id_col].to_numpy(zero_copy_only=False)
-    idt = t.schema.field(id_col).type
-    grp = ids.copy()
-    if len(map_ids):
-        pos = np.searchsorted(map_ids, ids)
-        pos[pos == len(map_ids)] = 0
-        hit = map_ids[pos] == ids
-        grp[hit] = map_grps[pos[hit]]
+def _semdedup_rows(t: pa.Table, grp: np.ndarray, id_col: str) -> pa.Table:
+    """``(id_col, cluster, dup_group, keep)`` of one cluster's rows, whose
+    component min ids are ``grp``: the min id keeps."""
     return pa.table(
         {
             id_col: t[id_col],
             "cluster": t["cluster"],
-            "dup_group": pa.array(grp, idt),
-            "keep": pa.array(grp == ids),
+            "dup_group": pa.array(grp, t.schema.field(id_col).type),
+            "keep": pa.array(grp == t[id_col].to_numpy(zero_copy_only=False)),
         }
     )
 
@@ -699,7 +636,7 @@ def semdedup(
     seed: int = 42,
     threshold: float = 0.95,
     dtype=np.float64,
-    pair_budget: int | None = 4_000_000,
+    pair_budget: int = 4_000_000,
 ) -> rd.Dataset:
     """Semantic deduplication (SemDeDup, Abbas et al. 2023): k-means
     over the embedding column, then WITHIN each cluster drop all but one
@@ -717,93 +654,40 @@ def semdedup(
     the cluster IS the blocking key, which is the point of SemDeDup:
     only same-cluster pairs are ever scored.
 
-    Giant-cluster cap (``pair_budget``): a skewed cluster whose
-    |c|^2 exceeds the budget no longer runs as one straggler gram
-    matrix — INSIDE its own group task the rows tile into
-    ~sqrt(pair_budget)-row blocks put once in the object store, every
-    tile pair becomes one bounded NESTED task emitting a SPANNING
+    Giant-cluster cap (``pair_budget``): a cluster of at most
+    ``tile_rows = max(256, isqrt(pair_budget))`` rows is scored whole,
+    as one chunked gram matrix in its group task. A larger cluster
+    does not run as one straggler: INSIDE its own group task the rows
+    tile into ``tile_rows``-row blocks put once in the object store,
+    every tile pair becomes one bounded NESTED task emitting a SPANNING
     FOREST of its local >= threshold subgraph (output O(tile rows),
     never O(pairs)), and the group task resolves the component ->
     min-id map from those forest edges (O(|c|) memory) and labels its
     rows. Everything rides the ONE cluster-keyed exchange — no extra
     scans, no per-cluster driver loop, giant and small clusters
-    processed concurrently (round-5 review; the earlier shape ran one
-    full-dataset filter pass per giant cluster and blocked the driver
-    serially between clusters). The worker's CPU is released while it
-    blocks on its nested tile tasks. Keeper semantics are unchanged:
-    identical components, min id keeps. ``pair_budget=None`` restores
-    the single-gram-per-cluster path. No SQL oracle (iterative k-means
-    is not SQL-expressible); pytest verifies the per-cluster dedup
-    against a brute NumPy reference on the same assignments and the
-    tiled path against the untiled one on an adversarial giant
-    cluster."""
-    proj = ds.select_columns([id_col, embed_col])
-    assigned, cents = kmeans_embeddings(
-        proj, embed_col=embed_col, id_col=id_col, k=n_clusters, iters=iters,
-        seed=seed, return_centroids=True,
-    )
-    del assigned  # the in-batch re-assignment below carries the vectors too
-    cref = ray.put(cents)
+    processed concurrently. The worker's CPU is released while it
+    blocks on its nested tile tasks. Keeper semantics are the same on
+    both paths: identical components, min id keeps. No SQL oracle
+    (iterative k-means is not SQL-expressible); pytest verifies the
+    per-cluster dedup against a brute NumPy reference on the same
+    assignments and the tiled path against the whole-cluster one on an
+    adversarial giant cluster."""
+    # one upstream execution: the Lloyd rounds and the assignment read it
+    proj = ds.select_columns([id_col, embed_col]).materialize()
+    cref = ray.put(_lloyd(proj, embed_col, id_col, n_clusters, iters, seed))
+    tile_rows = max(256, math.isqrt(int(pair_budget)))
+    cfg = {"id_col": id_col, "embed_col": embed_col, "dtype": dtype}
 
     def assign(t: pa.Table) -> pa.Table:
-        C = ray.get(cref)
-        X = _embed_matrix(t, embed_col, dtype=np.float64)
-        d2 = -2.0 * (X @ C.T) + (C * C).sum(axis=1)
-        a = np.argmin(d2, axis=1)
-        idc = t[id_col].combine_chunks() if isinstance(t[id_col], pa.ChunkedArray) else t[id_col]
-        emb = t[embed_col].combine_chunks() if isinstance(t[embed_col], pa.ChunkedArray) else t[embed_col]
-        return pa.table(
-            {id_col: idc, "cluster": pa.array(a.astype(np.int64)), embed_col: emb}
-        )
+        a, _ = _nearest_l2(_embed_matrix(t, embed_col, dtype=np.float64), ray.get(cref))
+        return t.append_column("cluster", pa.array(a.astype(np.int64)))
 
     def dedup_cluster(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False)
         order = np.argsort(ids, kind="stable")  # min-label == min id
         t = t.take(pa.array(order))
-        ids = ids[order]
-        X = _normalize(_embed_matrix(t, embed_col, dtype))
-        n = len(X)
-        lis, ris = [], []
-        chunk = max(1, 8_000_000 // max(1, n))
-        for s in range(0, n, chunk):
-            sims = X[s : s + chunk] @ X.T
-            li, ri = np.nonzero(sims >= threshold)
-            m = (li + s) < ri  # upper triangle only
-            if m.any():
-                lis.append(li[m] + s)
-                ris.append(ri[m])
-        if lis:
-            from ..cluster.union_find import _min_label_cc
-
-            lab = _min_label_cc(np.concatenate(lis), np.concatenate(ris), n)
-        else:
-            lab = np.arange(n, dtype=np.int64)
-        grp = ids[lab]
-        keep = lab == np.arange(n)
-        idt = t.schema.field(id_col).type
-        return pa.table(
-            {
-                id_col: t[id_col],
-                "cluster": t["cluster"],
-                "dup_group": pa.array(grp, idt),
-                "keep": pa.array(keep),
-            }
-        )
-
-    assigned_ds = proj.map_batches(assign, batch_format="pyarrow")
-    if pair_budget is None:
-        return assigned_ds.groupby("cluster").map_groups(
-            dedup_cluster, batch_format="pyarrow"
-        )
-
-    import math
-
-    import pandas as pd
-
-    from ..cluster.union_find import _min_label_cc
-
-    tile_rows = max(256, math.isqrt(int(pair_budget)))
-    cfg = {"id_col": id_col, "embed_col": embed_col, "dtype": dtype}
+        i, j, _ = _cosine_pairs(_normalize(_embed_matrix(t, embed_col, dtype)), None, threshold)
+        return _semdedup_rows(t, ids[order][_min_label_cc(i, j, len(ids))], id_col)
 
     def dedup_group(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -813,30 +697,24 @@ def semdedup(
         # tasks bound the O(n^2) similarity work; this worker's CPU is
         # released while blocked on ray.get of its children
         t = t.combine_chunks()
-        refs = [
-            ray.put(t.slice(s, tile_rows)) for s in range(0, n, tile_rows)
-        ]
-        futs = []
-        for i in range(len(refs)):
-            futs.append(_semdedup_tile_edges.remote(refs[i], None, threshold, cfg))
-            for j in range(i + 1, len(refs)):
-                futs.append(
-                    _semdedup_tile_edges.remote(refs[i], refs[j], threshold, cfg)
-                )
-        edges = pa.concat_tables(ray.get(futs))
-        if edges.num_rows:
-            a = edges["a"].combine_chunks().to_numpy(zero_copy_only=False)
-            b = edges["b"].combine_chunks().to_numpy(zero_copy_only=False)
-            codes, uniq = pd.factorize(np.concatenate([a, b]), sort=False)
-            lab = _min_label_cc(codes[: len(a)], codes[len(a):], len(uniq))
-            u = pd.Series(uniq)
-            rep = u.groupby(lab, sort=False).transform("min").to_numpy()
-            order = np.argsort(uniq, kind="stable")
-            map_ids, map_grps = np.asarray(uniq)[order], rep[order]
-        else:
-            map_ids = map_grps = np.empty(0, dtype=object)
-        return _semdedup_map_tile(t, map_ids, map_grps, cfg)
+        refs = [ray.put(t.slice(s, tile_rows)) for s in range(0, n, tile_rows)]
+        edges = _run_tile_pairs(_semdedup_tile_edges, refs, threshold, cfg)
+        nodes, reps = component_min(edges["a"].to_numpy(), edges["b"].to_numpy())
+        # label rows from the (sorted id -> component min id) map: ids
+        # absent from the map are singletons
+        order = np.argsort(nodes, kind="stable")
+        map_ids, map_grps = nodes[order], reps[order]
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        grp = ids.copy()
+        if len(map_ids):
+            pos = np.searchsorted(map_ids, ids)
+            pos[pos == len(map_ids)] = 0
+            hit = map_ids[pos] == ids
+            grp[hit] = map_grps[pos[hit]]
+        return _semdedup_rows(t, grp, id_col)
 
-    return assigned_ds.groupby("cluster").map_groups(
-        dedup_group, batch_format="pyarrow"
+    return (
+        proj.map_batches(assign, batch_format="pyarrow")
+        .groupby("cluster")
+        .map_groups(dedup_group, batch_format="pyarrow")
     )

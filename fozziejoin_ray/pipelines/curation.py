@@ -31,6 +31,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..exchange import exchange
+from ..joins.string_join import _ACTORS
 from .split import _BUCKETS, _bucket_of, bucket_sql_expr
 
 # (name, RE2 pattern, replacement) — applied IN ORDER; order matters
@@ -326,7 +327,6 @@ def decontaminate(
     n: int = 13,
     mode: str = "flag",
     hash_grams: bool = False,
-    concurrency=(1, 8),
 ) -> rd.Dataset:
     """Benchmark decontamination by word n-gram overlap (the GPT-3 /
     Pile recipe: a training document that shares any length-``n`` word
@@ -378,7 +378,7 @@ def decontaminate(
         _Decontaminator,
         fn_constructor_args=(bref, cfg),
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=_ACTORS,
         num_cpus=1,
     )
 
@@ -522,7 +522,7 @@ def decontaminate_shuffle(
                 "contaminated", pa.array(nh > 0)
             )
 
-    return docs.map_batches(_Annotate, batch_format="pyarrow", concurrency=(1, 8), num_cpus=1)
+    return docs.map_batches(_Annotate, batch_format="pyarrow", concurrency=_ACTORS, num_cpus=1)
 
 
 def dup_ngram_frac(

@@ -521,11 +521,13 @@ def cluster_documents_incremental(
     probe edges need no cluster-collapse join. The probe raises
     ``ValueError`` for an index of other banding or one not
     cluster-baked."""
-    new_keys = extract_keys(new_docs)
     if blocking not in ("exact", "minhash"):
         raise ValueError(f"blocking must be 'exact' or 'minhash', got {blocking!r}")
     if old_index_dir is not None and blocking != "minhash":
         raise ValueError("old_index_dir is a minhash-tier feature; pass blocking='minhash'")
+    # the self join, the cross join and the new-doc label join all read
+    # the delta's keys: extract them once
+    new_keys = extract_keys(new_docs).materialize()
 
     nn = match_edges(
         new_keys,

@@ -44,6 +44,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..joins.string_join import _ACTORS
+
 _TOKEN_SPLIT = r"[^0-9a-z_]+"
 
 
@@ -212,7 +214,6 @@ def lm_score(
     model_ds: rd.Dataset | None = None,
     model_text_col: str | None = None,
     k: float = 1.0,
-    concurrency=(1, 8),
 ) -> rd.Dataset:
     """Append ``lm_logprob`` / ``perplexity`` under an add-``k`` bigram
     LM. The model comes from (first match): ``model`` (a
@@ -237,7 +238,7 @@ def lm_score(
         _LmScorer,
         fn_constructor_args=(mref, text_col, float(k)),
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=_ACTORS,
         num_cpus=1,
     )
 

@@ -8,8 +8,8 @@ or produces a deterministic fake derived from the payload bytes
 (``fake=True``), so pipelines exercise the full Ray path end-to-end.
 
 Design notes for 100 TB media:
-- media payloads are ``binary`` columns; keep ``batch_size`` small
-  (payload_bytes x batch_size x concurrency must fit worker heap) and
+- media payloads are ``binary`` columns; batches stay small
+  (payload_bytes x batch rows x actors must fit worker heap) and
   raise ``DataContext.target_max_block_size`` so wide rows don't split
   into absurdly small blocks;
 - decode/resize/feature stages are actor pools (codec contexts are
@@ -26,6 +26,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
+
+# codec actor pool, and rows per batch: payload bytes, not row count,
+# bound a batch's memory
+_ACTORS = (1, 4)
+_IMAGE_BATCH = 256
+_FRAME_BATCH = 128
 
 MEDIA_SCHEMA = pa.schema(
     [
@@ -160,28 +166,24 @@ class FrameSampler:
         )
 
 
-def extract_image_features(
-    media: rd.Dataset, *, fake: bool = True, concurrency=(1, 4), batch_size: int = 256
-) -> rd.Dataset:
+def extract_image_features(media: rd.Dataset, *, fake: bool = True) -> rd.Dataset:
     """Small batches: payload bytes dominate memory, not row count."""
     return media.map_batches(
         ImageFeatureExtractor,
         fn_constructor_args=(fake,),
         batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=_IMAGE_BATCH,
+        concurrency=_ACTORS,
         num_cpus=1,
     )
 
 
-def sample_frames(
-    media: rd.Dataset, *, k: int = 4, fake: bool = True, concurrency=(1, 4), batch_size: int = 128
-) -> rd.Dataset:
+def sample_frames(media: rd.Dataset, *, k: int = 4, fake: bool = True) -> rd.Dataset:
     return media.map_batches(
         FrameSampler,
         fn_constructor_args=(k, fake),
         batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=_FRAME_BATCH,
+        concurrency=_ACTORS,
         num_cpus=1,
     )

@@ -14,6 +14,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..exchange import exchange
+from ..joins.string_join import _ACTORS
 
 # small built-in stopword profiles (public common-word lists)
 STOPWORDS = {
@@ -79,12 +80,12 @@ class LangId:
         )
 
 
-def lang_id(ds: rd.Dataset, text_col: str = "text", concurrency=(1, 8)) -> rd.Dataset:
+def lang_id(ds: rd.Dataset, text_col: str = "text") -> rd.Dataset:
     return ds.map_batches(
         LangId,
         fn_constructor_args=(text_col,),
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=_ACTORS,
         num_cpus=1,
     )
 

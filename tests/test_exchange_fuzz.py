@@ -320,6 +320,34 @@ def test_no_hand_rolled_collects():
     assert {site for site, _ in calls} == _STREAMS, "stale allowlist entries"
 
 
+# ------------------------------------------------------- raw groupby guard
+
+# The only groupby-map_groups sites outside exchange(): each scores or
+# writes one group (an IVF or centroid bucket, a cluster, a packing
+# bucket, a blocking-stats key, a checkpoint partition, a PageRank
+# owner) rather than a hash partition of several keys. New co-location
+# goes through exchange().
+_GROUP_MAPS = {
+    ("exchange.py", "exchange"),
+    ("pipelines/ann.py", "ivf_topk"),
+    ("pipelines/ann.py", "embedding_dup_pairs_bucketed"),
+    ("pipelines/ann.py", "semdedup"),
+    ("pipelines/pack.py", "pack_sequences"),
+    ("pipelines/blockstats.py", "blocking_stats"),
+    ("state/checkpoint.py", "Manifest.run_stage_partitioned"),
+    ("cluster/pagerank.py", "_pagerank_shuffle"),
+}
+
+
+def test_no_raw_map_groups():
+    """Every ``.map_groups(`` in the package is exchange()'s own or one
+    of the allowed per-group sites."""
+    calls = list(_attr_calls({"map_groups"}))
+    stray = [f"{m}:{ln} in {fn}()" for (m, fn), ln in calls if (m, fn) not in _GROUP_MAPS]
+    assert not stray, "map_groups outside exchange(): " + ", ".join(stray)
+    assert {site for site, _ in calls} == _GROUP_MAPS, "stale allowlist entries"
+
+
 # Plan knobs that are module constants (actor pools, batch sizes, the
 # auto-strategy row limit, the interval long-tail cutoff). The regex
 # join keeps broadcast_threshold: it is also its shard size.
@@ -327,9 +355,14 @@ _PLAN_KNOBS = {"concurrency", "batch_size", "broadcast_threshold", "broadcast_li
 
 
 def test_public_joins_take_no_plan_knobs():
+    """Neither the public joins nor the public functions of any
+    ``fozziejoin_ray.pipelines`` module take a plan knob."""
+    import importlib
     import inspect
+    import pkgutil
 
     import fozziejoin_ray
+    import fozziejoin_ray.pipelines as pipelines
 
     for name in fozziejoin_ray.__all__:
         if not (name.startswith("fuzzy_") and name.endswith("_join")):
@@ -337,3 +370,11 @@ def test_public_joins_take_no_plan_knobs():
         params = set(inspect.signature(getattr(fozziejoin_ray, name)).parameters)
         allowed = {"broadcast_threshold"} if name == "fuzzy_regex_join" else set()
         assert not (params & _PLAN_KNOBS) - allowed, (name, params & _PLAN_KNOBS)
+
+    for info in pkgutil.iter_modules(pipelines.__path__):
+        mod = importlib.import_module(f"{pipelines.__name__}.{info.name}")
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != mod.__name__:
+                continue
+            params = set(inspect.signature(fn).parameters)
+            assert not params & _PLAN_KNOBS, (mod.__name__, name, params & _PLAN_KNOBS)

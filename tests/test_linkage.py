@@ -578,6 +578,43 @@ def test_incremental_index_probe_equals_live_cross(docs_and_labels, tmp_path):
     assert via_index == full
 
 
+@pytest.mark.parametrize(
+    "blocking,use_index", [("exact", False), ("minhash", False), ("minhash", True)]
+)
+def test_fold_in_extracts_delta_keys_once(docs_and_labels, tmp_path, blocking, use_index):
+    """The fold-in's self join, cross join and new-doc label join all
+    read the delta's keys. Ray Data shares no common subplan, so the
+    delta plan must run once, not once per reader. Each execution of
+    the delta plan leaves one marker file."""
+    import uuid
+
+    from fozziejoin_ray.pipelines.linkage import cluster_documents_incremental
+    from fozziejoin_ray.pipelines.linkage_index import build_linkage_lsh_index
+
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def mark(t: pa.Table) -> pa.Table:
+        (marks / uuid.uuid4().hex).touch()
+        return t
+
+    docs_t, _ = docs_and_labels
+    old_t, new_t = docs_t.slice(0, 120), docs_t.slice(120, 3)
+    kw = dict(method=METHOD, max_distance=MAXD, blocking=blocking, num_partitions=4)
+    old_keys = extract_keys(rd.from_arrow(old_t))
+    old_clusters = cluster_documents(rd.from_arrow(old_t), **kw)
+    index_dir = None
+    if use_index:
+        index_dir = str(tmp_path / "idx")
+        build_linkage_lsh_index(old_keys, index_dir, old_clusters=old_clusters, num_partitions=4)
+    new_docs = rd.from_arrow(new_t).map_batches(mark, batch_format="pyarrow", batch_size=None)
+    out = cluster_documents_incremental(
+        new_docs, old_keys, old_clusters, old_index_dir=index_dir, **kw
+    ).take_all()
+    assert len(out) == 123
+    assert len(list(marks.iterdir())) == 1
+
+
 def test_index_probe_cap_semantics_vs_brute():
     """Stop-word-cap parity: with a tiny max_bucket, probe edges must
     equal the brute rule 'pair survives iff SOME band co-buckets it in

@@ -156,6 +156,16 @@ def test_window_keeps_pairs_rounded_outside_x_pm_d(x, y, d):
         assert len(nj.distance_pairs(lv, rv, max_distance=d, method=method)[0]) == 1
 
 
+def test_euclidean_window_holds_underflowed_squares():
+    """0.0 against 2.2e-311 at d = 0: the squared difference underflows,
+    so the euclidean distance reads 0 and the pair matches, although
+    |x - y| lies outside x ± d (manhattan and difference see 2.2e-311)."""
+    lv, rv = [np.array([0.0])], [np.array([2.2e-311])]
+    assert len(nj.distance_pairs(lv, rv, max_distance=0.0, method="euclidean")[0]) == 1
+    assert len(nj.distance_pairs(lv, rv, max_distance=0.0, method="manhattan")[0]) == 0
+    assert len(nj.difference_pairs(lv, rv, thr=0.0)[0]) == 0
+
+
 def _interval_oracle(ls, le, rs, re, *, mode, overlap_type, maxgap, minoverlap):
     """The reference predicate over all (left, right) pairs."""
     LS, LE, RS, RE = ls[:, None], le[:, None], rs[None, :], re[None, :]

@@ -326,6 +326,53 @@ def test_ivf_topk_self_hit():
         assert rows and rows[0]["vec_id"] == qi
 
 
+def test_topk_keeps_ties_at_kth_place_in_oracle_order():
+    """Rows tied at the k-th similarity all reach the per-query merge,
+    so both top-k operators return the (cosine DESC, vec_id) order of
+    the SQL oracle, not whichever tied rows a block partition kept."""
+    ids = np.array([60, 50, 40, 30, 20, 10])
+    M = np.zeros((6, 4))
+    M[:5, 0] = 1.0  # five rows identical to the query
+    M[5, 1] = 1.0
+    ds = rd.from_arrow(
+        pa.table({"vec_id": ids, "embedding": pa.array([r.tolist() for r in M], pa.list_(pa.float64()))})
+    )
+    Q = np.array([[1.0, 0.0, 0.0, 0.0]])
+    sims = (M @ Q.T)[:, 0]
+    expected = list(ids[np.lexsort((ids, -sims))[:2]])
+    for out in (
+        ann_topk(ds, Q, [0], k=2, dtype=np.float64),
+        ivf_topk(ds, Q, [0], k=2, n_centroids=2, nprobe=2, dtype=np.float64),
+    ):
+        rows = sorted(out.take_all(), key=lambda r: r["rank"])
+        assert [r["vec_id"] for r in rows] == expected == [20, 30]
+
+
+@pytest.mark.parametrize("bad_rows", [[1], [1, 4]])
+def test_topk_ranks_nan_similarities_last(bad_rows):
+    """A NaN or infinite embedding scores a NaN cosine; it ranks below
+    every finite row, so the block still offers its k best finite rows
+    to the merge, with one such row or with k of them."""
+    ids = np.array([60, 50, 40, 30, 20, 10])
+    M = np.array([[1.0, 0.1 * i, 0.0] for i in range(6)])
+    M[bad_rows[0], 0] = np.nan
+    M[bad_rows[1:], 1] = np.inf
+    ds = rd.from_arrow(
+        pa.table({"vec_id": ids, "embedding": pa.array([r.tolist() for r in M], pa.list_(pa.float64()))})
+    )
+    Q = np.array([[1.0, 0.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        sims = ((M / np.linalg.norm(M, axis=1, keepdims=True)) @ Q.T)[:, 0]
+    expected = list(ids[np.lexsort((ids, -np.where(np.isnan(sims), -np.inf, sims)))[:2]])
+    assert expected == [60, 40]
+    for out in (
+        ann_topk(ds, Q, [0], k=2, dtype=np.float64),
+        ivf_topk(ds, Q, [0], k=2, n_centroids=2, nprobe=2, dtype=np.float64),
+    ):
+        rows = sorted(out.take_all(), key=lambda r: r["rank"])
+        assert [r["vec_id"] for r in rows] == expected
+
+
 def test_embedding_dup_pairs():
     M = _rand_embeddings()
     pairs = embedding_dup_pairs(emb_ds(M), threshold=0.95, dtype=np.float64).take_all()
@@ -982,7 +1029,7 @@ def test_semdedup_giant_cluster_tiled_matches_untiled():
 
     kw = dict(n_clusters=3, iters=3, seed=5, threshold=0.95)
     untiled = sorted(
-        semdedup(ds, pair_budget=None, **kw).take_all(), key=lambda d: d["vec_id"]
+        semdedup(ds, pair_budget=500**2, **kw).take_all(), key=lambda d: d["vec_id"]
     )
     tiled = sorted(
         semdedup(ds, pair_budget=1024, **kw).take_all(), key=lambda d: d["vec_id"]
