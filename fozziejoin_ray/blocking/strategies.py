@@ -1,10 +1,10 @@
 """Recall-complete blocking strategies for distributed fuzzy string joins.
 
 A strategy maps each key value to a set of block keys such that every pair
-within ``max_distance`` shares at least one block, and defines an in-group
-rule that (a) enforces any residual validity check and (b) dedups pairs
-that meet in more than one block, so every candidate pair is scored
-exactly once across the whole shuffle.
+within ``max_distance`` shares at least one block, and defines an
+ownership rule that (a) enforces any residual validity check and (b)
+names ONE of the blocks a pair meets in, so every candidate pair is
+scored exactly once across the whole shuffle.
 
 The API is VECTORIZED — the two hot stages of the blocked path never touch
 Python per row or per pair:
@@ -14,10 +14,12 @@ Python per row or per pair:
   rows with ``np.repeat``). Per-value work (q-gram / soundex encoding)
   runs once per distinct value with an lru cache; everything else is
   numpy array ops.
-- ``candidates(ul, ur, bk, selfjoin) -> (ia, ib)``: the valid unique-value
-  index pairs for one block, built with array ops (length masks, bucketed
-  cross products, ``np.isin`` disqualification) instead of a Python loop
-  calling a per-pair predicate.
+- ``owns(lu, ru, ia, ib, keys, blk, selfjoin) -> mask``: for value pairs
+  ``(lu[ia[k]], ru[ib[k]])`` (``ru=None``: a self-join, ``ib`` indexes
+  ``lu``) met in base block ``keys[blk[k]]``, whether that block owns
+  the pair. One call covers any number of blocks, with array ops
+  (length masks, sorted key lookups) instead of a Python loop over
+  blocks or pairs.
 
 Generalizes the reference's in-memory candidate generation:
 
@@ -53,7 +55,7 @@ Completeness notes per method (inclusive threshold ``dist <= maxd``):
 - soundex: every clause of the match rule equates one code of each
   side, so sharing >= 1 dual code is necessary.
 
-Exactly-once rules (all enforced inside ``candidates``):
+Exactly-once rules (all enforced by ``owns``):
 
 - LengthWindow: rights emit only their home length block, so a
   two-table pair meets once by construction; a self-join pair is scored
@@ -85,9 +87,6 @@ SMALL_BLOCK = "__small__"
 
 # the unit-cost edit distances: integer-valued, length-window bounded
 EDIT_METHODS = frozenset({"levenshtein", "osa", "damerau_levensthein", "lcs", "hamming"})
-
-_EMPTY_PAIR = (np.empty(0, np.int64), np.empty(0, np.int64))
-
 
 def value_salt_hash(values: np.ndarray) -> np.ndarray:
     """Deterministic uint64 hash per value, vectorized. Used by AllPairs
@@ -123,94 +122,107 @@ def _cross_expand(ca: np.ndarray, cb: np.ndarray):
     return rep, t // cbr, t % cbr
 
 
-def _triu_with_diag(n: int):
-    """All unordered index pairs (i <= j) over ``n`` items, vectorized."""
-    if n == 0:
-        return _EMPTY_PAIR
-    counts = np.arange(n, 0, -1, dtype=np.int64)  # i pairs with i..n-1
-    ia = np.repeat(np.arange(n, dtype=np.int64), counts)
-    off = np.cumsum(counts) - counts
-    ib = ia + (np.arange(counts.sum(), dtype=np.int64) - off[ia])
-    return ia, ib
+def _owns_smallest(fam, lu, ru, ia, ib, own):
+    """Smallest-shared-key ownership: True where ``own[k]`` is the
+    smallest key (codepoint order) that value pair ``(lu[ia[k]],
+    rv[ib[k]])`` shares among ``fam``'s keys, i.e. where the pair shares
+    no smaller one (which would own it instead). ``fam(values) ->
+    (value_idx, keys)`` lists each value's keys; ``ru=None`` is a
+    self-join. Per pair, the left value's keys below ``own`` are looked
+    up among the right value's, so the work is the pairs times their
+    keys below ``own``, never a cross of the values' keys."""
+    import pandas as pd
+
+    rv = lu if ru is None else ru
+    ua, ia = np.unique(ia, return_inverse=True)
+    ub, ib = np.unique(ib, return_inverse=True)
+    avi, ak = fam(lu[ua])
+    bvi, bk = fam(rv[ub])
+    codes, uniq = pd.factorize(np.concatenate([ak, bk, own]))
+    rank = np.empty(len(uniq), np.int64)
+    rank[np.argsort(np.asarray(uniq, dtype=object))] = np.arange(len(uniq))
+    ac, bc, oc = np.split(rank[codes], [len(ak), len(ak) + len(bk)])
+    nk = len(uniq)
+    akeys = np.sort(avi * nk + ac)
+    bkeys = np.sort(bvi * nk + bc)
+    # each pair's left keys below its own key are one sorted range
+    lo = np.searchsorted(akeys, ia * nk)
+    n = np.searchsorted(akeys, ia * nk + oc) - lo
+    rep, below = _ranges(lo, n)
+    probe = ib[rep] * nk + akeys[below] % nk
+    at = np.minimum(np.searchsorted(bkeys, probe), len(bkeys) - 1)
+    shared = bkeys[at] == probe
+    return np.bincount(rep[shared], minlength=len(ia)) == 0
 
 
-def _full_cross(nl: int, nr: int):
-    if nl == 0 or nr == 0:
-        return _EMPTY_PAIR
-    return (
-        np.repeat(np.arange(nl, dtype=np.int64), nr),
-        np.tile(np.arange(nr, dtype=np.int64), nl),
-    )
+def _ranges(lo: np.ndarray, n: np.ndarray):
+    """(rep, pos): the ranges ``lo[k] : lo[k] + n[k]`` laid end to end,
+    with ``rep`` naming each position's range."""
+    rep = np.repeat(np.arange(len(n), dtype=np.int64), n)
+    shift = lo - (np.cumsum(n) - n)
+    return rep, np.arange(len(rep), dtype=np.int64) + shift[rep]
 
 
-def _bucket_cross(lc, lvi, rc, rvi):
-    """Pairs (a_val_idx, b_val_idx) co-occurring in any shared bucket:
-    ``lc``/``rc`` are bucket codes, ``lvi``/``rvi`` the parallel value
-    indices. Vectorized: sort by code, intersect codes, expand each
-    shared bucket's cross product."""
-    lo = np.argsort(lc, kind="stable")
-    ro = np.argsort(rc, kind="stable")
-    lcs_, lvs = lc[lo], lvi[lo]
-    rcs_, rvs = rc[ro], rvi[ro]
-    lu, lstart, lcount = np.unique(lcs_, return_index=True, return_counts=True)
-    ru_, rstart, rcount = np.unique(rcs_, return_index=True, return_counts=True)
-    common, li, ri = np.intersect1d(lu, ru_, return_indices=True)
-    if not len(common):
-        return _EMPTY_PAIR
-    rep, al, bl = _cross_expand(lcount[li], rcount[ri])
-    return lvs[lstart[li][rep] + al], rvs[rstart[ri][rep] + bl]
+def _lens_of(values: np.ndarray) -> np.ndarray:
+    import pandas as pd
+
+    return pd.Series(values, dtype=object).str.len().to_numpy(dtype=np.int64)
+
+
+def _key_ints(keys: np.ndarray, sep: str | None = None) -> np.ndarray:
+    """The integers after each key's one-letter prefix ('L12' -> 12);
+    with ``sep``, one column per field ('X1_3' -> [1, 3])."""
+    import pandas as pd
+
+    tail = pd.Series(keys, dtype=object).str[1:]
+    if sep is None:
+        return tail.astype(np.int64).to_numpy()
+    return tail.str.split(sep, expand=True).astype(np.int64).to_numpy()
+
+
+def _min_len_is(lu, ru, ia, ib, m) -> np.ndarray:
+    """The length-window self-join rule: a pair is scored in the block
+    of its shorter value's length."""
+    rv = lu if ru is None else ru
+    return np.minimum(_lens_of(lu)[ia], _lens_of(rv)[ib]) == m
 
 
 def _str_keys(prefix: str, ints: np.ndarray) -> np.ndarray:
     return np.char.add(prefix, ints.astype("U"))
 
 
+def _window_keys(prefix: str, vidx: np.ndarray, lens: np.ndarray, d: int, side: str):
+    """Length-window emissions of values ``vidx`` with lengths ``lens``:
+    a right value's home length; a left value's window len-d..len+d; a
+    self-join value's len-d..len."""
+    if side == "right":
+        return vidx, _str_keys(prefix, lens).astype(object)
+    offs = np.arange(-d, (d if side == "left" else 0) + 1, dtype=np.int64)
+    flat = (lens[:, None] + offs[None, :]).ravel()
+    vi = np.repeat(vidx, len(offs))
+    ok = flat >= 0
+    return vi[ok], _str_keys(prefix, flat[ok]).astype(object)
+
+
 class LengthWindow:
     """Block on right value's char length; left probes the +/-d window.
-    Self-join: each value covers [len-d, len]; shared blocks are deduped by
-    scoring only at block min(len_a, len_b)."""
+
+    Ownership: a two-table pair meets once by construction (rights emit
+    only their home length), so every pair is owned; a self-join value
+    covers [len-d, len], so a pair is owned by block L{min(len_a,
+    len_b)}."""
 
     def __init__(self, max_distance: float, exact: bool = False):
         self.d = 0 if exact else int(max_distance)
 
-    @staticmethod
-    def _lens(values: np.ndarray) -> np.ndarray:
-        import pandas as pd
-
-        return pd.Series(values, dtype=object).str.len().to_numpy(dtype=np.int64)
-
     def emit_unique(self, uniq: np.ndarray, side: str):
-        lens = self._lens(uniq)
-        n = len(uniq)
-        if side == "right":
-            return np.arange(n, dtype=np.int64), _str_keys("L", lens).astype(object)
-        offs = (
-            np.arange(-self.d, self.d + 1, dtype=np.int64)
-            if side == "left"
-            else np.arange(-self.d, 1, dtype=np.int64)  # self: [len-d, len]
-        )
-        w = len(offs)
-        grid = lens[:, None] + offs[None, :]
-        uidx = np.repeat(np.arange(n, dtype=np.int64), w)
-        flat = grid.ravel()
-        ok = flat >= 0
-        return uidx[ok], _str_keys("L", flat[ok]).astype(object)
+        idx = np.arange(len(uniq), dtype=np.int64)
+        return _window_keys("L", idx, _lens_of(uniq), self.d, side)
 
-    def candidates(self, ul: np.ndarray, ur, bk: str, selfjoin: bool):
-        m = int(bk[1:])
+    def owns(self, lu, ru, ia, ib, keys, blk, selfjoin: bool):
         if not selfjoin:
-            # rights in L{m} all have len m; lefts were emitted only if
-            # |len - m| <= d, so every pair is valid and meets once
-            return _full_cross(len(ul), len(ur))
-        # self-join: values have len in [m, m+d]; a pair is scored here
-        # iff min(len_a, len_b) == m (its smallest shared block)
-        lens = self._lens(ul)
-        a_idx = np.nonzero(lens == m)[0]
-        b_idx = np.nonzero((lens > m) & (lens <= m + self.d))[0]
-        ia1, ib1 = _triu_with_diag(len(a_idx))
-        ia = [a_idx[ia1], np.repeat(a_idx, len(b_idx))]
-        ib = [a_idx[ib1], np.tile(b_idx, len(a_idx))]
-        return np.concatenate(ia), np.concatenate(ib)
+            return np.ones(len(ia), bool)
+        return _min_len_is(lu, ru, ia, ib, _key_ints(keys)[blk])
 
 
 def _deletion_variants(v: str, d: int) -> tuple[str, ...]:
@@ -250,200 +262,125 @@ class DeletionBlocks:
     are only variant collisions, i.e. near-matches plus a vanishing
     collision rate.
 
-    Exactly-once: a pair sharing k variants is scored only in its
-    lexicographically smallest shared variant's block.
-
     Values longer than ``lcap`` (where the ~C(len, d) neighborhood
     outgrows the quadratic saving) fall back to a length-window family
     under ``X{len}`` keys; values with ``len > lcap - d`` emit there too
-    so long-short pairs still meet, and an X-block scores only pairs
-    whose LONGER side exceeds ``lcap`` (both-short pairs belong to the
-    variant blocks)."""
+    so long-short pairs still meet.
+
+    Ownership: a D-block owns a pair iff its variant is the pair's
+    lexicographically smallest shared variant. An X-block owns a pair
+    iff its LONGER value exceeds ``lcap`` (both-short pairs belong to
+    the variant blocks), and in a self-join only in block X{min(len_a,
+    len_b)}, as :class:`LengthWindow`."""
 
     def __init__(self, max_distance: float, lcap: int | None = None):
         self.d = int(max_distance)
         self.lcap = _DELETION_LCAP[self.d] if lcap is None else lcap
 
-    @staticmethod
-    def _lens(values: np.ndarray) -> np.ndarray:
-        import pandas as pd
-
-        return pd.Series(values, dtype=object).str.len().to_numpy(dtype=np.int64)
-
-    def _flat_variants(self, values: np.ndarray, below: str | None):
-        """(value_idx, variant) flat arrays, optionally restricted to
-        variants < ``below``; per-value generation is lru-cached."""
+    def _variants(self, values: np.ndarray):
+        """(value_idx, variant) flat arrays of the values up to ``lcap``
+        long; per-value generation is lru-cached."""
         vi: list[int] = []
         vr: list[str] = []
-        d = self.d
         for i, v in enumerate(values):
             if len(v) > self.lcap:
                 continue
-            for x in _cached_delvars(v, d):
-                if below is None or x < below:
-                    vi.append(i)
-                    vr.append(x)
+            xs = _cached_delvars(v, self.d)
+            vi.extend([i] * len(xs))
+            vr.extend(xs)
         return np.asarray(vi, dtype=np.int64), np.asarray(vr, dtype=object)
 
     def emit_unique(self, uniq: np.ndarray, side: str):
-        lens = self._lens(uniq)
-        vi, vr = self._flat_variants(uniq, None)
+        vi, vr = self._variants(uniq)
         keys = (
             np.char.add("D", vr.astype("U")).astype(object)
             if len(vr)
             else np.empty(0, dtype=object)
         )
         # long-value family (len > lcap - d so boundary pairs meet)
+        lens = _lens_of(uniq)
         lidx = np.nonzero(lens > self.lcap - self.d)[0]
         if len(lidx):
-            ll = lens[lidx]
-            if side == "right":
-                lvi, lkeys = lidx, _str_keys("X", ll).astype(object)
-            else:
-                offs = (
-                    np.arange(-self.d, self.d + 1, dtype=np.int64)
-                    if side == "left"
-                    else np.arange(-self.d, 1, dtype=np.int64)  # self: [len-d, len]
-                )
-                w = len(offs)
-                grid = ll[:, None] + offs[None, :]
-                lvi = np.repeat(lidx, w)
-                flat = grid.ravel()
-                ok = flat >= 0
-                lvi, lkeys = lvi[ok], _str_keys("X", flat[ok]).astype(object)
+            lvi, lkeys = _window_keys("X", lidx, lens[lidx], self.d, side)
             vi = np.concatenate([vi, lvi])
             keys = np.concatenate([keys, lkeys])
         return vi, keys
 
-    def _x_candidates(self, ul: np.ndarray, ur, bk: str, selfjoin: bool):
-        m = int(bk[1:])
-        ll = self._lens(ul)
-        if not selfjoin:
-            ia, ib = _full_cross(len(ul), len(ur))
-            if not len(ia):
-                return ia, ib
-            lr = self._lens(ur)
-            keep = np.maximum(ll[ia], lr[ib]) > self.lcap
-            return ia[keep], ib[keep]
-        # self-join: scored at block min(len_a, len_b); longer side > lcap
-        a_idx = np.nonzero(ll == m)[0]
-        b_idx = np.nonzero((ll > m) & (ll <= m + self.d))[0]
-        ia1, ib1 = _triu_with_diag(len(a_idx))
-        ia = np.concatenate([a_idx[ia1], np.repeat(a_idx, len(b_idx))])
-        ib = np.concatenate([a_idx[ib1], np.tile(b_idx, len(a_idx))])
-        if not len(ia):
-            return ia, ib
-        keep = np.maximum(ll[ia], ll[ib]) > self.lcap
-        return ia[keep], ib[keep]
-
-    def candidates(self, ul: np.ndarray, ur, bk: str, selfjoin: bool):
+    def owns(self, lu, ru, ia, ib, keys, blk, selfjoin: bool):
         import pandas as pd
 
-        if bk.startswith("X"):
-            return self._x_candidates(ul, ur, bk, selfjoin)
-        v = bk[1:]
-        nl = len(ul)
-        nr = nl if selfjoin else len(ur)
-        ia, ib = _triu_with_diag(nl) if selfjoin else _full_cross(nl, nr)
-        if not len(ia):
-            return ia, ib
-        # disqualify pairs sharing a variant smaller than v: they score
-        # in that variant's block instead
-        lvi, lvr = self._flat_variants(ul, v)
-        rvi, rvr = (lvi, lvr) if selfjoin else self._flat_variants(ur, v)
-        if not len(lvi) or not len(rvi):
-            return ia, ib
-        codes, _ = pd.factorize(np.concatenate([lvr, rvr]))
-        lc, rc = codes[: len(lvr)], codes[len(lvr) :]
-        da, db = _bucket_cross(lc, lvi, rc, rvi)
-        if not len(da):
-            return ia, ib
-        if selfjoin:
-            dkeys = np.minimum(da, db) * nr + np.maximum(da, db)
-        else:
-            dkeys = da * nr + db
-        mask = ~np.isin(ia * nr + ib, np.unique(dkeys))
-        return ia[mask], ib[mask]
+        k = pd.Series(keys, dtype=object)
+        x = k.str.startswith("X").to_numpy(bool)
+        out = np.empty(len(ia), bool)
+        d = np.flatnonzero(~x[blk])
+        variant = k.str[1:].to_numpy(object)
+        out[d] = _owns_smallest(self._variants, lu, ru, ia[d], ib[d], variant[blk[d]])
+        xs = np.flatnonzero(x[blk])
+        if len(xs):
+            rv = lu if ru is None else ru
+            a, b = ia[xs], ib[xs]
+            ok = np.maximum(_lens_of(lu)[a], _lens_of(rv)[b]) > self.lcap
+            if selfjoin:
+                m = np.zeros(len(keys), np.int64)
+                m[x] = _key_ints(keys[x])
+                ok &= _min_len_is(lu, ru, a, b, m[blk[xs]])
+            out[xs] = ok
+        return out
 
 
-class GramBlocks:
-    """One block per distinct q-gram; pairs scored only in their smallest
-    shared gram's block. ``with_small`` adds the short-string block needed
-    for the qgram (count-L1) metric."""
+class _SmallestSharedKey:
+    """Ownership by the smallest of a pair's shared keys, when every key
+    a value emits is side-independent."""
+
+    def owns(self, lu, ru, ia, ib, keys, blk, selfjoin: bool):
+        def fam(values):
+            return self.emit_unique(values, "right")
+
+        return _owns_smallest(fam, lu, ru, ia, ib, keys[blk])
+
+
+class GramBlocks(_SmallestSharedKey):
+    """One block per distinct q-gram. ``with_small`` adds the
+    short-string block needed for the qgram (count-L1) metric.
+
+    Ownership: a gram block owns a pair iff its gram is the pair's
+    smallest shared gram (codepoint order); the ``__small__`` block,
+    which sorts after every gram key, owns only the pairs that share no
+    gram."""
 
     def __init__(self, q: int, max_distance: float, with_small: bool):
         self.q = q
         self.small_limit = max_distance if with_small else -1.0
 
-    def _flat_grams(self, values: np.ndarray, below: str | None):
-        """(value_idx, gram) flat arrays over distinct grams per value,
-        optionally restricted to grams < ``below``. The per-value gram
-        extraction is cached; everything downstream is array ops."""
+    def emit_unique(self, uniq: np.ndarray, side: str):
+        # the per-value gram extraction is cached; everything downstream
+        # is array ops
         vi: list[int] = []
         gr: list[str] = []
-        q = self.q
-        for i, v in enumerate(values):
-            for x in _cached_qgrams(v, q):
-                if below is None or x < below:
-                    vi.append(i)
-                    gr.append(x)
-        return (
-            np.asarray(vi, dtype=np.int64),
-            np.asarray(gr, dtype=object),
-        )
-
-    def emit_unique(self, uniq: np.ndarray, side: str):
-        vi, gr = self._flat_grams(uniq, None)
-        keys = (
-            np.char.add("G", gr.astype("U")) if len(gr) else np.empty(0, dtype="U1")
-        )
+        for i, v in enumerate(uniq):
+            xs = _cached_qgrams(v, self.q)
+            vi.extend([i] * len(xs))
+            gr.extend(xs)
+        vi = np.asarray(vi, dtype=np.int64)
+        keys = np.char.add("G", np.asarray(gr, dtype="U")).astype(object)
         if self.small_limit >= 0:
             small = np.fromiter(
-                (
-                    sum(_cached_qgrams(v, self.q).values()) <= self.small_limit
-                    for v in uniq
-                ),
+                (sum(_cached_qgrams(v, self.q).values()) <= self.small_limit for v in uniq),
                 bool,
                 count=len(uniq),
             )
             sidx = np.nonzero(small)[0]
-            if len(sidx):
-                vi = np.concatenate([vi, sidx])
-                keys = np.concatenate(
-                    [keys.astype(object), np.full(len(sidx), SMALL_BLOCK, object)]
-                )
-                return vi, keys
-        return vi, keys.astype(object) if keys.dtype.kind == "U" else keys
-
-    def candidates(self, ul: np.ndarray, ur, bk: str, selfjoin: bool):
-        import pandas as pd
-
-        g = None if bk == SMALL_BLOCK else bk[1:]
-        nl = len(ul)
-        nr = nl if selfjoin else len(ur)
-        ia, ib = _triu_with_diag(nl) if selfjoin else _full_cross(nl, nr)
-        if not len(ia):
-            return ia, ib
-        # disqualify pairs sharing a gram smaller than g (or ANY gram for
-        # the __small__ block): those pairs score in that gram's block
-        lvi, lgr = self._flat_grams(ul, g)
-        rvi, rgr = (lvi, lgr) if selfjoin else self._flat_grams(ur, g)
-        if not len(lvi) or not len(rvi):
-            return ia, ib
-        codes, _ = pd.factorize(np.concatenate([lgr, rgr]))
-        lc, rc = codes[: len(lgr)], codes[len(lgr) :]
-        da, db = _bucket_cross(lc, lvi, rc, rvi)
-        if not len(da):
-            return ia, ib
-        if selfjoin:
-            dkeys = np.minimum(da, db) * nr + np.maximum(da, db)
-        else:
-            dkeys = da * nr + db
-        mask = ~np.isin(ia * nr + ib, np.unique(dkeys))
-        return ia[mask], ib[mask]
+            vi = np.concatenate([vi, sidx])
+            keys = np.concatenate([keys, np.full(len(sidx), SMALL_BLOCK, object)])
+        return vi, keys
 
 
-class SoundexBlocks:
+class SoundexBlocks(_SmallestSharedKey):
+    """One block per dual soundex code (primary, and the alternate when
+    it differs). Ownership: a code block owns a pair iff its code is the
+    pair's smallest shared code; the reference match rule
+    (soundex.rs:49-53) is sharing at least one code."""
+
     @staticmethod
     def _codes(values: np.ndarray):
         """(primary, alt) unicode arrays; a missing alt is the empty
@@ -466,39 +403,15 @@ class SoundexBlocks:
         keys = np.concatenate([np.char.add("S", p), np.char.add("S", a[aidx])])
         return uidx, keys.astype(object)
 
-    def candidates(self, ul: np.ndarray, ur, bk: str, selfjoin: bool):
-        c = bk[1:]
-        pl, al = self._codes(ul)
-        pr, ar = (pl, al) if selfjoin else self._codes(ur)
-        nl, nr = len(pl), len(pr)
-        ia, ib = _triu_with_diag(nl) if selfjoin else _full_cross(nl, nr)
-        if not len(ia):
-            return ia, ib
-        HI = "￿"  # sorts above every real code
-        pa_, aa = pl[ia], al[ia]
-        pb, ab = pr[ib], ar[ib]
-        aa_m = np.where(aa == "", HI, aa)
-        ab_m = np.where(ab == "", HI, ab)
-
-        def smin(x, y):  # np.minimum has no unicode loop; < does
-            return np.where(x < y, x, y)
-
-        # smallest shared code across the <=2x2 code combinations; the
-        # reference match rule (soundex.rs:49-53) == sharing >= 1 code
-        best = np.full(len(ia), HI, dtype="U16")
-        best = np.where(pa_ == pb, smin(best, pa_), best)
-        best = np.where(aa_m == pb, smin(best, pb), best)
-        best = np.where(ab_m == pa_, smin(best, pa_), best)
-        best = np.where((aa_m == ab_m) & (aa != ""), smin(best, aa_m), best)
-        mask = best == c
-        return ia[mask], ib[mask]
-
 
 class AllPairs:
     """Salted cross (two-table) / triangle (self-join) partitioning of the
     full cross product, for methods without a recall-safe key (jw). Each
-    left value lands in ``sr`` blocks, each right value in ``sl``; a pair
-    meets in exactly one block."""
+    left value lands in ``sr`` blocks, each right value in ``sl``.
+
+    Ownership: a two-table pair meets in exactly one block, its
+    (left salt, right salt), which owns it; a self-join pair is owned by
+    the block X{min}_{max} of its two values' salts."""
 
     def __init__(self, sl: int = 1, sr: int = 1):
         self.sl = max(1, sl)
@@ -529,20 +442,16 @@ class AllPairs:
         )
         return uidx, keys.astype(object)
 
-    def candidates(self, ul: np.ndarray, ur, bk: str, selfjoin: bool):
+    def owns(self, lu, ru, ia, ib, keys, blk, selfjoin: bool):
         if not selfjoin:
-            # cross grid: a pair meets only in (left salt, right salt)
-            return _full_cross(len(ul), len(ur))
-        # Self-join triangle: two values with the SAME salt s co-occur in
-        # every block X{min(s,t)}_{max(s,t)} — restrict every pair to the
-        # single block named by both salts (same-salt pairs score only on
-        # the diagonal).
-        bi, bj = (int(x) for x in bk[1:].split("_"))
-        s = (value_salt_hash(ul) % self.sl).astype(np.int64)
-        ia, ib = _triu_with_diag(len(ul))
+            return np.ones(len(ia), bool)
+        # two values with the SAME salt s co-occur in every block
+        # X{min(s,t)}_{max(s,t)}: a pair is owned only by the block its
+        # two salts name (same-salt pairs on the diagonal)
+        s = (value_salt_hash(lu) % self.sl).astype(np.int64)
         sa, sb = s[ia], s[ib]
-        mask = (np.minimum(sa, sb) == bi) & (np.maximum(sa, sb) == bj)
-        return ia[mask], ib[mask]
+        bij = _key_ints(keys, "_")[blk]
+        return (np.minimum(sa, sb) == bij[:, 0]) & (np.maximum(sa, sb) == bij[:, 1])
 
 
 def strategy_for(

@@ -19,13 +19,18 @@ same keys the broadcast plan probes (blocking/strategies.py):
    split for self-joins — so no single block's scoring exceeds the pair
    budget. Every pair still meets in exactly one block.
 3. **score**: one ``exchange()`` on the block key co-locates candidates
-   in the caller's ``num_partitions`` partitions; each partition is
-   sorted by block key and scored one block at a time. A pair that
-   shares several blocks is scored only in one of them, by the
-   strategy's smallest-shared-block rule (``strategy.candidates``); the
-   valid value pairs go through the scorer both plans share
-   (:func:`~fozziejoin_ray.joins.string_join.score_candidates`), and a
-   self-join keeps each unordered id pair once, as id_a < id_b.
+   in the caller's ``num_partitions`` partitions, and each partition is
+   scored in one vectorized pass, not block by block. It factorizes its
+   (block, side, value) groups once and expands every block's group
+   cross product at once, in slabs of at most ``SLAB_PAIRS`` pairs (a
+   block whose own cross is larger gets a slab of its own). A pair that
+   shares several blocks is scored only in one of them: one call of the
+   strategy's ownership rule (``strategy.owns``, decided on the base
+   key of a salted sub-block) masks out the pairs another block owns.
+   Each slab's distinct value pairs go through the scorer both plans
+   share (:func:`~fozziejoin_ray.joins.string_join.score_candidates`)
+   and fan out to rows per group, so each row pair still meets once;
+   a self-join keeps each unordered id pair once, as id_a < id_b.
 
 This generalizes the reference's in-memory candidate maps
 (/root/reference/src/rust/src/string/edit/mod.rs:32-51 and
@@ -50,23 +55,15 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.dataset import MaterializedDataset
 
-from ..blocking.strategies import id_salt_hash, strategy_for
+from ..blocking.strategies import _cross_expand, id_salt_hash, strategy_for
 from ..census import hot_key_census
 from ..exchange import exchange, partition_ids
 from ..semantics import canon_method
-from .string_join import LID, RID, dist_names, group_positions, score_candidates
+from .string_join import LID, RID, dist_names, group_positions, score_candidates, slab_bounds
 
 BK = "__fj_bk"
 SIDE = "__fj_side"
 ID = "__fj_id"
-
-
-def _cmp_ids(ids: np.ndarray) -> np.ndarray:
-    """Comparable view of an id array: object strings -> fixed-width
-    unicode so elementwise < runs in C (same codepoint order as Python)."""
-    if ids.dtype == object:
-        return ids.astype("U")
-    return ids
 
 
 def _salted_keys(bk: str, a: np.ndarray, b: np.ndarray, tri_sl: int | None = None):
@@ -171,10 +168,6 @@ def _emit_batches(
     return fn
 
 
-def _base_bk(bk: str) -> str:
-    return bk.split(";", 1)[1] if bk.startswith("\x01") else bk
-
-
 def _plan_salts(
     sources: list[tuple[MaterializedDataset, Callable[[pa.Table], pa.Table]]],
     pair_budget: int,
@@ -209,35 +202,66 @@ def _plan_salts(
     return plan
 
 
-def _self_pairs(ids: np.ndarray, full_bk: str):
-    """A self-join block's row filter for :func:`score_candidates`: keep
-    each unordered id pair once, oriented id_a < id_b. In a salted
-    triangle sub-block, two ids with the SAME salt co-occur in all sl
+def _block_keys(ubk: np.ndarray):
+    """Per distinct block key (salted or not): its base key, and for a
+    self-join triangle sub-block '\\x01T{sl}:{i}_{j};{base}' the int64
+    columns (sl, i, j) (sl = 0 elsewhere). Only the machine-made salt
+    header, up to the first ';', is parsed."""
+    import pandas as pd
+
+    s = pd.Series(ubk, dtype=object)
+    base = s.to_numpy(object).copy()
+    tri = np.zeros((len(s), 3), np.int64)
+    salted = s.str.startswith("\x01").to_numpy(bool)
+    if salted.any():
+        head_base = s[salted].str.split(";", n=1)
+        base[salted] = head_base.str[1].to_numpy(object)
+        t = head_base.str[0].str.extract(r"^\x01T(\d+):(\d+)_(\d+)$").dropna()
+        tri[t.index.to_numpy()] = t.astype(np.int64).to_numpy()
+    return base, tri
+
+
+def _self_pairs(ids: np.ndarray, row_tri: np.ndarray):
+    """A self-join partition's row filter for :func:`score_candidates`:
+    keep each unordered id pair once, oriented id_a < id_b. In a salted
+    triangle sub-block (``row_tri`` holds each row's block (sl, i, j),
+    sl = 0 outside one), two ids with the SAME salt co-occur in all sl
     sub-blocks of the base block, so only the id pairs whose salt pair
-    names THIS sub-block are kept (same-salt pairs on the diagonal),
-    mirroring AllPairs.candidates at the id level."""
-    salt = None
-    if full_bk.startswith("\x01T"):
-        slt, rest = full_bk[2:].split(";", 1)[0].split(":", 1)
-        bi, bj = (int(x) for x in rest.split("_"))
-        salt = (id_salt_hash(ids) % int(slt)).astype(np.int64)
+    names the rows' own sub-block are kept (same-salt pairs on the
+    diagonal), mirroring :class:`AllPairs`' ownership at the id level."""
+    _, rank = np.unique(ids, return_inverse=True)
+    salt = np.zeros(len(ids), np.int64)
+    hot = np.flatnonzero(row_tri[:, 0])
+    salt[hot] = (id_salt_hash(ids[hot]) % row_tri[hot, 0].astype(np.uint64)).astype(np.int64)
 
     def keep_once(apos, bpos, va, vb):
-        ids_c = _cmp_ids(ids)
-        a_ids, b_ids = ids_c[apos], ids_c[bpos]
-        # same value list crossed with itself: keep each unordered id
+        # a value's rows crossed with themselves: keep each unordered id
         # pair once; distinct values: every id pair is unique —
         # normalize orientation so edges are canonical (id_a < id_b)
+        ra, rb = rank[apos], rank[bpos]
         samev = va == vb
-        keep = np.where(samev, a_ids < b_ids, True)
-        swap = (~samev) & (a_ids > b_ids)
+        keep = np.where(samev, ra < rb, True)
+        swap = (~samev) & (ra > rb)
         apos, bpos = np.where(swap, bpos, apos), np.where(swap, apos, bpos)
-        if salt is not None:
-            sa, sb = salt[apos], salt[bpos]
-            keep &= (np.minimum(sa, sb) == bi) & (np.maximum(sa, sb) == bj)
+        sa, sb = salt[apos], salt[bpos]
+        t = row_tri[apos]
+        keep &= (t[:, 0] == 0) | ((np.minimum(sa, sb) == t[:, 1]) & (np.maximum(sa, sb) == t[:, 2]))
         return apos, bpos, keep
 
     return keep_once
+
+
+def _groups(bcode: np.ndarray, pos: np.ndarray, values: np.ndarray):
+    """The (block, value) groups of rows ``pos``: the distinct values,
+    and per group (ordered by block, then value) its block, its value
+    and the (rows, starts, counts) fan-out of :func:`score_candidates`."""
+    import pandas as pd
+
+    vcode, uniq = pd.factorize(values[pos])
+    nv = len(uniq)
+    g, ginv = np.unique(bcode[pos] * nv + vcode, return_inverse=True)
+    order, starts, counts = group_positions(ginv, len(g))
+    return np.asarray(uniq, dtype=object), g // nv, g % nv, (pos[order], starts, counts)
 
 
 def _make_partition_scorer(cfg: dict):
@@ -261,59 +285,73 @@ def _make_partition_scorer(cfg: dict):
             cols[ckpt[1]] = pa.array([], pa.int64())
         return pa.table(cols)
 
-    def score_group(t: pa.Table) -> pa.Table | None:
-        """One block's edges, or None when it has none."""
+    def slabs(t: pa.Table):
+        """Yield the partition's scored slabs: every block's group cross
+        expanded at once, the pairs another block owns dropped, the
+        distinct value pairs scored, at most ``SLAB_PAIRS`` expanded
+        pairs per slab (a block whose own cross is larger gets a slab
+        of its own)."""
         import pandas as pd
 
-        full_bk = t.column(BK)[0].as_py()
+        bcode, ubk = pd.factorize(t.column(BK).to_numpy(zero_copy_only=False))
+        base, tri = _block_keys(np.asarray(ubk, dtype=object))
+        bkeys_code, bkeys = pd.factorize(base)
+        bkeys = np.asarray(bkeys, dtype=object)
         side = t.column(SIDE).to_numpy(zero_copy_only=False)
         ids = t.column(ID).to_numpy(zero_copy_only=False)
         # emitted key columns are unified under the left names for both
         # sides (see build_edges_blocked); row positions select the side
         kv = [t.column("k_" + c).to_numpy(zero_copy_only=False) for c in lkeys]
         if selfjoin:
-            lpos = rpos = np.arange(len(ids), dtype=np.int64)
+            lu, lblk, lval, lg = _groups(bcode, np.arange(len(ids), dtype=np.int64), kv[0])
+            ru, rblk, rval, rg = None, lblk, lval, lg
+            row_filter = _self_pairs(ids, tri[bcode])
         else:
-            lpos = np.nonzero(side == 0)[0]
-            rpos = np.nonzero(side == 1)[0]
-        if not len(lpos) or not len(rpos):
-            return None
-
-        def groups(pos):
-            codes, uniq = pd.factorize(kv[0][pos])
-            order, starts, counts = group_positions(codes, len(uniq))
-            return np.asarray(uniq, dtype=object), (pos[order], starts, counts)
-
-        lu, lgroups = groups(lpos)
-        ru, rgroups = (None, lgroups) if selfjoin else groups(rpos)
-        ia, ib = strategy.candidates(lu, ru, _base_bk(full_bk), selfjoin)
-        apos, bpos, dists = score_candidates(
-            lu, ru, ia, ib, lgroups, rgroups, kv[1:], kv[1:],
-            row_filter=_self_pairs(ids, full_bk) if selfjoin else None,
-            **params,
-        )
-        if not len(apos):
-            return None
-        cols = {LID: pa.array(ids[apos]), RID: pa.array(ids[bpos])}
-        for n, d in zip(dist_names(nkeys), dists):
-            cols[n] = pa.array(d, pa.float64())
-        if ckpt is not None:
-            part = int(partition_ids([t.column(BK).slice(0, 1)], ckpt[0])[0])
-            cols[ckpt[1]] = pa.array(np.full(len(apos), part, dtype=np.int64))
-        return pa.table(cols)
+            lu, lblk, lval, lg = _groups(bcode, np.flatnonzero(side == 0), kv[0])
+            ru, rblk, rval, rg = _groups(bcode, np.flatnonzero(side == 1), kv[0])
+            row_filter = None
+        nr = len(lu if ru is None else ru)
+        # each block's groups are one run of the (block, value) order
+        rng = np.arange(len(ubk))
+        lstart = np.searchsorted(lblk, rng)
+        lcount = np.searchsorted(lblk, rng, side="right") - lstart
+        rstart = np.searchsorted(rblk, rng)
+        rcount = np.searchsorted(rblk, rng, side="right") - rstart
+        bounds = slab_bounds(lcount * rcount)
+        for b0, b1 in zip(bounds[:-1], bounds[1:]):
+            rep, al, bl = _cross_expand(lcount[b0:b1], rcount[b0:b1])
+            if selfjoin:  # a block's group triangle, diagonal included
+                upper = al <= bl
+                rep, al, bl = rep[upper], al[upper], bl[upper]
+            if not len(rep):
+                continue
+            blk = rep + b0
+            ga, gb = lstart[blk] + al, rstart[blk] + bl
+            va, vb = lval[ga], rval[gb]
+            own = strategy.owns(lu, ru, va, vb, bkeys, bkeys_code[blk], selfjoin)
+            ga, gb = ga[own], gb[own]
+            vpair, pair = np.unique(va[own] * nr + vb[own], return_inverse=True)
+            yield score_candidates(
+                lu, ru, vpair // nr, vpair % nr, lg, rg, kv[1:], kv[1:],
+                row_filter=row_filter, fan=(pair, ga, gb), **params,
+            )
 
     def score_partition(t: pa.Table) -> pa.Table:
         # one exchange partition holds every row of each of its blocks
-        # and may hold many blocks: sort by block key, score each block
-        if not t.num_rows:
+        # and may hold many blocks: score them all in one pass
+        parts = [p for p in slabs(t) if len(p[0])]
+        if not parts:
             return empty(t)
-        t = t.sort_by(BK)
-        bks = t.column(BK).to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(np.r_[True, bks[1:] != bks[:-1]])
-        ends = np.r_[starts[1:], len(bks)]
-        outs = [score_group(t.slice(a, b - a)) for a, b in zip(starts, ends)]
-        outs = [o for o in outs if o is not None]
-        return pa.concat_tables(outs) if outs else empty(t)
+        lrow, rrow = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
+        ids = t.column(ID).to_numpy(zero_copy_only=False)
+        cols = {LID: pa.array(ids[lrow]), RID: pa.array(ids[rrow])}
+        for k, n in enumerate(dist_names(nkeys)):
+            cols[n] = pa.array(np.concatenate([p[2][k] for p in parts]), pa.float64())
+        if ckpt is not None:
+            # an edge's checkpoint partition is its owning block's
+            bk = t.column(BK).take(pa.array(lrow, pa.int64()))
+            cols[ckpt[1]] = pa.array(partition_ids([bk], ckpt[0]), pa.int64())
+        return pa.table(cols)
 
     return score_partition
 

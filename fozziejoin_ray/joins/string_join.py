@@ -27,8 +27,12 @@ The plans differ in where the keys meet:
   ``np.unique`` within its slab. The left side streams with
   backpressure; nothing materializes it.
 - ``blocked`` (both sides large, or self-join): both sides' keys meet in
-  one ``exchange()`` on the block key, and each pair is scored only in
-  its strategy's smallest shared block — see blocked.py.
+  one ``exchange()`` on the block key. Each exchange partition is scored
+  in one pass: every block's cross product of values is expanded at
+  once, in slabs of at most ``SLAB_PAIRS`` pairs, the pairs that another
+  block owns (the strategy's ``owns`` rule, e.g. the smallest shared
+  block) are masked out, and each slab's distinct value pairs make one
+  :func:`score_candidates` call — see blocked.py.
 
 Matching semantics (shared with the reference):
 
@@ -49,7 +53,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from ..blocking.strategies import EDIT_METHODS, _cross_expand, strategy_for
+from ..blocking.strategies import EDIT_METHODS, _cross_expand, _ranges, strategy_for
 from ..kernels.strdist import edit_bag_bound, jaccard_set_batch, score_pairs
 from ..semantics import canon_method, check_mode, distance_col_names
 from .modes import assemble, normalize_by
@@ -65,7 +69,7 @@ _BATCH = 8192
 SLAB_PAIRS = 1 << 18
 
 
-def refine_score(method: str, a: list, b: list, *, q: int, max_prefix: int, prefix_weight: float):
+def refine_score(method: str, a, b, *, q: int, max_prefix: int, prefix_weight: float):
     """Pairwise re-scoring for by-keys 2..n (reference compare_pairs path)."""
     if canon_method(method) == "jaccard":
         return jaccard_set_batch(a, b, q)
@@ -98,6 +102,20 @@ def _equal_is_zero(method: str, max_prefix: int, prefix_weight: float) -> bool:
     return method not in ("cosine", "jaccard")
 
 
+def slab_bounds(sizes: np.ndarray) -> list[int]:
+    """Cut whole items into slabs of at most ``SLAB_PAIRS`` summed
+    ``sizes`` (an item larger than that is a slab of its own): slab s is
+    items ``bounds[s] : bounds[s + 1]``. At least one slab."""
+    load = np.cumsum(sizes)
+    bounds = [0]
+    while True:
+        b = bounds[-1]
+        cap = (load[b - 1] if b else 0) + SLAB_PAIRS
+        bounds.append(min(max(int(np.searchsorted(load, cap, side="right")), b + 1), len(sizes)))
+        if bounds[-1] >= len(sizes):
+            return bounds
+
+
 def score_candidates(
     lu: np.ndarray,
     ru: np.ndarray | None,
@@ -114,6 +132,7 @@ def score_candidates(
     max_prefix: int,
     prefix_weight: float,
     row_filter=None,
+    fan=None,
 ):
     """Candidate value pairs -> matching row pairs: the scoring tail of
     both plans.
@@ -121,52 +140,56 @@ def score_candidates(
     ``lu``/``ru`` are each side's distinct key values (``ru=None`` is a
     self-join: ``ib`` indexes ``lu`` too) and ``(ia, ib)`` the candidate
     pairs of them, each at most once. ``lgroups``/``rgroups`` are
-    (rows, starts, counts): value k's rows are
-    ``rows[starts[k] : starts[k] + counts[k]]``. ``lextra``/``rextra``
-    hold keys 2..n per row. ``row_filter(lrow, rrow, li, ri) -> (lrow,
-    rrow, keep)`` may reorient and drop row pairs (``li``/``ri`` are
-    their value indices) before the multi-key refinement. Returns
-    ``(lrow, rrow, dists)`` with one distance array per key."""
+    (rows, starts, counts): group k's rows are
+    ``rows[starts[k] : starts[k] + counts[k]]``, and group k is value k
+    unless ``fan=(pair, ga, gb)`` says otherwise: then group pair t
+    crosses left group ``ga[t]`` with right group ``gb[t]`` and takes
+    value pair ``pair[t]``'s score, so a value pair met in several
+    groups is scored once. ``lextra``/``rextra`` hold keys 2..n per row.
+    ``row_filter(lrow, rrow, li, ri) -> (lrow, rrow, keep)`` may
+    reorient and drop row pairs (``li``/``ri`` are their value indices)
+    before the multi-key refinement. Returns ``(lrow, rrow, dists)``
+    with one distance array per key."""
     import pandas as pd
 
     kw = dict(q=q, max_prefix=max_prefix, prefix_weight=prefix_weight)
     rv = lu if ru is None else ru
+    d0 = np.full(len(ia), np.inf)
+    todo = np.arange(len(ia))
     # recall-lossless bag-distance prefilter: the bucketed char-count
     # lower bound costs ~1/3 of the exact kernel per pair and kills the
     # overwhelming majority of length-window candidates, so the kernel
     # only sees near-anagrams (cf. strdist.edit_bag_bound)
     if method in EDIT_METHODS and len(ia) >= 4096:
-        pre = edit_bag_bound(lu, ru, ia, ib, lcs=(method == "lcs")) <= max_distance
-        ia, ib = ia[pre], ib[pre]
+        todo = np.flatnonzero(edit_bag_bound(lu, ru, ia, ib, lcs=(method == "lcs")) <= max_distance)
     # equal-value shortcut (reference: edit/levenshtein.rs:78-85): the
     # kernel only sees unequal pairs — crucial for deletion-variant
     # blocks, where most blocks are singletons whose only candidate is
     # the identity pair. Values are distinct per side, so left value k
     # equals at most right value same[k].
-    eq = None
-    if len(ia) and _equal_is_zero(method, max_prefix, prefix_weight):
+    if len(todo) and _equal_is_zero(method, max_prefix, prefix_weight):
         same = np.arange(len(lu)) if ru is None else pd.Index(ru).get_indexer(lu)
-        eq = same[ia] == ib
-    if eq is not None and eq.any():
-        d0 = np.zeros(len(ia), np.float64)
-        ne = np.flatnonzero(~eq)
-        d0[ne] = score_pairs(method, list(lu[ia[ne]]), list(rv[ib[ne]]), **kw)
-    else:
-        d0 = score_pairs(method, list(lu[ia]), list(rv[ib]), **kw)
+        eq = same[ia[todo]] == ib[todo]
+        d0[todo[eq]] = 0.0
+        todo = todo[~eq]
+    d0[todo] = score_pairs(method, lu[ia[todo]], rv[ib[todo]], **kw)
     keep = d0 <= max_distance
-    ia, ib, d0 = ia[keep], ib[keep], d0[keep]
 
     # fan out value pairs to row pairs: one variable-size cross-product
     # expansion
+    pair, ga, gb = (np.arange(len(ia)), ia, ib) if fan is None else fan
+    m = keep[pair]
+    pair, ga, gb = pair[m], ga[m], gb[m]
     lrows, lstarts, lcounts = lgroups
     rrows, rstarts, rcounts = rgroups
-    rep, al, bl = _cross_expand(lcounts[ia], rcounts[ib])
-    lrow = lrows[lstarts[ia][rep] + al]
-    rrow = rrows[rstarts[ib][rep] + bl]
-    dists = [d0[rep]]
+    rep, al, bl = _cross_expand(lcounts[ga], rcounts[gb])
+    lrow = lrows[lstarts[ga][rep] + al]
+    rrow = rrows[rstarts[gb][rep] + bl]
+    pair = pair[rep]
     if row_filter is not None:
-        lrow, rrow, keep = row_filter(lrow, rrow, ia[rep], ib[rep])
-        lrow, rrow, dists = lrow[keep], rrow[keep], [dists[0][keep]]
+        lrow, rrow, keep = row_filter(lrow, rrow, ia[pair], ib[pair])
+        lrow, rrow, pair = lrow[keep], rrow[keep], pair[keep]
+    dists = [d0[pair]]
 
     # multi-key AND refinement (string/mod.rs:95-127)
     for lcol, rcol in zip(lextra, rextra):
@@ -174,7 +197,7 @@ def score_candidates(
         dk = np.full(len(av), np.inf)
         ok = np.flatnonzero(~(pd.isna(av) | pd.isna(bv)))
         if len(ok):
-            dk[ok] = refine_score(method, list(av[ok]), list(bv[ok]), **kw)
+            dk[ok] = refine_score(method, av[ok], bv[ok], **kw)
         keep = dk <= max_distance
         lrow, rrow = lrow[keep], rrow[keep]
         dists = [d[keep] for d in dists] + [dk[keep]]
@@ -219,14 +242,7 @@ class RightStringIndex:
         pos = self.vocab.get_indexer(keys)
         hit = pos >= 0
         luidx, pos = luidx[hit], pos[hit]
-        load = np.cumsum(np.bincount(luidx, self.key_counts[pos], minlength=len(lu)))
-        bounds = [0]
-        while True:
-            b = bounds[-1]
-            cap = (load[b - 1] if b else 0) + SLAB_PAIRS
-            bounds.append(min(max(int(np.searchsorted(load, cap, side="right")), b + 1), len(lu)))
-            if bounds[-1] >= len(lu):
-                break
+        bounds = slab_bounds(np.bincount(luidx, self.key_counts[pos], minlength=len(lu)))
         # slab, then key order: consecutive pairs share a right group,
         # which keeps its rows cache-hot for the prefilter's gathers
         slab = np.searchsorted(bounds, luidx, side="right") - 1
@@ -237,12 +253,10 @@ class RightStringIndex:
             yield self._expand(luidx[e0:e1], pos[e0:e1])
 
     def _expand(self, luidx: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sizes = self.key_counts[pos]
-        li = np.repeat(luidx, sizes)
         # each left emission meets its key's whole group: ranges of
         # key_values, laid end to end
-        shift = self.key_starts[pos] - (np.cumsum(sizes) - sizes)
-        ri = self.key_values[np.arange(len(li), dtype=np.int64) + np.repeat(shift, sizes)]
+        rep, at = _ranges(self.key_starts[pos], self.key_counts[pos])
+        li, ri = luidx[rep], self.key_values[at]
         if self.dedup:
             n = len(self.uvals)
             pairs = np.unique(li * n + ri)

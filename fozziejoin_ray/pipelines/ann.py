@@ -53,8 +53,12 @@ def _embed_matrix(t: pa.Table, col: str, dtype=np.float32) -> np.ndarray:
     arr = t.column(col)
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    flat = arr.flatten().to_numpy(zero_copy_only=False).astype(dtype)
     n = len(arr)
+    if n == 0:
+        # a fixed-size list type says the width; a variable one cannot
+        dim = arr.type.list_size if pa.types.is_fixed_size_list(arr.type) else 0
+        return np.empty((0, dim), dtype)
+    flat = arr.flatten().to_numpy(zero_copy_only=False).astype(dtype)
     return flat.reshape(n, -1)
 
 

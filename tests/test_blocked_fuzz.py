@@ -333,3 +333,180 @@ def test_equal_values_keep_their_distance(method, d, kw):
     for build in (build_edges_broadcast, build_edges_blocked):
         got = sorted((e["__fj_lid"], e["__fj_rid"], round(e["__fj_d0"], 9)) for e in build(ds, ds, *args).take_all())
         assert got == want, build.__name__
+
+
+# ------------------------------------- partition scorer, every strategy
+
+# every family the scorer's ownership masks serve: the edit family at
+# each integer d (deletion blocks at d <= 2, length window at 3), the
+# gram family with and without the short-string block, soundex codes,
+# and the salted all-pairs grid/triangle (jw; cosine/jaccard at 1.0)
+_FAMILY_CASES = [
+    (m, d) for m in ("lv", "osa", "dl", "hamming", "lcs") for d in (0, 1, 2, 3)
+] + [
+    ("qgram", 2), ("cosine", 0.5), ("cosine", 1.0), ("jaccard", 0.5),
+    ("jaccard", 1.0), ("soundex", 0.0), ("jw", 0.25),
+]
+# 20-70 chars straddle DeletionBlocks' length caps at d = 2 (24) and
+# d = 1 (64), so X-blocks (long values) occur
+_long_word = st.builds(
+    lambda n, t: "a" * n + t, st.integers(20, 70), st.sampled_from(["", "b", "bD"])
+)
+_fam_word = st.one_of(st.text(alphabet="aAbBdDe é中;", max_size=6), _long_word)
+_fam_corpus = st.lists(_fam_word, min_size=1, max_size=20)
+
+
+def _inprocess_blocked(L, R, method, d, budget, nparts, ids=None, ckpt=None):
+    """The blocked plan without Ray: each side's emission under the salt
+    plan of its exact block counts (pairs over ``budget`` are salted),
+    hash-partitioned on the block key as ``exchange()`` does, and every
+    partition scored by ``_make_partition_scorer``. ``R=None`` is a
+    self-join. Returns the partitions' edge tables."""
+    from fozziejoin_ray.blocking.strategies import strategy_for
+    from fozziejoin_ray.exchange import partition_ids
+    from fozziejoin_ray.joins.blocked import BK, SIDE, _emit_batches, _make_partition_scorer
+    from fozziejoin_ray.semantics import canon_method
+
+    method = canon_method(method)
+    selfjoin = R is None
+    strategy = strategy_for(method, d, 2, allpairs_salts=(3, 2))
+    sides = [("self", L)] if selfjoin else [("left", L), ("right", R)]
+    tables = [
+        pa.table({
+            "id": ids if ids is not None else list(range(len(v))), "w": pa.array(v, pa.string()),
+        })
+        for _, v in sides
+    ]
+    counts: dict = {}
+    for (side, _), t in zip(sides, tables):
+        k = _emit_batches(strategy, side, "id", ["w"], None, keys_only=True)(t)
+        for bk, s in zip(k[BK].to_pylist(), k[SIDE].to_pylist()):
+            counts[bk, s] = counts.get((bk, s), 0) + 1
+    salts = _count_plan(counts, budget, selfjoin, floor=0) or None
+    emitted = pa.concat_tables(
+        _emit_batches(strategy, side, "id", ["w"], salts)(t) for (side, _), t in zip(sides, tables)
+    )
+    score = _make_partition_scorer({
+        "method": method, "max_distance": d, "q": 2, "max_prefix": 0, "prefix_weight": 0.0,
+        "selfjoin": selfjoin, "left_keys": ["w"], "right_keys": ["w"],
+        "allpairs_salts": (3, 2), "ckpt_parts": ckpt,
+    })
+    part = partition_ids([emitted.column(BK)], nparts)
+    return [score(emitted.filter(pa.array(part == p))) for p in range(nparts)], salts
+
+
+def _edges(tables):
+    return sorted(
+        (e["__fj_lid"], e["__fj_rid"], round(e["__fj_d0"], 9))
+        for t in tables for e in t.to_pylist()
+    )
+
+
+@pytest.mark.parametrize("method,d", _FAMILY_CASES)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    L=_fam_corpus, R=_fam_corpus, dups=st.integers(0, 4),
+    budget=st.integers(1, 8), nparts=st.integers(1, 4),
+)
+def test_partition_scorer_two_table_equals_broadcast(method, d, L, R, dups, budget, nparts):
+    """Two-table edges of the partition scorer, salted under a small
+    pair budget (duplicate rows make hot blocks), equal the broadcast
+    scorer's."""
+    from fozziejoin_ray.blocking.strategies import strategy_for
+    from fozziejoin_ray.joins import string_join as sj
+    from fozziejoin_ray.semantics import canon_method
+
+    L = L + L[:1] * dups
+    R = R + L[:dups]
+    got, _ = _inprocess_blocked(L, R, method, d, budget, nparts)
+    m = canon_method(method)
+    score = {"method": m, "max_distance": d, "q": 2, "max_prefix": 0, "prefix_weight": 0.0}
+    rt = pa.table({"id": list(range(len(R))), "w": pa.array(R, pa.string())})
+    index = sj.RightStringIndex(rt, "id", [("w", "w")], strategy_for(m, d, 2))
+    lt = pa.table({"id": list(range(len(L))), "w": pa.array(L, pa.string())})
+    want = sj.BroadcastStringScorer(index, {"by": [("w", "w")], "lid": "id", "score": score})(lt)
+    assert _edges(got) == _edges([want])
+
+
+@pytest.mark.parametrize("method,d", _FAMILY_CASES)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    vals=_fam_corpus, dups=st.integers(0, 5), budget=st.integers(1, 8),
+    nparts=st.integers(1, 4), str_ids=st.booleans(),
+)
+def test_partition_scorer_selfjoin_equals_bruteforce(
+    method, d, vals, dups, budget, nparts, str_ids
+):
+    """Self-join edges of the partition scorer (salt triangles under a
+    small pair budget; integer or string ids) equal an all-pairs brute
+    force: each unordered id pair once, as id_a < id_b."""
+    from fozziejoin_ray.semantics import canon_method
+
+    vals = vals + vals[:1] * dups
+    n = len(vals)
+    ids = [f"r{i:02d}" for i in range(n)] if str_ids else list(range(n))
+    got, _ = _inprocess_blocked(vals, None, method, d, budget, nparts, ids=ids)
+    ia, ib = np.triu_indices(n, k=1)
+    dist = score_pairs(canon_method(method), [vals[i] for i in ia], [vals[j] for j in ib], q=2)
+    keep = dist <= d
+    want = sorted(
+        (ids[a], ids[b], round(float(x), 9)) for a, b, x in zip(ia[keep], ib[keep], dist[keep])
+    )
+    assert _edges(got) == want
+
+
+def test_partition_scored_in_slabs_not_blocks(monkeypatch):
+    """A partition is scored in at most ceil(pairs / SLAB_PAIRS) calls of
+    score_candidates (one per two-sided block before), where pairs are
+    its blocks' expanded value pairs; a tiny slab splits it into many
+    calls with the same edges. Each edge's checkpoint column is the
+    partition of the block that owns it: for lv <= 1 on short values,
+    the D-block of the pair's smallest shared deletion variant."""
+    import math
+
+    import pandas as pd
+
+    from fozziejoin_ray.blocking.strategies import _deletion_variants, strategy_for
+    from fozziejoin_ray.exchange import partition_ids
+    from fozziejoin_ray.joins import blocked
+    from fozziejoin_ray.joins import string_join as sj
+
+    rng = np.random.default_rng(7)
+    L = ["".join(rng.choice(list("abcde"), rng.integers(2, 7))) for _ in range(80)]
+    R = [w[:-1] + "e" if i % 2 else w for i, w in enumerate(L[:60])] + L[60:]
+    calls = []
+    real = blocked.score_candidates
+
+    def spy(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(blocked, "score_candidates", spy)
+    nparts = 3
+    parts, _ = _inprocess_blocked(L, R, "lv", 1, 10**9, nparts, ckpt=(5, "part"))
+    assert sum(t.num_rows for t in parts) > 80
+    # each partition's two-sided blocks and their distinct value pairs
+    strategy = strategy_for("lv", 1, 2)
+    lk, rk = (
+        pd.Series(strategy.emit_unique(np.unique(v).astype(object), s)[1]).value_counts()
+        for v, s in ((L, "left"), (R, "right"))
+    )
+    both = sorted(set(lk.index) & set(rk.index))
+    assert len(both) > 10 * nparts  # many blocks per partition
+    bpart = partition_ids([pa.array(both, pa.string())], nparts)
+    pairs = np.bincount(bpart, [lk[b] * rk[b] for b in both], minlength=nparts)
+    assert len(calls) <= sum(math.ceil(p / sj.SLAB_PAIRS) for p in pairs) == nparts
+
+    for t in parts:
+        for e in t.to_pylist():
+            a, b = L[e["__fj_lid"]], R[e["__fj_rid"]]
+            own = min(set(_deletion_variants(a, 1)) & set(_deletion_variants(b, 1)))
+            assert e["part"] == partition_ids([pa.array(["D" + own])], 5)[0]
+
+    calls.clear()
+    monkeypatch.setattr(sj, "SLAB_PAIRS", 5)
+    small, _ = _inprocess_blocked(L, R, "lv", 1, 10**9, nparts, ckpt=(5, "part"))
+    assert len(calls) > 2 * nparts
+    assert sorted(map(str, (r for t in small for r in t.to_pylist()))) == sorted(
+        map(str, (r for t in parts for r in t.to_pylist()))
+    )

@@ -380,6 +380,20 @@ def test_embedding_dup_pairs():
     assert all(r["a"] < r["b"] for r in pairs)
 
 
+@pytest.mark.parametrize("etype", [pa.list_(pa.float64(), 4), pa.list_(pa.float64())])
+def test_embedding_scorers_on_empty_table(etype):
+    """A typed 0-row table has no duplicate pairs and no top-k rows."""
+    from fozziejoin_ray.pipelines.ann import _embed_matrix
+
+    t = pa.table({"vec_id": pa.array([], pa.int64()), "embedding": pa.array([], etype)})
+    dim = 4 if pa.types.is_fixed_size_list(etype) else 0
+    assert _embed_matrix(t, "embedding").shape == (0, dim)
+    ds = rd.from_arrow(t)
+    assert embedding_dup_pairs(ds, threshold=0.9).take_all() == []
+    Q = np.ones((1, 4))
+    assert ann_topk(ds, Q, [0], k=2).take_all() == []
+
+
 def test_topk_similar_pairs_exact_vs_numpy():
     from fozziejoin_ray.pipelines.ann import topk_similar_pairs
 
