@@ -11,8 +11,8 @@ Two paths:
 - **alternating large-star / small-star rounds** (Kiveris et al.,
   "Connected Components in MapReduce and Beyond"; cf. BTS, ICDE 2024,
   PAPERS.md) for big graphs. Each half-round is ONE stateless
-  ``map_batches`` (emit directed pairs) plus ONE ``groupby(center)``
-  ``map_groups`` that rewires neighbors to the group minimum — no joins
+  ``map_batches`` (emit directed pairs) plus ONE ``exchange()`` on the
+  center that rewires neighbors to the group minimum — no joins
   anywhere, so every round is a single all-to-all exchange. Edges only
   ever point to smaller labels, rounds are idempotent under retry, and
   the edge multiset reaches a fixpoint (detected by an order-insensitive
@@ -350,7 +350,7 @@ def connected_components(
         )
 
     for _ in range(max(0, contract_rounds)):
-        e = _contract_round(e, num_partitions).materialize()
+        e = _contract_round(e, num_partitions)
         n2 = e.count()
         if driver_threshold is not None and n2 <= driver_threshold:
             return _driver_union_find_batches(
@@ -364,8 +364,8 @@ def connected_components(
         n = n2
     prev = _edges_checksum(e)
     for _ in range(max_iters):
-        e = _star_round(e, "large", num_partitions).materialize()
-        e = _star_round(e, "small", num_partitions).materialize()
+        e = _star_round(e, "large", num_partitions)
+        e = _star_round(e, "small", num_partitions)
         chk = _edges_checksum(e)
         if chk == prev:
             break

@@ -1,10 +1,11 @@
 """The one hash-partitioned exchange primitive.
 
 Every join, dedup, aggregation and clustering stage that co-locates
-rows by key is the same step: tag each row with ``hash(keys) % P``,
-then ``groupby(tag).map_groups(fn)``. This module owns both halves:
+rows by key is the same step: send each row to partition
+``hash(keys) % P``, then map each partition with ``fn``. This module
+owns both halves:
 
-- :func:`partition_ids` computes the tag from Arrow columns, by type,
+- :func:`partition_ids` computes the id from Arrow columns, by type,
   with no per-row Python. The id is a pure function of the logical key
   tuple, never of a block's physical dtype: ints of any width, bools
   and whole-number floats hash as int64, so the int64 key 7 and the
@@ -15,11 +16,14 @@ then ``groupby(tag).map_groups(fn)``. This module owns both halves:
   persisted LSH index ``__part``, the checkpoint resume tags and
   ``hash_join``'s partitions were written with. Multi-column keys fold
   per-column hashes with ``h * 1000003 ^ hc``.
-- :func:`exchange` tags rows, runs the sort-shuffle groupby and hands
-  ``fn`` each partition without the tag column. Stages that produce
-  their partials in pandas do not tag them: the helper tags their
-  output from its Arrow form, where a null-degraded float64 key is
-  again a whole number.
+- :func:`exchange` is a two-stage shuffle of plain Ray tasks, with no
+  sort: one task per input block splits it by :func:`partition_ids`
+  into ``P`` slices and counts them, then one task per non-empty
+  partition concatenates its slices and calls ``fn`` once. Its cost
+  follows the blocks and partitions it moves, not a sort's sample and
+  fan-outs. Stages that produce their partials in pandas need no tag
+  of their own: the split task hashes each block's Arrow form, where a
+  null-degraded float64 key is again a whole number.
 
 Sites that deliver to actors, filter or tag by partition, or name a
 partition's files (PageRank ownership, the checkpoint filters and
@@ -37,10 +41,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
+from ray.data._internal.arrow_ops.transform_pyarrow import concat
 from ray.data.block import BlockAccessor
 
-_TAG = "__xp"
 _FOLD = np.uint64(1000003)
 _NULL = np.uint64(0x2545F4914F6CDD1D)
 _I63 = float(2**63)
@@ -106,6 +111,29 @@ def partition_ids(cols: Sequence[pa.Array | pa.ChunkedArray], num_partitions: in
     return (h % np.uint64(num_partitions)).astype(np.int64)
 
 
+@ray.remote
+def _split(block, keys: list[str], num_partitions: int):
+    """Map side: a block's ``num_partitions`` slices, in partition order,
+    then its per-partition row counts."""
+    t = BlockAccessor.for_block(block).to_arrow()
+    ids = partition_ids([t.column(k) for k in keys], num_partitions)
+    order = np.argsort(ids, kind="stable")
+    bounds = np.searchsorted(ids[order], np.arange(num_partitions + 1))
+    slices = [t.take(order[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return (*slices, np.diff(bounds))
+
+
+@ray.remote
+def _reduce(fn: Callable, batch_format: str, *pieces: pa.Table) -> pa.Table:
+    """Reduce side: one partition's slices, concatenated with the type
+    promotion of Ray's own sort reduce (an int64 slice of one block and
+    the float64 slice of a null-degraded pandas block become float64),
+    mapped once by ``fn``."""
+    t = concat(list(pieces), promote_types=True)
+    out = fn(BlockAccessor.for_block(t).to_batch_format(batch_format))
+    return BlockAccessor.for_block(BlockAccessor.batch_to_block(out)).to_arrow()
+
+
 def exchange(
     ds: rd.Dataset | Sequence[rd.Dataset],
     keys: str | Sequence[str],
@@ -114,26 +142,31 @@ def exchange(
     *,
     batch_format: str,
 ) -> rd.Dataset:
-    """Co-locate the rows of ``ds`` (a Dataset, or several unioned after
-    tagging, so each tag fuses into its input's last map) by ``keys`` in
-    ``num_partitions`` hash partitions and map each partition with
-    ``fn`` (a ``batch_format`` batch of every row of the partition, tag
-    column removed). One sort-shuffle; a partition holds all rows of
-    each of its key tuples and may hold several tuples."""
+    """Co-locate the rows of ``ds`` (a Dataset, or the union of several)
+    by ``keys`` in ``num_partitions`` hash partitions and map each
+    non-empty partition once with ``fn`` (a ``batch_format`` batch of
+    every row of the partition); a partition holds all rows of each of
+    its key tuples and may hold several tuples. Two stages of plain Ray
+    tasks, no sort: one split task per non-empty input block, then one
+    ``fn`` task per non-empty partition. A barrier: the input runs here,
+    at the call, and the result is materialized, one Arrow block per
+    non-empty partition in partition order."""
     keys = [keys] if isinstance(keys, str) else list(keys)
-
-    def tag(t: pa.Table) -> pa.Table:
-        ids = partition_ids([t.column(k) for k in keys], num_partitions)
-        return t.append_column(_TAG, pa.array(ids))
-
-    def run(t: pa.Table):
-        # drop the tag before Ray's own batch conversion: no pandas copy
-        return fn(BlockAccessor.for_block(t.drop_columns([_TAG])).to_batch_format(batch_format))
-
-    # Dataset.stats() names the operator after the partition function
-    run.__name__ = getattr(fn, "__name__", run.__name__)
-
     inputs = [ds] if isinstance(ds, rd.Dataset) else list(ds)
-    tagged = [d.map_batches(tag, batch_format="pyarrow") for d in inputs]
-    unioned = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return unioned.groupby(_TAG).map_groups(run, batch_format="pyarrow")
+    unioned = inputs[0].union(*inputs[1:]) if len(inputs) > 1 else inputs[0]
+    split = _split.options(num_returns=num_partitions + 1)
+    parts = [
+        split.remote(ref, keys, num_partitions)
+        for bundle in unioned.iter_internal_ref_bundles()
+        for ref, meta in zip(bundle.block_refs, bundle.metadata)
+        if meta.num_rows != 0
+    ]
+    counts = ray.get([p[-1] for p in parts])
+    # the task name shows the partition function in Ray's timeline
+    reduce = _reduce.options(name=f"exchange.{getattr(fn, '__name__', 'fn')}")
+    outs = []
+    for p in range(num_partitions):
+        pieces = [refs[p] for refs, c in zip(parts, counts) if c[p]]
+        if pieces:
+            outs.append(reduce.remote(fn, batch_format, *pieces))
+    return rd.from_arrow_refs(outs)

@@ -197,7 +197,7 @@ def hash_join(
     right_only = not left_in_out  # right_semi / right_anti emit right cols
 
     def join_part(t: pa.Table) -> pa.Table:
-        # Ray's sort shuffle can degrade an all-null int64 column to
+        # an exchange partition can hold an all-null int64 column as
         # arrow `null` type when a partition holds rows from ONE side
         # only (observed at num_partitions > distinct-key spread); pin
         # the unified schema before Acero sees the table — it rejects

@@ -263,6 +263,9 @@ def fuzzy_interval_join(
         raise ValueError(f"Unknown overlap type: {overlap_type}")
     if interval_mode not in ("auto", "real", "integer"):
         raise ValueError(f"unknown interval_mode {interval_mode!r}")
+    # the plan fans the right side out (its schema, the tile-width sample,
+    # the long-tail collect, the tiled emission, the assembly): run it once
+    right = right.materialize()
     by = normalize_by(by, left, right)
     if len(by) != 2:
         raise ValueError("Expected exactly two columns for interval matching (start and end)")

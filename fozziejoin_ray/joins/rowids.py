@@ -59,9 +59,10 @@ def exceeds_rows(ds: rd.Dataset, threshold: int) -> bool:
 
 def assert_unique_ids(ds: rd.Dataset, id_col: str) -> None:
     """Raise ValueError if ``id_col`` carries duplicates — one
-    ``groupby().count()`` probe (a sort shuffle of the single id column),
-    early-stopped at the first duplicates found. Opt-in insurance against
-    the silent row multiplication a non-unique id causes in join assembly."""
+    ``groupby().count()`` probe, a sort shuffle of the single id column.
+    The shuffle is a barrier: the whole column is sorted before the first
+    five duplicates are taken. Opt-in insurance against the silent row
+    multiplication a non-unique id causes in join assembly."""
     counts = (
         ds.select_columns([id_col])
         .groupby(id_col)

@@ -103,7 +103,7 @@ def pmi_collocations(
     counts = exchange(
         ds.map_batches(partial, batch_format="pyarrow"), "w1", num_partitions, merge,
         batch_format="pandas",
-    ).materialize()
+    )
 
     # driver-side aggregates: unigram table (vocabulary-bounded) + the
     # two normalizers; bigram rows never leave the cluster

@@ -877,7 +877,7 @@ def remove_dup_spans(
     dup_h = exchange(
         ds.map_batches(partial_counts, batch_format="pyarrow"), "gram", num_partitions,
         dup_hashes, batch_format="pandas",
-    ).materialize()
+    )
     auto_selected = strategy == "auto"
     if auto_selected:
         strategy = "broadcast" if dup_h.count() <= max_broadcast_hashes else "shuffle"

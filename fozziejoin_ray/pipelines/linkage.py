@@ -240,7 +240,7 @@ def match_edges(
     # key gets a representative (min doc id); duplicates connect to their
     # representative with zero-distance edges, and scoring runs once per
     # distinct value pair.
-    doc_rep = _key_rep_rows(keys, num_partitions).materialize()
+    doc_rep = _key_rep_rows(keys, num_partitions)
     identity_edges = doc_rep.map_batches(
         lambda t: (
             lambda m: pa.table(

@@ -136,7 +136,7 @@ def write_linkage_lsh_index(labelled: rd.Dataset, index_dir: str, *, num_partiti
         num_partitions,
         write_part,
         batch_format="pyarrow",
-    ).count()
+    )
     with open(os.path.join(index_dir, _META), "w") as f:
         json.dump(meta, f)
     return meta

@@ -282,7 +282,7 @@ def group_hll_distinct(
     Scale shape: every batch reduces to ONE ``m = 2**p``-byte register
     row per key present in the batch (np.maximum.at over the composite
     (group, register) index — vectorized), then a single key exchange
-    merges rows by elementwise max inside ``map_groups``. Exchange
+    merges rows by elementwise max in each exchange partition. Exchange
     volume: m bytes per (batch, key), never per row. Output:
     ``(keys..., out_col)``. NULL values ignored; NULL keys group
     together."""

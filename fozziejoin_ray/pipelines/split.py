@@ -27,7 +27,7 @@ _M = np.uint64(2147483647)
 _BASE = 131
 _BUCKETS = 10_000
 # sample_per_group's exchange width (hash partitions, each holding many
-# groups: one map_groups call per partition, not per group)
+# groups: one partition-function call per partition, not per group)
 _GROUP_PARTITIONS = 32
 
 
@@ -298,9 +298,8 @@ def sample_per_group(
         )
         return _keep_k_per_run(srt).drop_columns(["__spg_h"])
 
-    # exchange on the group's partition hash, never the raw group values:
-    # Ray's sort-shuffle cannot order None-vs-str groups. A partition
-    # holds several groups; `final` separates them by value
+    # a partition holds several groups (None and str among them);
+    # `final` separates them by value
     cand = ds.map_batches(prune, batch_format="pyarrow")
     return exchange(cand, group_col, _GROUP_PARTITIONS, final, batch_format="pyarrow")
 

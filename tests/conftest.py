@@ -36,3 +36,25 @@ def _hang_watchdog():
             faulthandler.cancel_dump_traceback_later()
     else:
         yield
+
+
+@pytest.fixture
+def spy_exchange(monkeypatch):
+    """``spy_exchange(hook)`` runs ``hook(*args, **kwargs)`` before every
+    ``exchange()`` call of the test: in each loaded package module that
+    bound the name, and in the modules that import it later."""
+
+    def install(hook):
+        from fozziejoin_ray import exchange as xmod
+
+        orig = xmod.exchange
+
+        def spy(*a, **kw):
+            hook(*a, **kw)
+            return orig(*a, **kw)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("fozziejoin_ray") and getattr(mod, "exchange", None) is orig:
+                monkeypatch.setattr(mod, "exchange", spy)
+
+    return install

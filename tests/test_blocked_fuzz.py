@@ -200,8 +200,9 @@ def test_keys_only_emission_is_the_full_emissions_keys(vals, side, d):
 
 def test_blocked_full_join_is_one_exchange(monkeypatch):
     """A blocked full join of two small materialized tables makes one
-    exchange (the score exchange) and no groupby().count(): the salt plan
-    is a census and all four assembly joins broadcast."""
+    exchange (the score exchange), no Dataset.groupby and no
+    groupby().count(): the salt plan is a census and all four assembly
+    joins broadcast."""
     from ray.data.grouped_data import GroupedData
 
     from fozziejoin_ray.joins import blocked, hashjoin
@@ -234,7 +235,7 @@ def test_blocked_full_join_is_one_exchange(monkeypatch):
     count(rd.Dataset, "groupby", "groupby")
     count(GroupedData, "count", "count")
     assert join("blocked") == want
-    assert calls == {"exchange": 1, "groupby": 1, "count": 0}
+    assert calls == {"exchange": 1, "groupby": 0, "count": 0}
 
 
 # ------------------------------------------- both plans vs brute force

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fozziejoin_ray.exchange import partition_ids
@@ -322,13 +323,12 @@ def test_no_hand_rolled_collects():
 
 # ------------------------------------------------------- raw groupby guard
 
-# The only groupby-map_groups sites outside exchange(): each scores or
+# The only groupby-map_groups sites (exchange() runs none): each scores or
 # writes one group (an IVF or centroid bucket, a cluster, a packing
 # bucket, a blocking-stats key, a checkpoint partition, a PageRank
 # owner) rather than a hash partition of several keys. New co-location
 # goes through exchange().
 _GROUP_MAPS = {
-    ("exchange.py", "exchange"),
     ("pipelines/ann.py", "ivf_topk"),
     ("pipelines/ann.py", "embedding_dup_pairs_bucketed"),
     ("pipelines/ann.py", "semdedup"),
@@ -340,11 +340,11 @@ _GROUP_MAPS = {
 
 
 def test_no_raw_map_groups():
-    """Every ``.map_groups(`` in the package is exchange()'s own or one
-    of the allowed per-group sites."""
+    """Every ``.map_groups(`` in the package is one of the allowed
+    per-group sites."""
     calls = list(_attr_calls({"map_groups"}))
     stray = [f"{m}:{ln} in {fn}()" for (m, fn), ln in calls if (m, fn) not in _GROUP_MAPS]
-    assert not stray, "map_groups outside exchange(): " + ", ".join(stray)
+    assert not stray, "map_groups outside the allowed sites: " + ", ".join(stray)
     assert {site for site, _ in calls} == _GROUP_MAPS, "stale allowlist entries"
 
 
@@ -378,3 +378,149 @@ def test_public_joins_take_no_plan_knobs():
                 continue
             params = set(inspect.signature(fn).parameters)
             assert not params & _PLAN_KNOBS, (mod.__name__, name, params & _PLAN_KNOBS)
+
+
+# ------------------------------------------------------ exchange() itself
+
+
+def _key_block(kind: str, ids: list, keys: list):
+    """One input block of rows ``(id, k)``. Arrow kinds: "int" (int64
+    keys, nulls dropped), "float" (float64, nullable), "null" (an
+    all-null, null-typed key column); "pandas": a pandas block, whose
+    null keys degrade the column to float64 (NaN) or, all null, object."""
+    if kind == "int":
+        ids, keys = [i for i, k in zip(ids, keys) if k is not None], [k for k in keys if k is not None]
+        return pa.table({"id": pa.array(ids, pa.int64()), "k": pa.array(keys, pa.int64())})
+    if kind == "float":
+        return pa.table({"id": pa.array(ids, pa.int64()), "k": pa.array(keys, pa.float64())})
+    if kind == "null":
+        return pa.table({"id": pa.array(ids, pa.int64()), "k": pa.nulls(len(ids))})
+    return pd.DataFrame({"id": pd.Series(ids, dtype="int64"), "k": keys})
+
+
+def _tag_rows(empty: bool):
+    """Partition functions, pyarrow and pandas: each row tagged with the
+    smallest id of its batch (or no rows); every batch must hold rows."""
+
+    def arrow(t: pa.Table) -> pa.Table:
+        assert t.num_rows
+        if empty:
+            return pa.table({"id": pa.array([], pa.int64()), "first": pa.array([], pa.int64())})
+        first = pa.array(np.full(t.num_rows, pa.compute.min(t["id"]).as_py()), pa.int64())
+        return pa.table({"id": t["id"], "first": first})
+
+    def pandas(df: pd.DataFrame) -> pd.DataFrame:
+        assert len(df)
+        out = df[["id"]].assign(first=df["id"].min())
+        return out.iloc[:0] if empty else out
+
+    return {"pyarrow": arrow, "pandas": pandas}
+
+
+_block_draw = st.tuples(
+    st.sampled_from(["int", "float", "null", "pandas"]),
+    st.lists(st.one_of(st.none(), st.integers(-3, 40)), max_size=6),
+)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+@given(
+    st.lists(_block_draw, min_size=1, max_size=64),
+    st.integers(1, 3),
+    st.booleans(),
+    st.sampled_from([1, 3, 8]),
+    st.sampled_from(["pyarrow", "pandas"]),
+    st.booleans(),
+)
+def test_exchange_equals_groupby_by_partition_ids(blocks, n_ds, as_list, nparts, fmt, empty):
+    """exchange() of 1-64 blocks (empty ones among them; int64, float64,
+    all-null and pandas keys in one input; one Dataset or several) calls
+    its function once per non-empty partition, on exactly the rows a
+    pandas groupby on ``partition_ids`` of the logical key puts together."""
+    import ray.data as rd
+
+    from fozziejoin_ray.exchange import exchange
+
+    # ids count drawn rows, not kept ones: an int block drops its null
+    # rows, and every id must stay unique for the groupby on "first"
+    ids, keys, made, drawn = [], [], [], 0
+    for kind, ks in blocks:
+        bid = list(range(drawn, drawn + len(ks)))
+        drawn += len(ks)
+        block = _key_block(kind, bid, ks)
+        made.append(block)
+        kept = block["id"].to_pylist() if kind == "int" else bid
+        ids += kept
+        keys += [None if kind == "null" else k for i, k in zip(bid, ks) if i in set(kept)]
+    cuts = sorted({0, len(made), *(len(made) * j // n_ds for j in range(1, n_ds))})
+    groups = [made[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    # one Dataset per run of one block format, inside each drawn group
+    inputs = []
+    for g in groups:
+        run = [g[0]]
+        for b in g[1:]:
+            if isinstance(b, pd.DataFrame) == isinstance(run[0], pd.DataFrame):
+                run.append(b)
+            else:
+                inputs.append(run)
+                run = [b]
+        inputs.append(run)
+    dss = [rd.from_pandas(r) if isinstance(r[0], pd.DataFrame) else rd.from_arrow(r) for r in inputs]
+    ds = dss if len(dss) > 1 or as_list else dss[0]
+
+    out = exchange(ds, "k", nparts, _tag_rows(empty)[fmt], batch_format=fmt).to_pandas()
+    logical = pa.array([None if k is None else float(k) for k in keys], pa.float64())
+    ref = pd.DataFrame({"id": ids, "p": partition_ids([logical], nparts)})
+    want = {frozenset(g["id"]) for _, g in ref.groupby("p")}
+    if empty or not ids:
+        assert len(out) == 0
+        return
+    assert sorted(out["id"]) == sorted(ids)
+    assert {frozenset(g["id"]) for _, g in out.groupby("first")} == want
+
+
+@pytest.mark.parametrize("n_blocks", [2, 64])
+def test_exchange_width_is_nonempty_partitions(n_blocks):
+    """At P = 8 the partition function runs once per non-empty partition,
+    whatever the input's block count."""
+    import ray.data as rd
+
+    from fozziejoin_ray.exchange import exchange
+
+    t = pa.table({"k": np.arange(4096) % 100})
+    step = t.num_rows // n_blocks
+    ds = rd.from_arrow([t.slice(i * step, step) for i in range(n_blocks)])
+    want = len(np.unique(partition_ids([t["k"]], 8)))
+    out = exchange(ds, "k", 8, lambda b: pa.table({"n": [b.num_rows]}), batch_format="pyarrow")
+    assert out.num_blocks() == want == out.count()
+    assert out.sum("n") == t.num_rows
+
+
+def test_exchange_emits_only_partition_function_blocks():
+    """With fewer distinct keys than partitions no empty partition
+    reaches the function and every output block carries its schema: no
+    column-less empty blocks."""
+    import ray
+    import ray.data as rd
+
+    from fozziejoin_ray.exchange import exchange
+
+    t = pa.table({"k": [5, 5, 9, 9, 9], "v": [1.0, 2.0, 3.0, 4.0, 5.0]})
+    ds = rd.from_arrow([t.slice(0, 3), t.slice(3), t.slice(0, 0)])
+
+    def total(df: pd.DataFrame) -> pd.DataFrame:
+        assert len(df)
+        return pd.DataFrame({"k": [df["k"].iloc[0]], "v": [df["v"].sum()]})
+
+    out = exchange(ds, "k", 8, total, batch_format="pandas")
+    blocks = [ray.get(r) for b in out.iter_internal_ref_bundles() for r in b.block_refs]
+    assert len(blocks) == len(np.unique(partition_ids([t["k"]], 8)))
+    assert all(b.column_names == ["k", "v"] and b.num_rows for b in blocks)
+    assert sorted(out.take_all(), key=lambda r: r["k"]) == [{"k": 5, "v": 3.0}, {"k": 9, "v": 12.0}]
+
+
+def test_exchange_is_sort_free():
+    """exchange() co-locates with plain tasks: no groupby, sort,
+    map_groups or repartition in its module."""
+    shuffles = {"groupby", "sort", "sort_by", "map_groups", "repartition"}
+    assert not [ln for (mod, _), ln in _attr_calls(shuffles) if mod == "exchange.py"]

@@ -402,16 +402,24 @@ def test_broadcast_equals_shuffle_fuzz(how, lrows, rrows, rk_float, composite, e
 
 def test_broadcast_rule_by_mode(monkeypatch):
     """A small materialized side is broadcast only where the mode allows
-    it (no exchange: no groupby), and a lazy side is never measured."""
+    it (no exchange), a lazy side is never measured, and no mode runs a
+    Dataset.groupby."""
     from fozziejoin_ray.joins import hashjoin as hj
 
     calls = []
-    orig = rd.Dataset.groupby
+    groupbys = []
+    orig = hj.exchange
+    orig_groupby = rd.Dataset.groupby
+
+    def exchange(*a, **kw):
+        calls.append(1)
+        return orig(*a, **kw)
 
     def groupby(self, *a, **kw):
-        calls.append(1)
-        return orig(self, *a, **kw)
+        groupbys.append(1)
+        return orig_groupby(self, *a, **kw)
 
+    monkeypatch.setattr(hj, "exchange", exchange)
     monkeypatch.setattr(rd.Dataset, "groupby", groupby)
     small = rd.from_arrow(LEFT)
     lazy = rd.from_arrow(RIGHT).map_batches(lambda t: t, batch_format="pyarrow")
@@ -426,3 +434,4 @@ def test_broadcast_rule_by_mode(monkeypatch):
         # only the materialized left may broadcast: inner and right_* modes
         assert shuffled[how, "lazy_right"] == (how not in ("inner", "right_outer", "right_semi", "right_anti")), how
     assert hj.broadcast_bytes(lazy) is None
+    assert not groupbys

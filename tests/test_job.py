@@ -109,17 +109,17 @@ def _nightly(tmp_path):
     ])
 
 
-def test_nightly_is_one_pass(tmp_path, capsys, monkeypatch):
+def test_nightly_is_one_pass(tmp_path, capsys, monkeypatch, spy_exchange):
     """The nightly run extracts keys and runs the value-dedup exchange
     once each, and writes clusters, keys and index from the keyed label
-    join: 3 groupby exchanges outside connected components (rep
-    exchange, LSH bucket exchange, index write). The label join
+    join: 3 exchanges outside connected components (rep exchange, LSH
+    bucket exchange, index write) and no Dataset.groupby. The label join
     broadcasts the driver-side components' small materialized labels."""
     import ray.data as rd
 
     from fozziejoin_ray.pipelines import linkage
 
-    calls = {"extract_keys": 0, "_key_rep_rows": 0, "groupby": 0}
+    calls = {"extract_keys": 0, "_key_rep_rows": 0, "exchange": 0, "groupby": 0}
     in_cc = [False]
 
     def counted(name):
@@ -150,9 +150,14 @@ def test_nightly_is_one_pass(tmp_path, capsys, monkeypatch):
         return orig_groupby(self, *a, **kw)
 
     monkeypatch.setattr(rd.Dataset, "groupby", groupby)
+
+    def exchanged(*a, **kw):
+        calls["exchange"] += not in_cc[0]
+
+    spy_exchange(exchanged)
     assert _nightly(tmp_path) == 0
     capsys.readouterr()
-    assert calls == {"extract_keys": 1, "_key_rep_rows": 1, "groupby": 3}
+    assert calls == {"extract_keys": 1, "_key_rep_rows": 1, "exchange": 3, "groupby": 0}
 
 
 def _index_rows(d):

@@ -457,3 +457,37 @@ def test_interval_blocked_heavy_tail_two_level():
     n_short = int((lens <= 10.0).sum())
     assert cut.num_rows <= 2 * n_short
     assert full.num_rows > 3 * cut.num_rows
+
+
+@pytest.mark.parametrize("strategy", ["broadcast", "blocked"])
+def test_interval_lazy_right_read_once(strategy):
+    """A lazy right side runs once, however many times the plan reads it:
+    a row-counting map over 2,000 right rows counts 2,000."""
+    import ray
+
+    @ray.remote
+    class Rows:
+        def __init__(self):
+            self.n = 0
+
+        def add(self, n):
+            self.n += n
+
+        def total(self):
+            return self.n
+
+    rows = Rows.remote()
+
+    def count(t: pa.Table) -> pa.Table:
+        ray.get(rows.add.remote(t.num_rows))
+        return t
+
+    rng = np.random.default_rng(7)
+    rs, ls = rng.uniform(0, 1000, 2000), rng.uniform(0, 1000, 200)
+    right = rd.from_arrow(pa.table({"s": rs, "e": rs + rng.uniform(0, 8, 2000)}))
+    left = rd.from_arrow(pa.table({"s": ls, "e": ls + 4.0}))
+    out = fuzzy_interval_join(
+        left, right.map_batches(count, batch_format="pyarrow"), by=[("s", "s"), ("e", "e")], strategy=strategy
+    )
+    assert out.count() > 0
+    assert ray.get(rows.total.remote()) == 2000
