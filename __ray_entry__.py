@@ -1356,7 +1356,7 @@ def _blocking_stats_query(sf_dir: str):
 
 
 def _media_features_query(sf_dir: str):
-    """Actor-pool feature extraction over a media table derived from the
+    """Per-batch feature extraction over a media table derived from the
     documents corpus (payload = utf8 text bytes): the fake decode is
     exact integer arithmetic over crc32(payload), so the DuckDB oracle
     value-checks the features, not just the plumbing shape."""
@@ -2749,7 +2749,7 @@ def oracle_sql() -> dict[str, str]:
                     SELECT wr, U, {_sx_digits} AS D
                     FROM (SELECT wr, upper(regexp_replace(wr, '[^A-Za-z]', '', 'g')) AS U FROM tk)))
             SELECT wc.wl AS wl, tc.wr AS wr FROM wc JOIN tc ON wc.code = tc.code""",
-        # stopword-overlap language id (pipelines/text.py:LangId): best
+        # stopword-overlap language id (pipelines/text.py:_lang_id_batch): best
         # hit ratio with strict-greater updates == ORDER BY score DESC
         # then dict insertion order; zero hits -> 'und'
         "lang_id": rf"""

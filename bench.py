@@ -207,7 +207,7 @@ def q_dup_ngram():
 
 def q_lm_score():
     """Bigram-LM self-perplexity over the generated 120k-doc corpus:
-    model-build groupby + broadcast + actor-pool scoring."""
+    model-build groupby + broadcast + per-batch task scoring."""
     import ray.data as rd
 
     from fozziejoin_ray.pipelines.lm import lm_score

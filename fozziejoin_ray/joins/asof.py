@@ -21,10 +21,10 @@ Strategies:
 
 - "broadcast": the right (t, id, exact-key) columns are collected,
   grouped by exact key and time-sorted ONCE, shipped via ``ray.put``,
-  and an actor pool resolves each left batch with vectorized
-  searchsorted probes per exact-key group. Right side must fit the
-  object store — the natural shape when the right is a reference
-  series (prices, model versions, config changes).
+  and each left batch is a plain task that reads them and resolves its
+  rows with vectorized searchsorted probes per exact-key group. Right
+  side must fit the object store — the natural shape when the right is
+  a reference series (prices, model versions, config changes).
 - "blocked" (both sides huge; requires ``tolerance``): the time line is
   tiled at width ``tolerance`` and exchanged once — rights to their
   home tile, lefts to the 2 (backward/forward) or 3 (nearest) tiles
@@ -45,7 +45,7 @@ from ..semantics import F64_EPS, check_mode
 from .modes import normalize_by
 from .numeric_join import _numeric_np, run_plan
 from .rowids import collect_columns
-from .string_join import _ACTORS, LID, RID
+from .string_join import LID, RID
 
 _DIRECTIONS = ("backward", "forward", "nearest")
 # broadcast plan left batch size
@@ -164,29 +164,25 @@ def _resolve(idx: RightAsofIndex, codes, x, direction: str, tol: float | None):
     return pos, gap
 
 
-class BroadcastAsofScorer:
-    def __init__(self, index_ref, cfg: dict):
-        self.idx: RightAsofIndex = ray.get(index_ref)
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        idx = self.idx
-        x = _numeric_np(batch.column(cfg["lkey"]))
-        ek = [
-            batch.column(c).to_numpy(zero_copy_only=False) for c in cfg["l_exact"]
-        ]
-        codes = idx.lookup_codes(ek) if ek else np.zeros(len(x), np.int64)
-        pos, gap = _resolve(idx, codes, x, cfg["direction"], cfg["tolerance"])
-        hit = pos >= 0
-        lids = batch.column(cfg["lid"]).to_numpy(zero_copy_only=False)[hit]
-        return pa.table(
-            {
-                LID: pa.array(lids, type=batch.schema.field(cfg["lid"]).type),
-                RID: pa.array(idx.rids[pos[hit]], type=idx.rid_type),
-                "__fj_d0": pa.array(gap[hit], pa.float64()),
-            }
-        )
+def resolve_left_batch(
+    idx: RightAsofIndex, batch: pa.Table, lid: str, lkey: str, l_exact: list,
+    direction: str, tolerance: float | None,
+) -> pa.Table:
+    """The broadcast plan's per-batch task: each row of a left batch
+    matched to its winning right row in ``idx``; emits (lid, rid, gap)."""
+    x = _numeric_np(batch.column(lkey))
+    ek = [batch.column(c).to_numpy(zero_copy_only=False) for c in l_exact]
+    codes = idx.lookup_codes(ek) if ek else np.zeros(len(x), np.int64)
+    pos, gap = _resolve(idx, codes, x, direction, tolerance)
+    hit = pos >= 0
+    lids = batch.column(lid).to_numpy(zero_copy_only=False)[hit]
+    return pa.table(
+        {
+            LID: pa.array(lids, type=batch.schema.field(lid).type),
+            RID: pa.array(idx.rids[pos[hit]], type=idx.rid_type),
+            "__fj_d0": pa.array(gap[hit], pa.float64()),
+        }
+    )
 
 
 # ------------------------------------------------------------- blocked path
@@ -363,26 +359,21 @@ def fuzzy_asof_join(
                 direction, float(tolerance), num_partitions,
             )
         rt = collect_columns(right, [rid, rkey] + sorted(set(r_exact)))
-        index = RightAsofIndex(
-            _numeric_np(rt[rkey]),
-            rt[rid].to_numpy(zero_copy_only=False),
-            rt.schema.field(rid).type,
-            [rt[c].to_numpy(zero_copy_only=False) for c in r_exact],
+        index = ray.put(
+            RightAsofIndex(
+                _numeric_np(rt[rkey]),
+                rt[rid].to_numpy(zero_copy_only=False),
+                rt.schema.field(rid).type,
+                [rt[c].to_numpy(zero_copy_only=False) for c in r_exact],
+            )
         )
-        cfg = {
-            "lid": lid,
-            "lkey": lkey,
-            "l_exact": l_exact,
-            "direction": direction,
-            "tolerance": None if tolerance is None else float(tolerance),
-        }
+        tol = None if tolerance is None else float(tolerance)
+
+        def probe(batch: pa.Table) -> pa.Table:
+            return resolve_left_batch(ray.get(index), batch, lid, lkey, l_exact, direction, tol)
+
         return left.select_columns([lid, lkey] + sorted(set(l_exact))).map_batches(
-            BroadcastAsofScorer,
-            fn_constructor_args=(ray.put(index), cfg),
-            batch_format="pyarrow",
-            batch_size=_BATCH,
-            concurrency=_ACTORS,
-            num_cpus=1,
+            probe, batch_format="pyarrow", batch_size=_BATCH
         )
 
     return run_plan(

@@ -21,12 +21,16 @@ Predicate spec (exact mirror of the reference):
 Physical plans (numeric_join's frame and sorted-window kernel): the
 candidates of a left interval are the right intervals whose start lies
 in its expanded query ``[ls - g - max_len, le + g]``, with ``max_len``
-the longest right interval — the vectorized stand-in for the reference's
-shared interval tree (real.rs:68-88). :func:`interval_pairs` scores them
-for both plans:
+the longest right interval of the right's length class — the vectorized
+stand-in for the reference's shared interval tree (real.rs:68-88). The
+classes are the rights within the cutoff :func:`auto_tile_width`, the
+longer ones and the open-ended ones (an infinite endpoint), so a few
+long rights widen only their own class's windows.
+:func:`interval_pairs` scores the candidates for both plans:
 
 - broadcast: the right intervals are collected, start-sorted and
-  ``ray.put`` once; an actor pool streams left batches against them;
+  ``ray.put`` once; each left batch is a plain task that reads them and
+  probes each length class;
 - blocked (two huge sides): the number line is cut into tiles; a right
   goes to every tile it touches, a left to every tile of its expanded
   query, and the tiles meet in one ``exchange()``. A pair that meets in
@@ -104,37 +108,64 @@ def _expand(mode: str, maxgap: float) -> float:
     return maxgap + (1.0 if mode == "integer" else INTERVAL_EPS)
 
 
+def auto_tile_width(lens: np.ndarray, expand: float) -> float:
+    """The long-interval cutoff of both plans: 2x the p95 of the finite
+    right-interval lengths ``lens`` (1 without any), floored by the gap
+    window ``4 * expand``. The blocked plan tiles the number line at this
+    width and broadcasts the longer rights; the broadcast plan probes
+    them apart (:func:`interval_pairs`)."""
+    lens = lens[np.isfinite(lens)]
+    p95 = float(np.percentile(lens, 95)) if len(lens) else 1.0
+    return max(2.0 * p95, 4.0 * expand, 1e-6)
+
+
 def interval_pairs(
     lv: list, rv: list, blocks=None, *, mode, overlap_type, maxgap, minoverlap, tile_width=None
 ) -> list[np.ndarray]:
     """Interval-join pairs ``[lrow, rpos]`` of left intervals ``lv = [ls,
     le]`` and right intervals ``rv = [rs, re]`` (start-sorted, no NaN).
-    In the tiled plan ``blocks = (ltile, rtile)`` are the rows' tiles of
-    width ``tile_width``, and a pair is kept only where both its rows sit
-    in its canonical tile, so it is found once across tiles."""
+
+    The rights are probed in three length classes, each with windows
+    reaching back by its own longest interval: those no longer than
+    ``tile_width`` (None: :func:`auto_tile_width` of ``rv``), the longer
+    ones, and the open-ended ones. So one open-ended right adds at most
+    one candidate per left. In the tiled plan ``blocks = (ltile, rtile)``
+    are the rows' tiles of width ``tile_width``, and a pair is kept only
+    where both its rows sit in its canonical tile, so it is found once
+    across tiles."""
     ls, le = lv
     rs, re = rv
     if np.any(ls > le):  # NaN comparisons are False, so NA rows pass through unmatched
         raise ValueError("Invalid interval in left table: start > end")
     g = _expand(mode, maxgap)
     qlo, qhi = ls - g, le + g
-    max_len = float(np.fmax.reduce(re - rs, initial=0.0))  # [inf, inf] has a NaN length
+    lens = re - rs  # [inf, inf] has a NaN length; it is open-ended
+    if tile_width is None:
+        tile_width = auto_tile_width(lens, g)
+    is_open, is_long = _is_open(rs, re), lens > tile_width
     parts = []
-    for lrow, rpos in window_slabs(rs, qlo - max_len, qhi):
-        keep = interval_matches_flat(
-            ls[lrow],
-            le[lrow],
-            rs[rpos],
-            re[rpos],
-            mode=mode,
-            overlap_type=overlap_type,
-            maxgap=maxgap,
-            minoverlap=minoverlap,
-        )
-        if blocks is not None:
-            canon = grid_block(np.maximum(qlo[lrow], rs[rpos]), tile_width)
-            keep &= (canon == blocks[0][lrow]) & (canon == blocks[1][rpos])
-        parts.append((lrow[keep], rpos[keep]))
+    for cls in (~is_open & ~is_long, ~is_open & is_long, is_open):
+        sel = np.flatnonzero(cls)
+        if not len(sel):
+            continue
+        whole = len(sel) == len(rs)  # the usual single class needs no gathers
+        max_len = float(np.fmax.reduce(lens[sel], initial=0.0))
+        for lrow, spos in window_slabs(rs if whole else rs[sel], qlo - max_len, qhi):
+            rpos = spos if whole else sel[spos]
+            keep = interval_matches_flat(
+                ls[lrow],
+                le[lrow],
+                rs[rpos],
+                re[rpos],
+                mode=mode,
+                overlap_type=overlap_type,
+                maxgap=maxgap,
+                minoverlap=minoverlap,
+            )
+            if blocks is not None:
+                canon = grid_block(np.maximum(qlo[lrow], rs[rpos]), tile_width)
+                keep &= (canon == blocks[0][lrow]) & (canon == blocks[1][rpos])
+            parts.append((lrow[keep], rpos[keep]))
     return stack_slabs(parts, 0)
 
 
@@ -195,28 +226,24 @@ def _blocked_interval_edges(
 ) -> rd.Dataset:
     """Both-sides-large interval join: number-line tiles and the two
     broadcasts of the two-level split (module doc). ``tile_width`` auto =
-    2x the sampled p95 of the finite right-interval lengths, floored by
-    the gap window. Partitioning assumption: the long rights and the
-    open-ended lefts (not the body) fit the object store; a corpus where
-    most intervals are long wants a larger explicit ``tile_width``
-    instead."""
+    :func:`auto_tile_width` of a sample of the right-interval lengths.
+    Partitioning assumption: the long rights and the open-ended lefts
+    (not the body) fit the object store; a corpus where most intervals
+    are long wants a larger explicit ``tile_width`` instead."""
     lcols = [by[0][0], by[1][0]]
     rcols = [by[0][1], by[1][1]]
     expand = _expand(spec["mode"], spec["maxgap"])
     if tile_width is None:
         samp = collect_columns(right.limit(10_000), rcols)
         lens = _numeric_np(samp[rcols[1]]) - _numeric_np(samp[rcols[0]])
-        lens = lens[np.isfinite(lens)]
-        p95 = float(np.percentile(lens, 95)) if len(lens) else 1.0
-        tile_width = max(2.0 * p95, 4.0 * expand, 1e-6)
+        tile_width = auto_tile_width(lens, expand)
     tw = float(tile_width)
     emits = (
         _interval_emit(0, lid, *lcols, tw, expand),
         _interval_emit(1, rid, *rcols, tw, expand, skip_longer_than=tw),
     )
-    score = partial(interval_pairs, **spec)
-    tiled = partial(score, tile_width=tw)
-    edges = [block_edges(left, right, lid, rid, by, emits, tiled, num_partitions)]
+    score = partial(interval_pairs, **spec, tile_width=tw)
+    edges = [block_edges(left, right, lid, rid, by, emits, score, num_partitions)]
     # each pair once: tiled lefts x tiled rights above, every left x the
     # long rights, the open-ended lefts x the tiled rights
     long_rt = collect_columns(
@@ -232,6 +259,23 @@ def _blocked_interval_edges(
         short = right.map_batches(_where(rcols, lambda s, e: ~(e - s > tw)), batch_format="pyarrow")
         edges.append(broadcast_left_edges(short, open_lt, lid, rid, by, score, _BATCH))
     return edges[0].union(*edges[1:]) if len(edges) > 1 else edges[0]
+
+
+def _broadcast_interval_edges(
+    left: rd.Dataset, right: rd.Dataset, by, lid: str, rid: str, spec: dict
+) -> rd.Dataset:
+    """The broadcast plan: the right intervals collected, start-sorted
+    and ``ray.put`` once, and one pass over the left batches, each
+    probing every length class of :func:`interval_pairs` at the cutoff
+    :func:`auto_tile_width` of all right-interval lengths."""
+    rt = collect_columns(right, [rid, by[0][1], by[1][1]])
+    rs, re = _numeric_np(rt[by[0][1]]), _numeric_np(rt[by[1][1]])
+    bad = np.flatnonzero(rs > re)
+    if len(bad):
+        raise ValueError(f"Invalid interval in df2 at row {bad[0] + 1}: start > end")
+    tw = auto_tile_width(re - rs, _expand(spec["mode"], spec["maxgap"]))
+    score = partial(interval_pairs, **spec, tile_width=tw)
+    return broadcast_edges(left, rt, lid, rid, by, score, _BATCH)
 
 
 def fuzzy_interval_join(
@@ -254,10 +298,11 @@ def fuzzy_interval_join(
     """Ray-Data analog of ``fozzie_interval_join``
     (/root/reference/R/fozzie_interval_join.R:47-83).
 
-    ``strategy``: "broadcast" ships the start-sorted right intervals to
-    every scorer actor; "blocked" tiles the number line and exchanges
-    BOTH sides (the path for two huge inputs); "auto" picks blocked when
-    the right side has more than ``rowids.BROADCAST_ROWS`` rows."""
+    ``strategy``: "broadcast" puts the start-sorted right intervals in
+    the object store once, for every left batch's task to read;
+    "blocked" tiles the number line and exchanges BOTH sides (the path
+    for two huge inputs); "auto" picks blocked when the right side has
+    more than ``rowids.BROADCAST_ROWS`` rows."""
     check_mode(how)
     if overlap_type not in OVERLAP_TYPES:
         raise ValueError(f"Unknown overlap type: {overlap_type}")
@@ -290,11 +335,7 @@ def fuzzy_interval_join(
             return _blocked_interval_edges(
                 left, right, by, lid, rid, spec, num_partitions, tile_width
             )
-        rt = collect_columns(right, [rid, by[0][1], by[1][1]])
-        bad = np.flatnonzero(_numeric_np(rt[by[0][1]]) > _numeric_np(rt[by[1][1]]))
-        if len(bad):
-            raise ValueError(f"Invalid interval in df2 at row {bad[0] + 1}: start > end")
-        return broadcast_edges(left, rt, lid, rid, by, partial(interval_pairs, **spec), _BATCH)
+        return _broadcast_interval_edges(left, right, by, lid, rid, spec)
 
     return run_plan(
         left,

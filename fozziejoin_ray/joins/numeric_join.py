@@ -25,8 +25,8 @@ window where the reference computes the full cross product
 ``interval_join.interval_pairs``), called by both physical plans:
 
 - broadcast (:func:`broadcast_edges`): the right side is collected,
-  sorted once and ``ray.put``; an actor pool streams left batches
-  against it as one segment;
+  sorted once and ``ray.put``; each left batch is a plain task that
+  reads it and scores against it as one segment;
 - blocked (:func:`block_edges`, both sides huge): both sides emit their
   rows to blocks of a grid and meet in one ``exchange()``; a partition
   scores its left rows against the rights of their block. For these two
@@ -48,7 +48,7 @@ from ..exchange import exchange
 from ..semantics import F64_EPS, check_mode, distance_col_names
 from .modes import assemble, normalize_by
 from .rowids import BROADCAST_ROWS, collect_columns, ensure_row_id, exceeds_rows
-from .string_join import _ACTORS, LID, RID, SLAB_PAIRS, dist_names
+from .string_join import LID, RID, SLAB_PAIRS, dist_names
 
 # broadcast plan left batch sizes
 _DIFF_BATCH = 65536
@@ -183,25 +183,23 @@ def edge_table(lids: pa.Array, rids: pa.Array, dists: list[np.ndarray]) -> pa.Ta
 # ----------------------------------------------------------- broadcast plan
 
 
-class BroadcastScorer:
-    """Actor-pool stage of the broadcast plan: scores each streamed batch
-    against the held side, by default the whole sorted right side as one
-    segment and a batch of left rows. With ``cfg["held"] == "left"`` the
-    roles swap: the actor holds left rows and each right batch is sorted
-    and probed by all of them."""
+def score_left_batch(held, batch: pa.Table, lid: str, by, score) -> pa.Table:
+    """The broadcast plan's per-batch task: a batch of left rows scored
+    by ``score(lv, rv)`` against ``held``, the whole sorted right side
+    as one segment (:func:`sorted_right`)."""
+    rv, rids = held
+    lrow, rpos, *dists = score([_numeric_np(batch.column(l)) for l, _ in by], rv)
+    return edge_table(_take(batch.column(lid), lrow), _take(rids, rpos), dists)
 
-    def __init__(self, held_ref, cfg: dict):
-        self.vals, self.ids = ray.get(held_ref)
-        self.cfg = cfg
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        by, score = self.cfg["by"], self.cfg["score"]
-        if self.cfg["held"] == "left":
-            rv, rids = sorted_right(batch, self.cfg["id"], by)
-            lrow, rpos, *dists = score(self.vals, rv)
-            return edge_table(_take(self.ids, lrow), _take(rids, rpos), dists)
-        lrow, rpos, *dists = score([_numeric_np(batch.column(l)) for l, _ in by], self.vals)
-        return edge_table(_take(batch.column(self.cfg["id"]), lrow), _take(self.ids, rpos), dists)
+def score_right_batch(held, batch: pa.Table, rid: str, by, score) -> pa.Table:
+    """:func:`score_left_batch` with the sides' roles swapped: ``held``
+    is left rows, and each right batch is sorted and probed by all of
+    them."""
+    lv, lids = held
+    rv, rids = sorted_right(batch, rid, by)
+    lrow, rpos, *dists = score(lv, rv)
+    return edge_table(_take(lids, lrow), _take(rids, rpos), dists)
 
 
 def sorted_right(rt: pa.Table, rid: str, by) -> tuple[list[np.ndarray], pa.Array]:
@@ -214,14 +212,18 @@ def sorted_right(rt: pa.Table, rid: str, by) -> tuple[list[np.ndarray], pa.Array
     return [v[order] for v in vals], _take(rt.column(rid), order)
 
 
-def _stream(ds: rd.Dataset, id_col: str, cols, held, cfg: dict, batch_size: int) -> rd.Dataset:
+def _stream(
+    ds: rd.Dataset, id_col: str, cols, held, scorer, by, score, batch_size: int
+) -> rd.Dataset:
+    """``ds``'s batches as plain tasks, each reading the one ``ray.put``
+    of ``held`` and calling ``scorer(held, batch, id_col, by, score)``."""
+    ref = ray.put(held)
+
+    def probe(batch: pa.Table) -> pa.Table:
+        return scorer(ray.get(ref), batch, id_col, by, score)
+
     return ds.select_columns([id_col] + sorted(set(cols))).map_batches(
-        BroadcastScorer,
-        fn_constructor_args=(ray.put(held), cfg),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=_ACTORS,
-        num_cpus=1,
+        probe, batch_format="pyarrow", batch_size=batch_size
     )
 
 
@@ -231,8 +233,8 @@ def broadcast_edges(
     """The broadcast plan over ``rt``, the collected right side: it is
     sorted once (:func:`sorted_right`) and ``ray.put``, and ``score(lv,
     rv)`` runs per left batch."""
-    cfg = {"id": lid, "by": by, "score": score, "held": "right"}
-    return _stream(left, lid, [l for l, _ in by], sorted_right(rt, rid, by), cfg, batch_size)
+    held = sorted_right(rt, rid, by)
+    return _stream(left, lid, [l for l, _ in by], held, score_left_batch, by, score, batch_size)
 
 
 def broadcast_left_edges(
@@ -241,9 +243,8 @@ def broadcast_left_edges(
     """The broadcast plan with the sides' roles swapped: ``lt``, collected
     left rows, is ``ray.put`` once, and ``score(lv, rv)`` runs per right
     batch, sorted on its first key."""
-    cfg = {"id": rid, "by": by, "score": score, "held": "left"}
     held = ([_numeric_np(lt[l]) for l, _ in by], lt[lid])
-    return _stream(right, rid, [r for _, r in by], held, cfg, batch_size)
+    return _stream(right, rid, [r for _, r in by], held, score_right_batch, by, score, batch_size)
 
 
 # ------------------------------------------------------------- blocked plan
@@ -402,11 +403,12 @@ def fuzzy_difference_join(
     """Ray-Data analog of ``fozzie_difference_join``
     (/root/reference/R/fozzie_difference_join.R:37-52).
 
-    ``strategy``: "broadcast" ships the sorted right keys to every scorer
-    actor; "blocked" grid-buckets BOTH sides at width ``max_distance``
-    and exchanges them (the path for two huge inputs, reference grid
-    design difference/mod.rs:19-54); "auto" picks blocked when the right
-    side has more than ``rowids.BROADCAST_ROWS`` rows."""
+    ``strategy``: "broadcast" puts the sorted right keys in the object
+    store once, for every left batch's task to read; "blocked"
+    grid-buckets BOTH sides at width ``max_distance`` and exchanges them
+    (the path for two huge inputs, reference grid design
+    difference/mod.rs:19-54); "auto" picks blocked when the right side
+    has more than ``rowids.BROADCAST_ROWS`` rows."""
     check_mode(how)
     by = normalize_by(by, left, right)
     thr = float(max_distance) + F64_EPS
@@ -448,10 +450,11 @@ def fuzzy_distance_join(
     euclidean/manhattan distance within ``max_distance``. One distance
     column regardless of key count (distance/mod.rs:108-122).
 
-    ``strategy``: "broadcast" ships the right keys, sorted on the first,
-    to every scorer actor; "blocked" grid-buckets BOTH sides on the first
-    key at width ``max_distance`` and exchanges them (the path for two
-    huge inputs); "auto" picks blocked when the right side has more than
+    ``strategy``: "broadcast" puts the right keys, sorted on the first,
+    in the object store once, for every left batch's task to read;
+    "blocked" grid-buckets BOTH sides on the first key at width
+    ``max_distance`` and exchanges them (the path for two huge inputs);
+    "auto" picks blocked when the right side has more than
     ``rowids.BROADCAST_ROWS`` rows."""
     check_mode(how)
     if method not in ("euclidean", "manhattan"):

@@ -2,7 +2,8 @@
 
 Mirrors /root/reference/src/rust/src/regex/mod.rs:7-63 — every right
 key-1 pattern is compiled once (the reference builds one RegexSet; here
-the compiled pattern list lives in actor state), each left value emits
+the compiled pattern list is ``ray.put`` once and each left batch is a
+plain task that reads it), each left value emits
 one edge per matching pattern, an invalid key-1 pattern anywhere fails
 the whole join, and ``ignore_case`` toggles case-insensitive
 compilation. NA on either side never matches.
@@ -15,13 +16,14 @@ keeps the consistent orientation (left value, right pattern) on every
 key. The reference silently drops a pair whose refinement pattern fails
 to compile (regex/mod.rs:98-101 ``.ok()``); that behavior is kept.
 
-Scale strategies: "broadcast" ships the whole compiled pattern set to
-every scorer actor; "sharded" (both sides large) builds pattern shards
-of <= ``broadcast_threshold`` rows INCREMENTALLY from the right-side
-batch stream (the driver never materializes the full pattern table —
-one shard at a time), scans the left stream once per shard, and unions
-the edges — per-actor AND driver memory are bounded by the shard while
-the total regex work (inherently |left| x |patterns|) is unchanged.
+Scale strategies: "broadcast" puts the whole compiled pattern set in
+the object store once, for every left batch's task; "sharded" (both
+sides large) builds pattern shards of <= ``broadcast_threshold`` rows
+INCREMENTALLY from the right-side batch stream (the driver never
+materializes the full pattern table — one shard at a time), scans the
+left stream once per shard, and unions the edges — per-task AND driver
+memory are bounded by the shard while the total regex work (inherently
+|left| x |patterns|) is unchanged.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ import ray.data as rd
 from ..semantics import check_mode
 from .modes import assemble, normalize_by
 from .rowids import ensure_row_id, exceeds_rows
-from .string_join import _ACTORS, LID, RID
+from .string_join import LID, RID
 
-# scorer actors' left batch size
+# left batch size
 _BATCH = 16384
 
 
@@ -85,107 +87,105 @@ class RightPatternIndex:
             )
 
 
-class BroadcastRegexScorer:
-    def __init__(self, index_ref, cfg: dict):
-        self.idx: RightPatternIndex = ray.get(index_ref)
-        self.cfg = cfg
-        # refinement-pattern compile cache: pattern -> (compiled|None, use_arrow)
-        self._ref_cache: dict[str, tuple[re.Pattern | None, bool]] = {}
+def _refine_mask(
+    idx: RightPatternIndex, lv: np.ndarray, pv: np.ndarray, cache: dict
+) -> np.ndarray:
+    """Per-pair mask: left value lv[i] matches right pattern pv[i].
+    Vectorized by grouping pairs on distinct pattern; invalid or NA
+    pattern / NA value -> False (pair dropped, regex/mod.rs:98-109).
+    ``cache`` maps a pattern to (compiled or None, use_arrow)."""
+    import pandas as pd
+    import pyarrow.compute as pc
 
-    def _refine_mask(self, lv: np.ndarray, pv: np.ndarray) -> np.ndarray:
-        """Per-pair mask: left value lv[i] matches right pattern pv[i].
-        Vectorized by grouping pairs on distinct pattern; invalid or NA
-        pattern / NA value -> False (pair dropped, regex/mod.rs:98-109)."""
-        import pandas as pd
-        import pyarrow.compute as pc
-
-        n = len(lv)
-        out = np.zeros(n, bool)
-        if not n:
-            return out
-        codes, uniques = pd.factorize(pv)  # None -> code -1
-        flags = re.IGNORECASE if self.idx.ignore_case else 0
-        for ci, p in enumerate(uniques):
-            rows = np.nonzero(codes == ci)[0]
-            ent = self._ref_cache.get(p)
-            if ent is None:
-                try:
-                    ent = (re.compile(p, flags), _arrow_accepts(p, self.idx.ignore_case))
-                except re.error:
-                    ent = (None, False)
-                self._ref_cache[p] = ent
-            cre, use_arrow = ent
-            if cre is None:
-                continue
-            vals = lv[rows]
-            ok = np.array([v is not None for v in vals], bool)
-            vrows = rows[ok]
-            if not len(vrows):
-                continue
-            if use_arrow:
-                hit = pc.match_substring_regex(
-                    pa.array(lv[vrows], pa.string()), p, ignore_case=self.idx.ignore_case
-                ).to_numpy(zero_copy_only=False)
-            else:
-                hit = np.fromiter(
-                    (cre.search(v) is not None for v in lv[vrows]), bool, count=len(vrows)
-                )
-            out[vrows[hit]] = True
+    n = len(lv)
+    out = np.zeros(n, bool)
+    if not n:
         return out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        cfg = self.cfg
-        by = cfg["by"]
-        col = batch.column(by[0][0])
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        lids = batch.column(cfg["lid"]).to_numpy(zero_copy_only=False)
-        pos = np.nonzero(pc.is_valid(col).to_numpy(zero_copy_only=False))[0]
-        sarr = col.take(pa.array(pos, pa.int64()))
-        svals: list | None = None  # materialized lazily for re-only patterns
-
-        lrow_parts: list[np.ndarray] = []
-        rpos_parts: list[np.ndarray] = []
-        for p, cre, rpos_p, use_arrow in self.idx.compiled:
-            if use_arrow:
-                hit = pc.match_substring_regex(
-                    sarr, p, ignore_case=self.idx.ignore_case
-                ).to_numpy(zero_copy_only=False)
-            else:
-                if svals is None:
-                    svals = sarr.to_pylist()
-                hit = np.fromiter(
-                    (cre.search(v) is not None for v in svals), bool, count=len(svals)
-                )
-            hpos = pos[hit]
-            if len(hpos):
-                lrow_parts.append(np.repeat(hpos, len(rpos_p)))
-                rpos_parts.append(np.tile(rpos_p, len(hpos)))
-        if lrow_parts:
-            lrow = np.concatenate(lrow_parts)
-            rpos = np.concatenate(rpos_parts)
+    codes, uniques = pd.factorize(pv)  # None -> code -1
+    flags = re.IGNORECASE if idx.ignore_case else 0
+    for ci, p in enumerate(uniques):
+        rows = np.nonzero(codes == ci)[0]
+        ent = cache.get(p)
+        if ent is None:
+            try:
+                ent = (re.compile(p, flags), _arrow_accepts(p, idx.ignore_case))
+            except re.error:
+                ent = (None, False)
+            cache[p] = ent
+        cre, use_arrow = ent
+        if cre is None:
+            continue
+        vals = lv[rows]
+        ok = np.array([v is not None for v in vals], bool)
+        vrows = rows[ok]
+        if not len(vrows):
+            continue
+        if use_arrow:
+            hit = pc.match_substring_regex(
+                pa.array(lv[vrows], pa.string()), p, ignore_case=idx.ignore_case
+            ).to_numpy(zero_copy_only=False)
         else:
-            lrow = np.empty(0, np.int64)
-            rpos = np.empty(0, np.int64)
+            hit = np.fromiter(
+                (cre.search(v) is not None for v in lv[vrows]), bool, count=len(vrows)
+            )
+        out[vrows[hit]] = True
+    return out
 
-        # multi-key AND refinement (regex/mod.rs:66-117, orientation kept)
-        for lkey, rkey in by[1:]:
-            if not len(lrow):
-                break
-            lv = batch.column(lkey).to_numpy(zero_copy_only=False)[lrow]
-            pv = self.idx.extra[rkey][rpos]
-            keep = self._refine_mask(lv, pv)
-            lrow = lrow[keep]
-            rpos = rpos[keep]
 
-        return pa.table(
-            {
-                LID: pa.array(lids[lrow], type=batch.schema.field(cfg["lid"]).type),
-                RID: pa.array(self.idx.rids[rpos], type=self.idx.rid_type),
-            }
-        )
+def match_left_batch(idx: RightPatternIndex, batch: pa.Table, by, lid: str) -> pa.Table:
+    """The per-batch task: every left value of a batch against every
+    pattern of ``idx``; emits (lid, rid) per match."""
+    import pyarrow.compute as pc
+
+    col = batch.column(by[0][0])
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    lids = batch.column(lid).to_numpy(zero_copy_only=False)
+    pos = np.nonzero(pc.is_valid(col).to_numpy(zero_copy_only=False))[0]
+    sarr = col.take(pa.array(pos, pa.int64()))
+    svals: list | None = None  # materialized lazily for re-only patterns
+
+    lrow_parts: list[np.ndarray] = []
+    rpos_parts: list[np.ndarray] = []
+    for p, cre, rpos_p, use_arrow in idx.compiled:
+        if use_arrow:
+            hit = pc.match_substring_regex(
+                sarr, p, ignore_case=idx.ignore_case
+            ).to_numpy(zero_copy_only=False)
+        else:
+            if svals is None:
+                svals = sarr.to_pylist()
+            hit = np.fromiter(
+                (cre.search(v) is not None for v in svals), bool, count=len(svals)
+            )
+        hpos = pos[hit]
+        if len(hpos):
+            lrow_parts.append(np.repeat(hpos, len(rpos_p)))
+            rpos_parts.append(np.tile(rpos_p, len(hpos)))
+    if lrow_parts:
+        lrow = np.concatenate(lrow_parts)
+        rpos = np.concatenate(rpos_parts)
+    else:
+        lrow = np.empty(0, np.int64)
+        rpos = np.empty(0, np.int64)
+
+    # multi-key AND refinement (regex/mod.rs:66-117, orientation kept)
+    cache: dict[str, tuple[re.Pattern | None, bool]] = {}
+    for lkey, rkey in by[1:]:
+        if not len(lrow):
+            break
+        lv = batch.column(lkey).to_numpy(zero_copy_only=False)[lrow]
+        pv = idx.extra[rkey][rpos]
+        keep = _refine_mask(idx, lv, pv, cache)
+        lrow = lrow[keep]
+        rpos = rpos[keep]
+
+    return pa.table(
+        {
+            LID: pa.array(lids[lrow], type=batch.schema.field(lid).type),
+            RID: pa.array(idx.rids[rpos], type=idx.rid_type),
+        }
+    )
 
 
 def fuzzy_regex_join(
@@ -247,28 +247,27 @@ def fuzzy_regex_join(
             sch = pa.schema([pa.field(n, ty) for n, ty in zip(s.names, s.types)])
             yield sch.empty_table().select(rcols)
 
-    cfg = {"by": by, "lid": lid}
     left_cols = [lid] + sorted({l for l, _ in by})
     lsel = left.select_columns(left_cols)
     edges: rd.Dataset | None = None
     for shard in shard_stream():
-        index = RightPatternIndex(
-            shard.column(by[0][1]).to_numpy(zero_copy_only=False),
-            shard.column(rid).to_numpy(zero_copy_only=False),
-            ignore_case,
-            rid_type=shard.schema.field(rid).type,
-            extra={
-                r: shard.column(r).to_numpy(zero_copy_only=False) for _, r in by[1:]
-            },
+        index = ray.put(
+            RightPatternIndex(
+                shard.column(by[0][1]).to_numpy(zero_copy_only=False),
+                shard.column(rid).to_numpy(zero_copy_only=False),
+                ignore_case,
+                rid_type=shard.schema.field(rid).type,
+                extra={
+                    r: shard.column(r).to_numpy(zero_copy_only=False) for _, r in by[1:]
+                },
+            )
         )
-        part = lsel.map_batches(
-            BroadcastRegexScorer,
-            fn_constructor_args=(ray.put(index), cfg),
-            batch_format="pyarrow",
-            batch_size=_BATCH,
-            concurrency=_ACTORS,
-            num_cpus=1,
-        )
+
+        # index=index binds this shard's index: the map runs after the loop
+        def probe(batch: pa.Table, index=index) -> pa.Table:
+            return match_left_batch(ray.get(index), batch, by, lid)
+
+        part = lsel.map_batches(probe, batch_format="pyarrow", batch_size=_BATCH)
         edges = part if edges is None else edges.union(part)
     return assemble(
         left,

@@ -7,8 +7,8 @@ No reference analog — these extend the engine for LLM-data curation
 per-batch ``map_batches`` transforms: zero shuffles, scale-free, and
 every formula is SQL-replicable so the driver oracle verifies them
 exactly. ``decontaminate`` broadcasts the benchmark's n-gram set once
-(``ray.put`` + actor-pool ``__init__``) and stays a per-batch map over
-the corpus side.
+(``ray.put``, read by every batch's task) and stays a per-batch map
+over the corpus side.
 
 - ``stratified_sample`` shares the polynomial-hash bucket space with
   :mod:`fozziejoin_ray.pipelines.split` (same ``_bucket_of``), so a
@@ -31,7 +31,6 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..exchange import exchange
-from ..joins.string_join import _ACTORS
 from .split import _BUCKETS, _bucket_of, bucket_sql_expr
 
 # (name, RE2 pattern, replacement) — applied IN ORDER; order matters
@@ -278,44 +277,33 @@ def _gram_hashes(grams: np.ndarray) -> np.ndarray:
     return pd.util.hash_array(np.asarray(grams, dtype=object), categorize=False)
 
 
-class _Decontaminator:
-    """Actor-pool stage: benchmark gram set fetched from the object
-    store ONCE per actor in ``__init__``; each batch does one gram
-    extraction + one membership probe (hashed-string index, or binary
-    search over sorted uint64 gram hashes in ``hash_grams`` mode)."""
+def _decontaminate_batch(
+    bench: np.ndarray, t: pa.Table, text_col: str, n: int, mode: str, hash_grams: bool
+) -> pa.Table:
+    """The per-batch task of :func:`decontaminate`: one gram extraction
+    and one membership probe of ``bench``, the benchmark's distinct gram
+    strings (a hashed-string index) or, with ``hash_grams``, its sorted
+    gram hashes (a binary search)."""
+    import pandas as pd
 
-    def __init__(self, bench_ref, cfg: dict):
-        import pandas as pd
-
-        import ray
-
-        bench = ray.get(bench_ref)
-        self.hashed = cfg.get("hash_grams", False)
-        self.bench = bench if self.hashed else pd.Index(bench)
-        self.cfg = cfg
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        parents, grams = _doc_grams(t, cfg["text_col"], cfg["n"])
-        n_hits = np.zeros(t.num_rows, dtype=np.int64)
-        if len(grams):
-            dp, dg = _distinct_parent_grams(parents, grams)
-            if self.hashed:
-                h = _gram_hashes(dg)
-                pos = np.searchsorted(self.bench, h)
-                pos[pos == len(self.bench)] = 0
-                hit = (
-                    self.bench[pos] == h if len(self.bench) else np.zeros(len(h), bool)
-                )
-            else:
-                hit = self.bench.get_indexer(dg) >= 0
-            if hit.any():
-                n_hits += np.bincount(dp[hit], minlength=t.num_rows)
-        if cfg["mode"] == "drop":
-            return t.filter(pa.array(n_hits == 0))
-        return t.append_column("n_hits", pa.array(n_hits)).append_column(
-            "contaminated", pa.array(n_hits > 0)
-        )
+    parents, grams = _doc_grams(t, text_col, n)
+    n_hits = np.zeros(t.num_rows, dtype=np.int64)
+    if len(grams):
+        dp, dg = _distinct_parent_grams(parents, grams)
+        if hash_grams:
+            h = _gram_hashes(dg)
+            pos = np.searchsorted(bench, h)
+            pos[pos == len(bench)] = 0
+            hit = bench[pos] == h if len(bench) else np.zeros(len(h), bool)
+        else:
+            hit = pd.Index(bench).get_indexer(dg) >= 0
+        if hit.any():
+            n_hits += np.bincount(dp[hit], minlength=t.num_rows)
+    if mode == "drop":
+        return t.filter(pa.array(n_hits == 0))
+    return t.append_column("n_hits", pa.array(n_hits)).append_column(
+        "contaminated", pa.array(n_hits > 0)
+    )
 
 
 def decontaminate(
@@ -338,8 +326,8 @@ def decontaminate(
 
     Scale shape: the benchmark side is reduced to its DISTINCT gram set
     by a distributed ``map_batches`` pass (only gram strings reach the
-    driver), broadcast once with ``ray.put``, and opened once per actor
-    — the corpus side streams through a stateful ``map_batches`` with no
+    driver) and broadcast once with ``ray.put``; the corpus side streams
+    through a plain per-batch ``map_batches`` that reads it, with no
     shuffle. ``hash_grams=True`` broadcasts sorted 64-bit gram hashes
     instead of the strings (~10x smaller for 13-grams; a false flag
     needs a siphash collision, probability ~G^2/2^64) — use it when the
@@ -373,13 +361,30 @@ def decontaminate(
     import ray
 
     bref = ray.put(bench)
-    cfg = {"text_col": text_col, "n": n, "mode": mode, "hash_grams": hash_grams}
-    return docs.map_batches(
-        _Decontaminator,
-        fn_constructor_args=(bref, cfg),
-        batch_format="pyarrow",
-        concurrency=_ACTORS,
-        num_cpus=1,
+
+    def probe(t: pa.Table) -> pa.Table:
+        return _decontaminate_batch(ray.get(bref), t, text_col, n, mode, hash_grams)
+
+    return docs.map_batches(probe, batch_format="pyarrow")
+
+
+def _annotate_batch(hits: pa.Table, t: pa.Table, id_col: str, mode: str) -> pa.Table:
+    """The per-batch task of :func:`decontaminate_shuffle`'s broadcast
+    join-back: each doc's ``n_hits`` from ``hits``, the contaminated
+    (id, n_hits) rows."""
+    import pandas as pd
+
+    nh_all = hits["n_hits"].to_numpy(zero_copy_only=False)
+    if len(nh_all) == 0:
+        nh = np.zeros(t.num_rows, np.int64)
+    else:
+        idx = pd.Index(hits[id_col].to_numpy(zero_copy_only=False))
+        loc = idx.get_indexer(t[id_col].to_numpy(zero_copy_only=False))
+        nh = np.where(loc >= 0, nh_all[np.maximum(loc, 0)], 0).astype(np.int64)
+    if mode == "drop":
+        return t.filter(pa.array(nh == 0))
+    return t.append_column("n_hits", pa.array(nh)).append_column(
+        "contaminated", pa.array(nh > 0)
     )
 
 
@@ -502,27 +507,10 @@ def decontaminate_shuffle(
     )
     href = ray.put(ht)
 
-    class _Annotate:
-        def __init__(self):
-            import pandas as pd
+    def annotate(t: pa.Table) -> pa.Table:
+        return _annotate_batch(ray.get(href), t, id_col, mode)
 
-            h = ray.get(href)
-            self.idx = pd.Index(h[id_col].to_numpy(zero_copy_only=False))
-            self.nh = h["n_hits"].to_numpy(zero_copy_only=False)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if len(self.nh) == 0:
-                nh = np.zeros(t.num_rows, np.int64)
-            else:
-                loc = self.idx.get_indexer(t[id_col].to_numpy(zero_copy_only=False))
-                nh = np.where(loc >= 0, self.nh[np.maximum(loc, 0)], 0).astype(np.int64)
-            if mode == "drop":
-                return t.filter(pa.array(nh == 0))
-            return t.append_column("n_hits", pa.array(nh)).append_column(
-                "contaminated", pa.array(nh > 0)
-            )
-
-    return docs.map_batches(_Annotate, batch_format="pyarrow", concurrency=_ACTORS, num_cpus=1)
+    return docs.map_batches(annotate, batch_format="pyarrow")
 
 
 def dup_ngram_frac(

@@ -93,7 +93,7 @@ def jaccard_sets(a: np.ndarray, b: np.ndarray) -> float:
 class DocShingleIndex:
     """Compact per-doc shingle-set index for exact-jaccard verification,
     built ONCE (usually on the driver, then ``ray.put``) and shared
-    zero-copy by every task/actor that scores candidate pairs.
+    zero-copy by every task that scores candidate pairs.
 
     Layout: one flat uint64 array of all docs' sorted distinct shingles
     + int64 offsets (plasma zero-copy), plus a bitset matrix over the

@@ -29,9 +29,10 @@ Scale shape:
   table, so vocabulary and bigram counts share a single gram-keyed
   groupby); the reduced model (one row per distinct bigram — bounded
   by vocab², not by corpus size) is collected and ``ray.put`` once.
-- :func:`lm_score` — an actor pool opens the model once per actor in
-  ``__init__`` (two sorted composite-hash arrays + counts; probes are
-  vectorized ``searchsorted``) and streams the corpus with no shuffle.
+- :func:`lm_score` — every corpus batch is a plain task that reads the
+  ``ray.put`` model (two sorted composite-hash arrays + counts, read
+  zero-copy; probes are vectorized ``searchsorted``); the corpus
+  streams with no shuffle.
   Out-of-vocabulary bigrams/prefixes fall back to count 0, which the
   smoothing keeps finite — scoring a corpus against a model built on a
   different (reference) corpus is the intended use.
@@ -43,8 +44,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-
-from ..joins.string_join import _ACTORS
 
 _TOKEN_SPLIT = r"[^0-9a-z_]+"
 
@@ -168,42 +167,30 @@ def _probe(sorted_h: np.ndarray, counts: np.ndarray, h: np.ndarray) -> np.ndarra
     return out
 
 
-class _LmScorer:
-    """Actor-pool stage: model fetched from the object store once per
-    actor; each batch is one tokenize + two searchsorted probes."""
+def _lm_score_batch(m: dict, t: pa.Table, text_col: str, k: float) -> pa.Table:
+    """The per-batch task: one tokenize and two searchsorted probes of
+    the model ``m`` (a :func:`build_bigram_lm` dict)."""
+    import pandas as pd
 
-    def __init__(self, model_ref, text_col: str, k: float):
-        import ray
-
-        m = ray.get(model_ref)
-        self.pair_h, self.pair_c = m["pair_h"], m["pair_c"]
-        self.pre_h, self.pre_c = m["pre_h"], m["pre_c"]
-        self.V = m["V"]
-        self.text_col = text_col
-        self.k = k
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        parents, toks = _flat_tokens(t, self.text_col)
-        bp, w1, w2 = _bigram_views(parents, toks)
-        lp_sum = np.zeros(t.num_rows, np.float64)
-        lp_n = np.zeros(t.num_rows, np.int64)
-        if len(bp):
-            cb = _probe(self.pair_h, self.pair_c, _hash_pairs(w1, w2)).astype(np.float64)
-            cp = _probe(
-                self.pre_h, self.pre_c,
-                pd.util.hash_array(np.asarray(w1, object), categorize=False),
-            ).astype(np.float64)
-            lp = np.log(cb + self.k) - np.log(cp + self.k * self.V)
-            lp_sum += np.bincount(bp, weights=lp, minlength=t.num_rows)
-            lp_n += np.bincount(bp, minlength=t.num_rows)
-        has = lp_n > 0
-        mean = np.where(has, lp_sum / np.maximum(lp_n, 1), np.nan)
-        ppl = np.where(has, np.exp(-mean), np.nan)
-        return t.append_column(
-            "lm_logprob", pa.array(mean, pa.float64(), mask=~has)
-        ).append_column("perplexity", pa.array(ppl, pa.float64(), mask=~has))
+    parents, toks = _flat_tokens(t, text_col)
+    bp, w1, w2 = _bigram_views(parents, toks)
+    lp_sum = np.zeros(t.num_rows, np.float64)
+    lp_n = np.zeros(t.num_rows, np.int64)
+    if len(bp):
+        cb = _probe(m["pair_h"], m["pair_c"], _hash_pairs(w1, w2)).astype(np.float64)
+        cp = _probe(
+            m["pre_h"], m["pre_c"],
+            pd.util.hash_array(np.asarray(w1, object), categorize=False),
+        ).astype(np.float64)
+        lp = np.log(cb + k) - np.log(cp + k * m["V"])
+        lp_sum += np.bincount(bp, weights=lp, minlength=t.num_rows)
+        lp_n += np.bincount(bp, minlength=t.num_rows)
+    has = lp_n > 0
+    mean = np.where(has, lp_sum / np.maximum(lp_n, 1), np.nan)
+    ppl = np.where(has, np.exp(-mean), np.nan)
+    return t.append_column(
+        "lm_logprob", pa.array(mean, pa.float64(), mask=~has)
+    ).append_column("perplexity", pa.array(ppl, pa.float64(), mask=~has))
 
 
 def lm_score(
@@ -234,13 +221,12 @@ def lm_score(
     if model["V"] < 1:
         raise ValueError("model corpus has no tokens")
     mref = ray.put(model)
-    return ds.map_batches(
-        _LmScorer,
-        fn_constructor_args=(mref, text_col, float(k)),
-        batch_format="pyarrow",
-        concurrency=_ACTORS,
-        num_cpus=1,
-    )
+    k = float(k)
+
+    def score(t: pa.Table) -> pa.Table:
+        return _lm_score_batch(ray.get(mref), t, text_col, k)
+
+    return ds.map_batches(score, batch_format="pyarrow")
 
 
 def ppl_buckets(

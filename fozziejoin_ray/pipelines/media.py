@@ -1,19 +1,20 @@
 """Multimodal stages: media columns as opaque binary + typed metadata.
 
-The execution plumbing (schemas, actor-pool signatures, batch sizing,
-output layout) is real and tested; the codec kernels themselves are
-STUBS because no image/audio libraries exist in this environment —
+The execution plumbing (schemas, batch sizing, output layout) is real
+and tested; the codec kernels themselves are STUBS because no
+image/audio libraries exist in this environment —
 each decode stage either raises ``NotImplementedError`` (strict mode)
 or produces a deterministic fake derived from the payload bytes
 (``fake=True``), so pipelines exercise the full Ray path end-to-end.
 
 Design notes for 100 TB media:
 - media payloads are ``binary`` columns; batches stay small
-  (payload_bytes x batch rows x actors must fit worker heap) and
-  raise ``DataContext.target_max_block_size`` so wide rows don't split
-  into absurdly small blocks;
-- decode/resize/feature stages are actor pools (codec contexts are
-  expensive: construct once per actor in ``__init__``);
+  (payload_bytes x batch rows x concurrent tasks must fit worker heap)
+  and raise ``DataContext.target_max_block_size`` so wide rows don't
+  split into absurdly small blocks;
+- decode/resize/feature stages are plain per-batch tasks: the stubs
+  hold no state, and a real codec's expensive context would be one
+  ``ray.put`` object each batch reads;
 - outputs store derived features + (kind, media_ref) lineage, never
   re-encode the payload unless asked.
 """
@@ -27,9 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-# codec actor pool, and rows per batch: payload bytes, not row count,
-# bound a batch's memory
-_ACTORS = (1, 4)
+# rows per batch: payload bytes, not row count, bound a batch's memory
 _IMAGE_BATCH = 256
 _FRAME_BATCH = 128
 
@@ -99,91 +98,71 @@ def media_from_documents(
     return docs.map_batches(fn, batch_format="pyarrow")
 
 
-class ImageFeatureExtractor:
-    """Actor-pool stage: payload -> fixed-size feature vector.
+FEATURE_DIM = 32
 
-    Real deployment: ``__init__`` loads the codec + model ONCE per actor
-    and emits float32 model embeddings; ``__call__`` decodes and embeds
-    a batch. Here the decode is stubbed: the fake path derives
-    ``feature[j] = ((crc32(payload) * (j+1)) % 1000003) / 1000003.0``
-    (float64 so the arithmetic is bit-identical to a SQL oracle's).
-    """
 
-    FEATURE_DIM = 32
+def _image_features(t: pa.Table, fake: bool) -> pa.Table:
+    """The per-batch task of :func:`extract_image_features`: payload ->
+    fixed-size feature vector.
 
-    def __init__(self, fake: bool = True):
-        self.fake = fake
-        # real impl: self.codec = load_image_codec(); self.model = load_model()
-        self._j = np.arange(1, self.FEATURE_DIM + 1, dtype=np.int64)
-
-    def _decode(self, payload: bytes) -> np.ndarray:
-        if not self.fake:
-            raise NotImplementedError(
-                "image decode requires an image codec library, not present in this environment"
-            )
-        # deterministic fake: exact integer arithmetic over the payload crc
-        c = np.int64(zlib.crc32(payload))
-        return ((c * self._j) % 1000003) / 1000003.0
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        feats = [self._decode(p) for p in t.column("payload").to_pylist()]
-        arr = pa.array([f.tolist() for f in feats], pa.list_(pa.float64(), self.FEATURE_DIM))
-        return pa.table(
-            {
-                "media_ref": t["media_ref"],
-                "kind": t["kind"],
-                "features": arr,
-            }
+    Real deployment: decode and embed the batch with a codec and model
+    (float32 model embeddings). Here the decode is stubbed: the fake
+    path derives ``feature[j] = ((crc32(payload) * (j+1)) % 1000003) /
+    1000003.0`` (float64 so the arithmetic is bit-identical to a SQL
+    oracle's)."""
+    if not fake:
+        raise NotImplementedError(
+            "image decode requires an image codec library, not present in this environment"
         )
+    j = np.arange(1, FEATURE_DIM + 1, dtype=np.int64)
+    # deterministic fake: exact integer arithmetic over the payload crc
+    feats = [
+        ((np.int64(zlib.crc32(p)) * j) % 1000003) / 1000003.0
+        for p in t.column("payload").to_pylist()
+    ]
+    arr = pa.array([f.tolist() for f in feats], pa.list_(pa.float64(), FEATURE_DIM))
+    return pa.table(
+        {
+            "media_ref": t["media_ref"],
+            "kind": t["kind"],
+            "features": arr,
+        }
+    )
 
 
-class FrameSampler:
-    """Actor-pool stage: video payload -> k sampled frame references.
-    Decode stubbed; emits deterministic frame offsets, fully vectorized
-    (repeat/tile expansion, integer frame-timestamp math)."""
-
-    def __init__(self, k: int = 4, fake: bool = True):
-        self.k = k
-        self.fake = fake
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        if not self.fake:
-            raise NotImplementedError("video decode not available in this environment")
-        n = t.num_rows
-        k = max(1, self.k)
-        refs = t.column("media_ref")
-        if isinstance(refs, pa.ChunkedArray):
-            refs = refs.combine_chunks()
-        dur = t.column("duration_ms").to_numpy(zero_copy_only=False).astype(np.int64)
-        frame = np.tile(np.arange(self.k, dtype=np.int64), n)
-        ts = np.repeat(dur, self.k) * frame // k
-        return pa.table(
-            {
-                "media_ref": refs.take(pa.array(np.repeat(np.arange(n), self.k))),
-                "frame": pa.array(frame.astype(np.int32)),
-                "ts_ms": pa.array(ts.astype(np.int32)),
-            }
-        )
+def _sample_frames_batch(t: pa.Table, k: int, fake: bool) -> pa.Table:
+    """The per-batch task of :func:`sample_frames`: video payload -> k
+    sampled frame references. Decode stubbed; emits deterministic frame
+    offsets, fully vectorized (repeat/tile expansion, integer
+    frame-timestamp math)."""
+    if not fake:
+        raise NotImplementedError("video decode not available in this environment")
+    n = t.num_rows
+    refs = t.column("media_ref")
+    if isinstance(refs, pa.ChunkedArray):
+        refs = refs.combine_chunks()
+    dur = t.column("duration_ms").to_numpy(zero_copy_only=False).astype(np.int64)
+    frame = np.tile(np.arange(k, dtype=np.int64), n)
+    ts = np.repeat(dur, k) * frame // max(1, k)
+    return pa.table(
+        {
+            "media_ref": refs.take(pa.array(np.repeat(np.arange(n), k))),
+            "frame": pa.array(frame.astype(np.int32)),
+            "ts_ms": pa.array(ts.astype(np.int32)),
+        }
+    )
 
 
 def extract_image_features(media: rd.Dataset, *, fake: bool = True) -> rd.Dataset:
     """Small batches: payload bytes dominate memory, not row count."""
     return media.map_batches(
-        ImageFeatureExtractor,
-        fn_constructor_args=(fake,),
-        batch_format="pyarrow",
-        batch_size=_IMAGE_BATCH,
-        concurrency=_ACTORS,
-        num_cpus=1,
+        lambda t: _image_features(t, fake), batch_format="pyarrow", batch_size=_IMAGE_BATCH
     )
 
 
 def sample_frames(media: rd.Dataset, *, k: int = 4, fake: bool = True) -> rd.Dataset:
     return media.map_batches(
-        FrameSampler,
-        fn_constructor_args=(k, fake),
+        lambda t: _sample_frames_batch(t, k, fake),
         batch_format="pyarrow",
         batch_size=_FRAME_BATCH,
-        concurrency=_ACTORS,
-        num_cpus=1,
     )

@@ -1,9 +1,7 @@
 """Text-analysis operators for training-data pipelines: language ID,
 quality scoring, token counting, document fingerprinting.
 
-All are stateless-per-batch except language ID, whose stopword tables
-and compiled regexes live in actor state (compiled once per actor, used
-per batch)."""
+All are stateless per-batch ``map_batches`` tasks."""
 
 from __future__ import annotations
 
@@ -14,7 +12,6 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..exchange import exchange
-from ..joins.string_join import _ACTORS
 
 # small built-in stopword profiles (public common-word lists)
 STOPWORDS = {
@@ -29,10 +26,11 @@ _WORD_RE = r"\w+"
 _BPE_RE = r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]"
 
 
-class LangId:
-    """Actor-pool stage: stopword-overlap language ID. Emits
-    (lang_pred, lang_score): per-doc best stopword-hit ratio, dict order
-    breaking ties (strict-greater updates), zero hits -> "und".
+def _lang_id_batch(t: pa.Table, text_col: str) -> pa.Table:
+    """The per-batch task of :func:`lang_id`: stopword-overlap language
+    ID. Emits (lang_pred, lang_score): per-doc best stopword-hit ratio,
+    ``STOPWORDS`` order breaking ties (strict-greater updates), zero hits
+    -> "und".
 
     Vectorized: one Arrow regex split tokenizes the whole batch into a
     flat lowercase token stream with parent indices; per-language hit
@@ -47,47 +45,36 @@ class LangId:
     ``\\w+`` tokenizer. This matches the SQL oracle exactly and is the
     documented engine behavior; all STOPWORDS are ASCII so lang_pred on
     the supported languages is unaffected."""
+    import pandas as pd
 
-    def __init__(self, text_col: str = "text"):
-        self.text_col = text_col
-        self.sw = {lang: frozenset(ws) for lang, ws in STOPWORDS.items()}
+    n = t.num_rows
+    txt = pc.fill_null(t.column(text_col), "")
+    toks_list = pc.split_pattern_regex(pc.utf8_lower(txt), r"[^0-9a-z_]+")
+    if isinstance(toks_list, pa.ChunkedArray):
+        toks_list = toks_list.combine_chunks()
+    flat = toks_list.flatten()
+    parents = pc.list_parent_indices(toks_list).to_numpy(zero_copy_only=False)
+    keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
+    toks = flat.to_numpy(zero_copy_only=False)[keep]
+    parents = parents[keep]
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        txt = pc.fill_null(t.column(self.text_col), "")
-        toks_list = pc.split_pattern_regex(pc.utf8_lower(txt), r"[^0-9a-z_]+")
-        if isinstance(toks_list, pa.ChunkedArray):
-            toks_list = toks_list.combine_chunks()
-        flat = toks_list.flatten()
-        parents = pc.list_parent_indices(toks_list).to_numpy(zero_copy_only=False)
-        keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        toks = flat.to_numpy(zero_copy_only=False)[keep]
-        parents = parents[keep]
-        import pandas as pd
-
-        tok_s = pd.Series(toks)
-        n_toks = np.bincount(parents, minlength=n).astype(np.float64)
-        denom = np.maximum(n_toks, 1.0)
-        best = np.zeros(n, dtype=np.float64)
-        best_lang = np.full(n, "und", dtype=object)
-        for lang, sw in self.sw.items():
-            hits = np.bincount(parents[tok_s.isin(sw).to_numpy()], minlength=n) / denom
-            upd = hits > best
-            best[upd] = hits[upd]
-            best_lang[upd] = lang
-        return t.append_column("lang_pred", pa.array(best_lang, pa.string())).append_column(
-            "lang_score", pa.array(best, pa.float64())
-        )
+    tok_s = pd.Series(toks)
+    n_toks = np.bincount(parents, minlength=n).astype(np.float64)
+    denom = np.maximum(n_toks, 1.0)
+    best = np.zeros(n, dtype=np.float64)
+    best_lang = np.full(n, "und", dtype=object)
+    for lang, sw in STOPWORDS.items():
+        hits = np.bincount(parents[tok_s.isin(sw).to_numpy()], minlength=n) / denom
+        upd = hits > best
+        best[upd] = hits[upd]
+        best_lang[upd] = lang
+    return t.append_column("lang_pred", pa.array(best_lang, pa.string())).append_column(
+        "lang_score", pa.array(best, pa.float64())
+    )
 
 
 def lang_id(ds: rd.Dataset, text_col: str = "text") -> rd.Dataset:
-    return ds.map_batches(
-        LangId,
-        fn_constructor_args=(text_col,),
-        batch_format="pyarrow",
-        concurrency=_ACTORS,
-        num_cpus=1,
-    )
+    return ds.map_batches(lambda t: _lang_id_batch(t, text_col), batch_format="pyarrow")
 
 
 def token_count(ds: rd.Dataset, text_col: str = "text") -> rd.Dataset:
@@ -373,7 +360,7 @@ def tfidf_top_terms(
     """Per-document top-k TF-IDF terms: (id, term, tf, df, score, rank).
 
     Tokenizer: lowercase ASCII ``[0-9a-z_]+`` (the same class as
-    :class:`LangId` and the SQL oracle). ``idf = ln((N+1)/(df+1)) + 1``
+    :func:`lang_id` and the SQL oracle). ``idf = ln((N+1)/(df+1)) + 1``
     (smoothed, SQL-expressible); ``score = tf * idf``; ties break on the
     smaller term. Documents with no tokens emit no rows.
 

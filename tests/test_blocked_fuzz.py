@@ -425,7 +425,7 @@ def test_partition_scorer_two_table_equals_broadcast(method, d, L, R, dups, budg
     rt = pa.table({"id": list(range(len(R))), "w": pa.array(R, pa.string())})
     index = sj.RightStringIndex(rt, "id", [("w", "w")], strategy_for(m, d, 2))
     lt = pa.table({"id": list(range(len(L))), "w": pa.array(L, pa.string())})
-    want = sj.BroadcastStringScorer(index, {"by": [("w", "w")], "lid": "id", "score": score})(lt)
+    want = sj.score_left_batch(index, lt, [("w", "w")], "id", **score)
     assert _edges(got) == _edges([want])
 
 

@@ -209,7 +209,7 @@ _CONTENT_HASHES = {
     ("kernels/stablehash.py", "stable_col_hash"): "value hashing kernel",
     ("pipelines/lm.py", "_hash_pairs"): "lm bigram pair-count keys",
     ("pipelines/lm.py", "build_bigram_lm"): "lm prefix-count keys",
-    ("pipelines/lm.py", "_LmScorer.__call__"): "lm prefix-count probe keys",
+    ("pipelines/lm.py", "_lm_score_batch"): "lm prefix-count probe keys",
     ("pipelines/curation.py", "_gram_hashes"): "dup-gram membership set",
     ("pipelines/sketch.py", "_cms_hashes"): "count-min sketch rows",
     ("sources/docgen.py", "spansify_table"): "deterministic media ref",
@@ -348,9 +348,47 @@ def test_no_raw_map_groups():
     assert {site for site, _ in calls} == _GROUP_MAPS, "stale allowlist entries"
 
 
-# Plan knobs that are module constants (actor pools, batch sizes, the
-# auto-strategy row limit, the interval long-tail cutoff). The regex
-# join keeps broadcast_threshold: it is also its shard size.
+# ------------------------------------------------------- actor pool guard
+
+_POOL_KWARGS = {"concurrency", "fn_constructor_args", "fn_constructor_kwargs"}
+
+
+def _actor_pool_maps():
+    """(module, line) per ``.map_batches(`` call in the package that
+    starts an actor pool: a pool keyword, or a class as the function."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent / "fozziejoin_ray"
+    trees = {
+        p.relative_to(root).as_posix(): ast.parse(p.read_text()) for p in sorted(root.rglob("*.py"))
+    }
+    classes = {n.name for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.ClassDef)}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "map_batches"
+            ):
+                continue
+            fns = node.args[:1] + [k.value for k in node.keywords if k.arg == "fn"]
+            named = {getattr(f, "id", getattr(f, "attr", None)) for f in fns}
+            if {k.arg for k in node.keywords} & _POOL_KWARGS or named & classes:
+                yield mod, node.lineno
+
+
+def test_no_actor_pools():
+    """Every ``map_batches`` stage in the package is a plain task: a
+    broadcast scorer reads one ``ray.put`` object per batch instead of
+    holding it in an actor pool started on every call."""
+    stray = [f"{m}:{ln}" for m, ln in _actor_pool_maps()]
+    assert not stray, "actor-pool map_batches: " + ", ".join(stray)
+
+
+# Plan knobs that are module constants (batch sizes, the auto-strategy
+# row limit, the interval long-tail cutoff). The regex join keeps
+# broadcast_threshold: it is also its shard size.
 _PLAN_KNOBS = {"concurrency", "batch_size", "broadcast_threshold", "broadcast_limit", "long_cutoff"}
 
 

@@ -15,7 +15,6 @@ from unittest import mock
 import numpy as np
 import pyarrow as pa
 import pytest
-import ray
 import ray.data as rd
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -74,14 +73,12 @@ def _oracle(keep, dists):
 
 
 def _broadcast(lt, rt, by, score):
-    cfg = {"id": "lid", "by": by, "score": score, "held": "right"}
-    return nj.BroadcastScorer(ray.put(nj.sorted_right(rt, "rid", by)), cfg)(lt)
+    return nj.score_left_batch(nj.sorted_right(rt, "rid", by), lt, "lid", by, score)
 
 
 def _broadcast_left(lt, rt, by, score):
-    cfg = {"id": "rid", "by": by, "score": score, "held": "left"}
     held = ([nj._numeric_np(lt[l]) for l, _ in by], lt["lid"])
-    return nj.BroadcastScorer(ray.put(held), cfg)(rt)
+    return nj.score_right_batch(held, rt, "rid", by, score)
 
 
 def _blocked(lt, rt, emits, score, nkeys, parts):

@@ -459,10 +459,9 @@ def test_interval_blocked_heavy_tail_two_level():
     assert full.num_rows > 3 * cut.num_rows
 
 
-@pytest.mark.parametrize("strategy", ["broadcast", "blocked"])
-def test_interval_lazy_right_read_once(strategy):
-    """A lazy right side runs once, however many times the plan reads it:
-    a row-counting map over 2,000 right rows counts 2,000."""
+def _row_counter():
+    """(count, total): ``count`` is a map_batches fn that adds its
+    batch's rows to a shared counter, ``total()`` reads it."""
     import ray
 
     @ray.remote
@@ -482,6 +481,14 @@ def test_interval_lazy_right_read_once(strategy):
         ray.get(rows.add.remote(t.num_rows))
         return t
 
+    return count, lambda: ray.get(rows.total.remote())
+
+
+@pytest.mark.parametrize("strategy", ["broadcast", "blocked"])
+def test_interval_lazy_right_read_once(strategy):
+    """A lazy right side runs once, however many times the plan reads it:
+    a row-counting map over 2,000 right rows counts 2,000."""
+    count, total = _row_counter()
     rng = np.random.default_rng(7)
     rs, ls = rng.uniform(0, 1000, 2000), rng.uniform(0, 1000, 200)
     right = rd.from_arrow(pa.table({"s": rs, "e": rs + rng.uniform(0, 8, 2000)}))
@@ -490,4 +497,73 @@ def test_interval_lazy_right_read_once(strategy):
         left, right.map_batches(count, batch_format="pyarrow"), by=[("s", "s"), ("e", "e")], strategy=strategy
     )
     assert out.count() > 0
-    assert ray.get(rows.total.remote()) == 2000
+    assert total() == 2000
+
+
+def _interval_bruteforce(ls, le, rs, re, spec):
+    from fozziejoin_ray.joins.interval_join import interval_matches_flat
+
+    keep = interval_matches_flat(ls[:, None], le[:, None], rs[None, :], re[None, :], **spec)
+    i, j = np.nonzero(keep)
+    return set(zip(i.tolist(), j.tolist()))
+
+
+def test_interval_open_right_adds_one_probe_per_left(monkeypatch):
+    """The broadcast plan probes open-ended rights apart from the short
+    ones: one right with ``end = inf`` adds at most one probed pair per
+    left (counted by a spy on the window kernel), and every pair is
+    still found once."""
+    from fozziejoin_ray.joins import interval_join as ij
+
+    rng = np.random.default_rng(5)
+    n, m = 2000, 3000
+    ls = rng.uniform(0, 1000, n)
+    le = ls + rng.uniform(0, 8, n)
+    rs = np.sort(rng.uniform(0, 1000, m))
+    re = rs + rng.uniform(0, 8, m)
+    spec = dict(mode="real", overlap_type="any", maxgap=0.0, minoverlap=0.0)
+    kernel, probed = ij.window_slabs, []
+
+    def spy(*args):
+        for lrow, rpos in kernel(*args):
+            probed[-1] += len(lrow)
+            yield lrow, rpos
+
+    monkeypatch.setattr(ij, "window_slabs", spy)
+
+    def run(re):
+        probed.append(0)
+        lrow, rpos = ij.interval_pairs([ls, le], [rs, re], **spec)
+        pairs = list(zip(lrow.tolist(), rpos.tolist()))
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == _interval_bruteforce(ls, le, rs, re, spec)
+        return probed[-1]
+
+    closed = run(re)
+    re[m // 2] = np.inf
+    assert closed < run(re) <= closed + n
+
+
+def test_interval_broadcast_reads_lazy_left_once():
+    """The broadcast plan probes the long and open-ended rights in the
+    same pass over the left side as the short ones: a row-counting map
+    over 300 lazy left rows counts 300, and the edges equal all-pairs."""
+    from fozziejoin_ray.joins import interval_join as ij
+
+    count, total = _row_counter()
+    rng = np.random.default_rng(9)
+    ls, rs = rng.uniform(0, 100, 300), rng.uniform(0, 100, 400)
+    le, re = ls + rng.uniform(0, 4, 300), rs + rng.uniform(0, 4, 400)
+    re[:20] += 60.0  # long rights
+    re[20], rs[21] = np.inf, -np.inf  # open-ended rights
+    left = rd.from_arrow(pa.table({"lid": np.arange(300), "s": ls, "e": le}))
+    right = rd.from_arrow(pa.table({"rid": np.arange(400), "s": rs, "e": re}))
+    spec = dict(mode="real", overlap_type="any", maxgap=0.5, minoverlap=0.0)
+    edges = ij._broadcast_interval_edges(
+        left.map_batches(count, batch_format="pyarrow"), right,
+        [("s", "s"), ("e", "e")], "lid", "rid", spec,
+    ).take_all()
+    assert total() == 300
+    got = {(e["__fj_lid"], e["__fj_rid"]) for e in edges}
+    assert len(got) == len(edges)
+    assert got == _interval_bruteforce(ls, le, rs, re, spec)

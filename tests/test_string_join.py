@@ -631,10 +631,9 @@ def test_broadcast_pair_slabs_equal_one_slab(monkeypatch, method, d):
     method = canon_method(method)
     score = {"method": method, "max_distance": d, "q": 2, "max_prefix": 0, "prefix_weight": 0.0}
     index = sj.RightStringIndex(rt, "rid", [("k", "k")], strategy_for(method, d, 2))
-    scorer = sj.BroadcastStringScorer(index, {"by": [("k", "k")], "lid": "lid", "score": score})
 
     def edges():
-        e = scorer(lt)
+        e = sj.score_left_batch(index, lt, [("k", "k")], "lid", **score)
         return sorted(zip(*(e[c].to_pylist() for c in ("__fj_lid", "__fj_rid", "__fj_d0"))))
 
     whole = edges()
