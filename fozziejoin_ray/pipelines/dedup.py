@@ -19,12 +19,15 @@ import ray
 import ray.data as rd
 from ray.data.dataset import MaterializedDataset
 
+from ..blocking.strategies import _ranges
 from ..census import hot_key_census
 from ..cluster.union_find import connected_components
 from ..exchange import exchange
 from ..joins.hashjoin import hash_join
+from ..joins.string_join import slab_bounds
 
 _MERSENNE = (1 << 61) - 1
+MAX_BUCKET = 4096  # LSH stop-word cap: a bucket (or one side of it) over this pairs nothing
 
 
 # ------------------------------------------------------------------- exact
@@ -322,84 +325,51 @@ def _band_hashes(sig: np.ndarray, bands: int) -> np.ndarray:
     return out
 
 
-def _triu_pairs_by_bucket(
+def _bucket_pairs(
     bucket: np.ndarray,
-    *,
-    min_bucket: int = 2,
-    max_bucket: int = 4096,
+    side: np.ndarray | None,
+    capped: np.ndarray,
     sketch: np.ndarray | None = None,
     keep_fn=None,
-    chunk_pairs: int = 65_536,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All within-bucket position pairs (i, j), i-position before
-    j-position, for every bucket with ``min_bucket <= size <=
-    max_bucket`` — no per-bucket python loop: positions are sorted by
-    bucket, grouped into (k, s) matrices per bucket-size class, and
-    expanded with one ``triu_indices`` call per distinct size.
-
-    With ``sketch`` ((n, w) uint64) and ``keep_fn(SA, SB) -> mask``, the
-    pair filter is FUSED into the expansion: sketch rows are gathered
-    once per bucket member (not once per pair), pair expansion reads
-    them from the cache-resident per-class matrix, and only surviving
-    positions are emitted. ``chunk_pairs`` bounds the expansion slabs;
-    keep them small enough that a slab's temporaries stay cache-resident
-    per task under full-node concurrency. Measured 32-way concurrent on
-    the real 480k-doc emission (330M raw pairs, idle host): 64k and
-    256k slabs are statistically tied (~30s stage wall) ONCE the
-    ownership kernel reuses preallocated slab buffers; before that fix,
-    big slabs amplified allocator mmap/page-zero churn under
-    concurrency (observed 16-29s/task vs 7-10s/task). 64k is kept as
-    the default because it bounds peak per-task temporaries (~6 MB)
-    without measurable cost."""
+    """Every candidate (a, b) row-position pair of a bucket partition,
+    each once: within each bucket not in ``capped``, every a-before-b
+    pair (``side`` None) or every (side-0, side-1) pair. With the rows
+    sorted by (bucket[, side]), a left member's partners are one
+    contiguous range: the rest of its bucket, or its bucket's side-1
+    rows. The ranges are expanded in ``SLAB_PAIRS`` slabs
+    (:func:`~fozziejoin_ray.joins.string_join.slab_bounds`), each
+    filtered by ``keep_fn(sketch[a], sketch[b])`` when given."""
+    none = np.empty(0, np.int64)
     n = len(bucket)
-    if n == 0:
-        return np.empty(0, np.int32), np.empty(0, np.int32)
-    order = np.argsort(bucket, kind="stable").astype(np.int32)
+    if not n:
+        return none, none
+    order = np.argsort(bucket, kind="stable") if side is None else np.lexsort((side, bucket))
     bs = bucket[order]
-    starts = np.nonzero(np.r_[True, bs[1:] != bs[:-1]])[0]
-    sizes = np.diff(np.r_[starts, n])
-    ai_parts: list[np.ndarray] = []
-    bi_parts: list[np.ndarray] = []
-    for s in np.unique(sizes):
-        if s < min_bucket or s > max_bucket:
-            continue
-        b_starts = starts[sizes == s]
-        mat = order[b_starts[:, None] + np.arange(s, dtype=np.int64)[None, :]]  # (k, s)
-        ii, jj = np.triu_indices(int(s), k=1)
-        per = len(ii)
-        skm = sketch[mat] if sketch is not None else None  # (k, s, w): one gather per member
-        # two-level chunking so a slab never exceeds chunk_pairs even for
-        # a single fat bucket (pair-range slices x bucket groups)
-        for p0 in range(0, per, chunk_pairs):
-            iis = ii[p0 : p0 + chunk_pairs]
-            jjs = jj[p0 : p0 + chunk_pairs]
-            kb = max(1, chunk_pairs // max(len(iis), 1))
-            for c0 in range(0, mat.shape[0], kb):
-                sub = mat[c0 : c0 + kb]
-                if keep_fn is not None:
-                    sks = skm[c0 : c0 + kb]
-                    w = sks.shape[2]
-                    m = keep_fn(
-                        sks[:, iis, :].reshape(-1, w), sks[:, jjs, :].reshape(-1, w)
-                    )
-                    idx = np.nonzero(m)[0]
-                    if not len(idx):
-                        continue
-                    # survivor-only position gather (typically ~10% of the
-                    # slab): avoids materializing A/B for killed pairs
-                    rows = idx // len(iis)
-                    cols = idx - rows * len(iis)
-                    A = sub[rows, iis[cols]]
-                    B = sub[rows, jjs[cols]]
-                else:
-                    A = sub[:, iis].ravel()
-                    B = sub[:, jjs].ravel()
-                if len(A):
-                    ai_parts.append(A)
-                    bi_parts.append(B)
-    if not ai_parts:
-        return np.empty(0, np.int32), np.empty(0, np.int32)
-    return np.concatenate(ai_parts), np.concatenate(bi_parts)
+    starts = np.flatnonzero(np.r_[True, bs[1:] != bs[:-1]])
+    ends = np.r_[starts[1:], n]
+    g = np.repeat(np.arange(len(starts)), ends - starts)  # bucket of each sorted row
+    if side is None:
+        lo, left = np.arange(1, n + 1), np.ones(n, bool)
+    else:
+        left = side[order] == 0
+        lo = (starts + np.add.reduceat(left, starts))[g]
+    cnt = np.where(left & ~np.isin(bs[starts], capped)[g], ends[g] - lo, 0)
+    mem = np.flatnonzero(cnt > 0)
+    if not len(mem):
+        return none, none
+    lo, cnt = lo[mem], cnt[mem]
+    bounds = slab_bounds(cnt)
+    out_a, out_b = [], []
+    for s0, s1 in zip(bounds[:-1], bounds[1:]):
+        rep, at = _ranges(lo[s0:s1], cnt[s0:s1])
+        a, b = order[mem[s0:s1][rep]], order[at]
+        if keep_fn is not None:
+            m = keep_fn(sketch[a], sketch[b])
+            a, b = a[m], b[m]
+        out_a.append(a)
+        out_b.append(b)
+    return np.concatenate(out_a), np.concatenate(out_b)
 
 
 _INDEX_CACHE: dict = {}
@@ -681,20 +651,22 @@ def simhash_dedup(
 # ------------------------------------------------------- n-gram jaccard dup
 
 
+_HOT_MIN_DF = 2  # a shingle in fewer documents stays unranked
+_HOT_TOP = 1 << 20  # the most ranked shingles the order table holds
+
+
 def _hot_shingle_order(
     ds: rd.Dataset,
     text_col: str,
     shingle_k: int,
     *,
-    min_df: int = 2,
-    top_hot: int = 1 << 20,
     num_partitions: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(hot_sorted, hot_rank): the corpus's shingles with document
-    frequency >= ``min_df``, as an int64 array sorted by hash plus the
+    frequency >= ``_HOT_MIN_DF``, as an int64 array sorted by hash plus the
     aligned rank of each under ascending (df, hash). Used to order
     prefix-filter emissions rarest-first. Broadcast-bounded: at most
-    ``top_hot`` entries survive (highest df wins); shingles outside the
+    ``_HOT_TOP`` entries survive (highest df wins); shingles outside the
     table sort before all listed ones by raw hash, which is always
     correct — the order is a pruning heuristic, never a semantics.
 
@@ -718,15 +690,15 @@ def _hot_shingle_order(
 
     def tot(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("h", sort=False)["c"].sum()
-        g = g[g >= min_df]
+        g = g[g >= _HOT_MIN_DF]
         return pd.DataFrame({"h": g.index.to_numpy(), "df": g.to_numpy()})
 
     pdf = exchange(
         ds.map_batches(partial, batch_format="pyarrow"), "h", num_partitions, tot,
         batch_format="pandas",
     ).to_pandas()
-    if len(pdf) > top_hot:
-        pdf = pdf.nlargest(top_hot, "df")
+    if len(pdf) > _HOT_TOP:
+        pdf = pdf.nlargest(_HOT_TOP, "df")
     if not len(pdf):
         return np.empty(0, np.int64), np.empty(0, np.int64)
     order = np.lexsort((pdf["h"].to_numpy(), pdf["df"].to_numpy()))
@@ -758,7 +730,7 @@ def ngram_jaccard_dedup(
     shingles first — the PPJoin ordering): the prefix theorem holds for
     ANY fixed global order, and rare-first makes prefix buckets small, so
     candidate count collapses on corpora with hot shingles. The order
-    table is bounded for scale: only the ``top_hot`` highest-df shingles
+    table is bounded for scale: only the ``_HOT_TOP`` highest-df shingles
     are ranked (broadcast once via ``ray.put``); everything below the cut
     sorts first by raw hash — correctness is unaffected, only candidate
     pruning quality degrades past the cap.
@@ -778,106 +750,7 @@ def ngram_jaccard_dedup(
     return _dup_groups(ds, edges, id_col, num_partitions, id_type)
 
 
-def _cross_pairs_by_bucket(
-    bucket: np.ndarray,
-    side: np.ndarray,
-    *,
-    max_bucket: int = 4096,
-    sketch: np.ndarray | None = None,
-    keep_fn=None,
-    chunk_pairs: int = 65_536,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two-table analog of :func:`_triu_pairs_by_bucket`: within every
-    bucket, all (side-0 position, side-1 position) pairs, vectorized —
-    sort once by (bucket, side), count each side per bucket with one
-    cumsum, expand with the shared variable-size cross product. Buckets
-    with a side larger than ``max_bucket`` are dropped (the stop-word
-    cap). ``sketch``/``keep_fn`` fuse a recall-lossless pair filter into
-    chunked expansion slabs."""
-    n = len(bucket)
-    if n == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    order = np.lexsort((side, bucket))
-    bs, ss = bucket[order], side[order]
-    starts = np.nonzero(np.r_[True, bs[1:] != bs[:-1]])[0]
-    ends = np.r_[starts[1:], n]
-    cs = np.r_[0, np.cumsum(ss == 0)]
-    l_cnt = cs[ends] - cs[starts]
-    r_cnt = (ends - starts) - l_cnt
-    kept = (l_cnt >= 1) & (r_cnt >= 1) & (l_cnt <= max_bucket) & (r_cnt <= max_bucket)
-    ks, kl, kr = starts[kept], l_cnt[kept], r_cnt[kept]
-    if keep_fn is None or sketch is None:
-        from ..blocking.strategies import _cross_expand
-
-        rep, al, bl = _cross_expand(kl, kr)
-        if not len(rep):
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        return order[ks[rep] + al], order[ks[rep] + kl[rep] + bl]
-    # FUSED filter path: survivors-only materialization — never the
-    # full raw cross (which for a hot partition is GBs of int64 churn;
-    # the unfused expand-then-filter shape measured 7x slower under
-    # full-node concurrency on the 480k-doc corpus).
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    pairs_per = kl * kr
-    # Tiny buckets (bulk of a long-tail partition): per-(l,r)-class
-    # overhead would dominate, so walk their concatenated pair-index
-    # space in bounded slabs (searchsorted + div per pair is fine at
-    # this volume). Bigger buckets take the class-matrix path below —
-    # same shape as _triu_pairs_by_bucket, ~3x cheaper per pair.
-    tiny = pairs_per <= 4096
-    if tiny.any():
-        tks, tkl, tkr = ks[tiny], kl[tiny], kr[tiny]
-        cum = np.r_[np.int64(0), np.cumsum(tkl * tkr)]
-        total = int(cum[-1])
-        for p0 in range(0, total, chunk_pairs):
-            idx = np.arange(p0, min(p0 + chunk_pairs, total), dtype=np.int64)
-            g = np.searchsorted(cum, idx, side="right") - 1
-            off = idx - cum[g]
-            al = off // tkr[g]
-            bl = off - al * tkr[g]
-            ac = order[tks[g] + al]
-            bc = order[tks[g] + tkl[g] + bl]
-            m = keep_fn(sketch[ac], sketch[bc])
-            out_a.append(ac[m])
-            out_b.append(bc[m])
-    big = ~tiny
-    if big.any():
-        bks, bkl, bkr = ks[big], kl[big], kr[big]
-        cls = (bkl << np.int64(32)) | bkr
-        for key in np.unique(cls):
-            sel = cls == key
-            l = int(key >> np.int64(32))
-            r = int(key & np.int64(0xFFFFFFFF))
-            b_starts = bks[sel]
-            span = l + r
-            # (k, l+r) position matrix; one sketch gather per MEMBER
-            mat = order[b_starts[:, None] + np.arange(span, dtype=np.int64)[None, :]]
-            ii = np.repeat(np.arange(l, dtype=np.int64), r)
-            jj = l + np.tile(np.arange(r, dtype=np.int64), l)
-            per = l * r
-            skm = sketch[mat]  # (k, l+r, w)
-            for p0 in range(0, per, chunk_pairs):
-                iis = ii[p0 : p0 + chunk_pairs]
-                jjs = jj[p0 : p0 + chunk_pairs]
-                kb = max(1, chunk_pairs // max(len(iis), 1))
-                for c0 in range(0, mat.shape[0], kb):
-                    sub = mat[c0 : c0 + kb]
-                    sks = skm[c0 : c0 + kb]
-                    w = sks.shape[2]
-                    m = keep_fn(
-                        sks[:, iis, :].reshape(-1, w), sks[:, jjs, :].reshape(-1, w)
-                    )
-                    idx = np.nonzero(m)[0]
-                    if not len(idx):
-                        continue
-                    rows = idx // len(iis)
-                    cols = idx - rows * len(iis)
-                    out_a.append(sub[rows, iis[cols]])
-                    out_b.append(sub[rows, jjs[cols]])
-    if not out_a:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(out_a), np.concatenate(out_b)
+_OWN_SLAB = 8_192  # pairs per ownership chunk
 
 
 def _own_pairs_mask(
@@ -887,15 +760,14 @@ def _own_pairs_mask(
     bi: np.ndarray,
     capped: np.ndarray,
     bands: int,
-    slab: int = 8_192,
 ) -> np.ndarray:
     """First-agreeing-band ownership mask: True where the band of
     ``bucket[ai]`` is the FIRST non-capped band whose band hashes agree
     for the pair. Capped buckets are RARE, so exclusion is unpacked per
     band into a handful of vector compares — never a sort-based isin.
 
-    ``slab`` bounds the per-chunk temporaries, and the chunk buffers are
-    preallocated ONCE and refilled with ``np.take(..., out=)`` /
+    ``_OWN_SLAB`` bounds the per-chunk temporaries, and the chunk
+    buffers are preallocated ONCE and refilled with ``np.take(..., out=)`` /
     ``np.equal(..., out=)``: the band-hash table itself is a few MB and
     cache-resident, so with throwaway slab temporaries this kernel's
     cost is pure allocator+DRAM churn (measured 4 µs/pair at 32-way
@@ -914,13 +786,14 @@ def _own_pairs_mask(
     cap_by_band = {b: np.array(v, np.uint32) for b, v in cap_by_band.items()}
     j_band = (bucket[ai] >> np.uint64(32)).astype(np.int64)
     BHc = np.ascontiguousarray(BHp)
-    A = np.empty((min(slab, n), bands), BHc.dtype)
-    B = np.empty((min(slab, n), bands), BHc.dtype)
-    agree = np.empty((min(slab, n), bands), bool)
-    hit = np.empty(min(slab, n), bool)
-    hit2 = np.empty(min(slab, n), bool)
-    for c0 in range(0, n, slab):
-        m = min(slab, n - c0)
+    k = min(_OWN_SLAB, n)
+    A = np.empty((k, bands), BHc.dtype)
+    B = np.empty((k, bands), BHc.dtype)
+    agree = np.empty((k, bands), bool)
+    hit = np.empty(k, bool)
+    hit2 = np.empty(k, bool)
+    for c0 in range(0, n, _OWN_SLAB):
+        m = min(_OWN_SLAB, n - c0)
         sl = slice(c0, c0 + m)
         Av, Bv, agv = A[:m], B[:m], agree[:m]
         np.take(BHc, ai[sl], axis=0, out=Av)
@@ -943,9 +816,13 @@ def _bucket_census(
 ) -> np.ndarray:
     """Global LSH bucket census: the sorted u64 ids of globally-capped
     buckets (count > max_bucket; per (bucket, side) in two-table mode,
-    collapsed back to bucket ids): the stop-word cap, dropped entirely.
-    Counted by :func:`~fozziejoin_ray.census.hot_key_census` over the
-    materialized emission, so the counts never shuffle."""
+    collapsed back to bucket ids). This is the only place a live run
+    decides the stop-word cap: :func:`_bucket_pairs` pairs nothing in a
+    capped bucket and :func:`_own_pairs_mask` skips its band. The exchange
+    puts every row of a bucket in one partition, so a partition's count
+    of a bucket is this global count. Counted by
+    :func:`~fozziejoin_ray.census.hot_key_census` over the materialized
+    emission, so the counts never shuffle."""
 
     def sided(t: pa.Table) -> pa.Table:
         col = (
@@ -1116,17 +993,17 @@ def _bucket_scorer(
     score_fn,
     *,
     bands: int | None,
-    max_bucket: int,
     prefilter=None,
     two_table: bool = False,
 ):
     """The bucket-partition scorer, ``score_part(t, capped) -> (a, b,
     score)``: ``t`` holds every emission row of its buckets and
-    ``capped`` is the sorted global stop-word-capped bucket set. Pairs
-    come from the within-bucket triu (self) or side-0 x side-1 cross
-    (``two_table``) expansion with the fused ``prefilter``, keep only
-    the first-agreeing-band owner (:func:`_own_pairs_mask`; skipped when
-    ``bands`` is None), and are
+    ``capped`` is the sorted global stop-word-capped bucket set, the
+    only place the cap is decided. Pairs come from
+    :func:`_bucket_pairs` (every pair of a bucket, or its side-0 x
+    side-1 pairs with ``two_table``; none in a capped bucket) with the
+    fused ``prefilter``, keep only the first-agreeing-band owner
+    (:func:`_own_pairs_mask`; skipped when ``bands`` is None), and are
     verified by ONE ``score_fn(values_a, values_b) -> (keep, scores)``
     call over ``value_col``. Self-join edges come back with a < b;
     two-table edges as (side-0 id, side-1 id)."""
@@ -1148,15 +1025,8 @@ def _bucket_scorer(
         S = None
         if prefilter is not None:
             S = _arr(t, "__sk").flatten().to_numpy(zero_copy_only=False).reshape(-1, skw)
-        if two_table:
-            side = t["__lsh_side"].to_numpy(zero_copy_only=False)
-            ai, bi = _cross_pairs_by_bucket(
-                bucket, side, max_bucket=max_bucket, sketch=S, keep_fn=keepf
-            )
-        else:
-            ai, bi = _triu_pairs_by_bucket(
-                bucket, max_bucket=max_bucket, sketch=S, keep_fn=keepf
-            )
+        side = t["__lsh_side"].to_numpy(zero_copy_only=False) if two_table else None
+        ai, bi = _bucket_pairs(bucket, side, capped, S, keepf)
         if not len(ai):
             return empty
         if bands is not None:
@@ -1198,7 +1068,7 @@ def lsh_fused_edges(
     *,
     key,
     num_partitions: int = 64,
-    max_bucket: int = 4096,
+    max_bucket: int = MAX_BUCKET,
     prefilter=None,
     right: rd.Dataset | None = None,
     right_text_col: str | None = None,
@@ -1217,8 +1087,8 @@ def lsh_fused_edges(
     Emission rows (:func:`_band_emitter`) carry (numeric bucket, id,
     value, the row's full band vector for banded keys) and cross one
     :func:`~fozziejoin_ray.exchange.exchange` on ``__bucket``. Each
-    partition (:func:`_bucket_scorer`) builds candidate
-    pairs with one vectorized triu expansion per bucket-size class and
+    partition (:func:`_bucket_scorer`) builds candidate pairs with one
+    vectorized partner-range expansion (:func:`_bucket_pairs`) and
     verifies them in ONE ``score_fn(texts_a, texts_b) -> (keep_mask,
     scores)`` call. A ``score_fn`` whose ``by_id`` attribute is true
     (:class:`_IndexJaccardScore`) is handed ids instead, and the text
@@ -1282,7 +1152,6 @@ def lsh_fused_edges(
         id_col if by_id else text_col,
         score_fn,
         bands=key.bands,
-        max_bucket=max_bucket,
         prefilter=prefilter,
         two_table=two_table,
     )
@@ -1449,7 +1318,7 @@ def cross_neardup_pairs(
     bands: int | None = None,
     seed: int = 13,
     num_partitions: int = 64,
-    max_bucket: int = 4096,
+    max_bucket: int = MAX_BUCKET,
 ) -> rd.Dataset:
     """Cross-corpus near-duplicate detection: every (left doc, right
     doc) pair with exact char-``shingle_k``-gram set-Jaccard >=

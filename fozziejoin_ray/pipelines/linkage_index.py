@@ -48,7 +48,7 @@ import ray
 import ray.data as rd
 
 from ..exchange import exchange, partition_ids
-from .dedup import _band_emitter, _bucket_scorer
+from .dedup import MAX_BUCKET, _band_emitter, _bucket_scorer
 from .linkage import LINKAGE_BANDS, JaroCharBoundFilter, _distinct_key_reps, string_scorer
 
 _META = "index_meta.json"
@@ -219,7 +219,7 @@ def probe_linkage_lsh_index(
     method: str,
     max_distance: float,
     q: int = 2,
-    max_bucket: int = 4096,
+    max_bucket: int = MAX_BUCKET,
 ) -> rd.Dataset:
     """(src = new doc, dst = old doc, dist) edges between the delta's
     distinct-key reps and the persisted index, under the same candidate
@@ -231,11 +231,11 @@ def probe_linkage_lsh_index(
     P = _read_meta(index_dir)["num_partitions"]
     new_emit = _distinct_key_reps(new_keys, P).map_batches(_emit, batch_format="pyarrow").materialize()
 
-    # ---- phase A: per-side census -> the (tiny) capped set. The cap
-    # rule mirrors the live two-table LSH join exactly (dedup.py
-    # _cross_pairs_by_bucket + _bucket_census): a bucket is capped iff
-    # EITHER side's count exceeds max_bucket — matching the "a capped
-    # side caps the whole bucket" ownership semantics, so probe == live
+    # ---- phase A: per-side census -> the (tiny) capped set, the only
+    # place the probe decides the stop-word cap. The rule mirrors the
+    # live two-table LSH join's dedup._bucket_census: a bucket is capped
+    # iff EITHER side's count exceeds max_bucket, and the scorer pairs
+    # nothing in it and skips its band in ownership, so probe == live
     # cross holds across the stop-word boundary too.
     def census(t: pa.Table) -> pa.Table:
         part = _part_of(t, P)
@@ -265,7 +265,6 @@ def probe_linkage_lsh_index(
         "key",
         score_fn,
         bands=LINKAGE_BANDS.bands,
-        max_bucket=max_bucket,
         prefilter=prefilter,
         two_table=True,
     )

@@ -1242,3 +1242,65 @@ def test_blocking_stats_fuzz_vs_brute(texts, nparts):
             c * (c - 1) // 2 for c in counts.values()
         ), (name, texts)
         assert row["max_block"] == max(counts.values()), (name, texts)
+
+
+def _brute_bucket_pairs(bucket, side, capped, sketch, keep_fn):
+    from collections import Counter
+
+    got = Counter()
+    for i in range(len(bucket)):
+        for j in range(len(bucket)):
+            if bucket[i] != bucket[j] or bucket[i] in capped:
+                continue
+            if (i < j) if side is None else (side[i] == 0 and side[j] == 1):
+                if keep_fn is None or keep_fn(sketch[[i]], sketch[[j]])[0]:
+                    got[(i, j)] += 1
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 1), st.integers(0, 9)), max_size=40
+    ),
+    st.sets(st.integers(0, 5)),
+    st.one_of(st.none(), st.integers(0, 9)),
+    st.booleans(),
+)
+def test_bucket_pairs_vs_brute(rows, capped_ids, thr, two_table):
+    """The LSH scorer's one pair expansion against an all-pairs brute
+    force, multiplicity included: 1-6 colliding buckets, a random capped
+    subset, an optional sketch-threshold filter, self and two-table
+    (where a side may have no partner, or the partition no row)."""
+    from collections import Counter
+
+    from fozziejoin_ray.pipelines.dedup import _bucket_pairs
+
+    hi = np.uint64(1) << np.uint64(32)  # buckets carry a band in the high bits
+    bucket = np.array([r[0] for r in rows], np.uint64) * hi + np.uint64(7)
+    side = np.array([r[1] for r in rows], np.int8) if two_table else None
+    sketch = np.array([[r[2]] for r in rows], np.uint64).reshape(-1, 1)
+    capped = np.array(sorted(capped_ids), np.uint64) * hi + np.uint64(7)
+    keep_fn = None
+    if thr is not None:
+        def keep_fn(A, B):
+            return np.abs(A[:, 0].astype(np.int64) - B[:, 0].astype(np.int64)) <= thr
+
+    a, b = _bucket_pairs(bucket, side, capped, sketch, keep_fn)
+    want = _brute_bucket_pairs(bucket, side, set(capped.tolist()), sketch, keep_fn)
+    assert Counter(zip(a.tolist(), b.tolist())) == want
+
+
+def test_bucket_pairs_slabs_cut_inside_one_bucket():
+    """A single 800-row self bucket makes 319,600 pairs, more than one
+    slab: the cuts fall inside the bucket and every pair comes out once."""
+    from fozziejoin_ray.joins.string_join import SLAB_PAIRS
+    from fozziejoin_ray.pipelines.dedup import _bucket_pairs
+
+    n = 800
+    assert n * (n - 1) // 2 > SLAB_PAIRS
+    a, b = _bucket_pairs(np.full(n, 42, np.uint64), None, np.empty(0, np.uint64))
+    assert len(a) == n * (n - 1) // 2
+    ii, jj = np.triu_indices(n, k=1)
+    got = np.sort(a * n + b)
+    assert np.array_equal(got, np.sort(ii * n + jj))
